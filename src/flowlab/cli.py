@@ -76,7 +76,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     Returns a process exit code: 0 on success, 1 if an asserted check failed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    np.random.default_rng(cfg.seed)  # reserved for stochastic initial data
 
     flow = cfg.build_flow()
     u0 = cfg.build_initial()
@@ -202,16 +201,7 @@ def cmd_certify(args) -> int:
 
     flow_ids = ("heat", "csf", "mcf2d", "mcf3d", "plaplace-reg")
     if target in flow_ids or target.split(":")[0] in flow_ids:
-        flow = flows.get_flow(target)
-        if isinstance(flow, flows.Quasilinear1D):
-            profile = flows.DegeneracyProfile(
-                lambda s: float(flow.a(np.asarray(s), 0.0, 0.0, 0.0)),
-                A0=flow.A, P=flow.P)
-        else:
-            profile = flow.degeneracy
-        if profile is None:
-            print(f"flow {target!r} carries no degeneracy profile", file=sys.stderr)
-            return 2
+        profile = flows.get_flow(target).degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))
         rep.to_json(path)
         print(rep.summary_line())
@@ -258,7 +248,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
     g = p_run.add_mutually_exclusive_group()
     g.add_argument("--assert", dest="report_only", action="store_false",
                    help="exit nonzero when an asserted check fails (default)")
@@ -272,7 +261,6 @@ def main(argv=None) -> int:
                          help='overrides, e.g. "flow.c=0.25,0.5;grid.n_cells=128,256"')
     p_sweep.add_argument("--out", default="sweep-out")
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--threads", type=int, default=None)
     p_sweep.add_argument("--report-only", dest="report_only", action="store_true")
     p_sweep.set_defaults(report_only=False, func=cmd_sweep)
 
@@ -281,16 +269,12 @@ def main(argv=None) -> int:
                                    "(euclid, elliptic:<spec>, quartic:<delta>)")
     p_cert.add_argument("--out", default="out")
     p_cert.add_argument("--s-max", type=float, default=1e3)
-    p_cert.add_argument("--threads", type=int, default=None)
     p_cert.set_defaults(func=cmd_certify)
 
     p_list = sub.add_parser("list", help="show catalog and check ids")
     p_list.set_defaults(func=cmd_list)
 
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     return args.func(args)
 
 

@@ -133,9 +133,11 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("flow.id", "missing")
     flow_params = _section_params(cp, "flow", skip=("id",))
     try:
-        flows.get_flow(flow_id, **flow_params)
+        flow = flows.get_flow(flow_id, **flow_params)
     except KeyError:
         raise ConfigError("flow.id", f"unknown flow id {flow_id!r}")
+    if flow.n != 1:
+        raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
 
     try:
         grid = Grid1D(

@@ -1,9 +1,10 @@
 """Catalog of parabolic operators with structural metadata.
 
-Each entry packages the operator callable(s) together with the degeneracy
-constants (A, P) and parabolicity envelopes (lambda(K), Lambda(K)) that the
-verification checks consume.  Metadata is supplied by the catalog, not
-inferred; sampled consistency checks guard against wrong metadata.
+Every entry is one GraphFlowND, u_t = a^ij(Du) D_ij u, packaging the
+coefficient together with the degeneracy profile (A, P) and parabolicity
+envelopes (lambda(K), Lambda(K)) that the verification checks consume.
+Metadata is supplied by the catalog, not inferred; sampled consistency
+checks guard against wrong metadata.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from scipy.optimize import minimize
 from .reports import VerificationReport
 
 __all__ = [
-    "Quasilinear1D",
-    "FullyNonlinear1D",
     "GraphFlowND",
     "DegeneracyProfile",
+    "scalar_flow",
     "mcf_graph",
     "heat_1d",
     "csf",
@@ -49,39 +49,40 @@ class DegeneracyProfile:
 
 
 @dataclass(frozen=True)
-class Quasilinear1D:
-    """u_t = a(u_x, u, x, t) u_xx + b(u_x) with degeneracy metadata."""
-
-    a: Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]
-    b: Callable[[np.ndarray], np.ndarray]
-    A: float
-    P: float
-    lambda_of_K: Callable[[float], float]
-    Lambda_of_K: Callable[[float], float]
-    name: str = "quasilinear1d"
-
-
-@dataclass(frozen=True)
-class FullyNonlinear1D:
-    """u_t = F(u_xx, u_x, u, x, t) with dF/dr > 0."""
-
-    F: Callable
-    dF_dr: Callable
-    name: str = "fullynonlinear1d"
-
-
-@dataclass(frozen=True)
 class GraphFlowND:
-    """u_t = a^ij(Du) D_ij u + b(Du) with symmetric PSD coefficient matrix."""
+    """u_t = a^ij(Du) D_ij u with a symmetric PSD coefficient matrix.
+
+    Every catalog flow has this form; one-dimensional flows are n = 1.
+    ``coeff`` maps one covector p, shape (n,), to a^ij(p); ``coeff_field``
+    maps a stack (..., n) to (..., n, n) and is what the solver calls when
+    it is given.
+    """
 
     n: int
     coeff: Callable[[np.ndarray], np.ndarray]
-    b: Optional[Callable[[np.ndarray], float]] = None
     coeff_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Lambda_of_K: Callable[[float], float] = lambda K: 1.0
     lambda_of_K: Callable[[float], float] = lambda K: 1.0
     degeneracy: Optional[DegeneracyProfile] = None
     name: str = "graphflow"
+
+
+def scalar_flow(a: Callable[[np.ndarray], np.ndarray], A0: float, P: float,
+                lambda_of_K: Callable[[float], float],
+                Lambda_of_K: Callable[[float], float], name: str) -> GraphFlowND:
+    """The n = 1 flow u_t = a(u_x) u_xx for an even, vectorised a.
+
+    Its degeneracy profile is a itself: a(s) s^2 >= A0 for s >= P.
+    """
+    return GraphFlowND(
+        n=1,
+        coeff=lambda p: np.reshape(a(np.asarray(p, dtype=float)), (1, 1)),
+        coeff_field=lambda Du: a(Du)[..., None],
+        Lambda_of_K=Lambda_of_K,
+        lambda_of_K=lambda_of_K,
+        degeneracy=DegeneracyProfile(a, A0=A0, P=P),
+        name=name,
+    )
 
 
 def mcf_graph(n: int) -> GraphFlowND:
@@ -111,12 +112,11 @@ def mcf_graph(n: int) -> GraphFlowND:
     )
 
 
-def csf() -> Quasilinear1D:
+def csf() -> GraphFlowND:
     """Curve shortening flow for graphs: u_t = u_xx / (1 + u_x^2)."""
-    return Quasilinear1D(
-        a=lambda p, q, x, t: 1.0 / (1.0 + p ** 2),
-        b=lambda p: np.zeros_like(p),
-        A=0.5,
+    return scalar_flow(
+        lambda p: 1.0 / (1.0 + p ** 2),
+        A0=0.5,
         P=1.0,
         lambda_of_K=lambda K: 1.0 / (1.0 + K ** 2),
         Lambda_of_K=lambda K: 1.0,
@@ -124,7 +124,7 @@ def csf() -> Quasilinear1D:
     )
 
 
-def heat_1d(c: float) -> Quasilinear1D:
+def heat_1d(c: float) -> GraphFlowND:
     """Linear heat equation u_t = u_xx / (4c).
 
     a p^2 is unbounded above, so the (A, P) certificate is taken at P = 1:
@@ -133,10 +133,9 @@ def heat_1d(c: float) -> Quasilinear1D:
     if c <= 0:
         raise ValueError("c must be positive")
     a_val = 1.0 / (4.0 * c)
-    return Quasilinear1D(
-        a=lambda p, q, x, t: np.full_like(np.asarray(p, dtype=float), a_val),
-        b=lambda p: np.zeros_like(p),
-        A=a_val,  # = P^2/(4c) with P = 1
+    return scalar_flow(
+        lambda p: np.full_like(np.asarray(p, dtype=float), a_val),
+        A0=a_val,  # = P^2/(4c) with P = 1
         P=1.0,
         lambda_of_K=lambda K: a_val,
         Lambda_of_K=lambda K: a_val,
@@ -144,21 +143,16 @@ def heat_1d(c: float) -> Quasilinear1D:
     )
 
 
-def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> Quasilinear1D:
+def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     """Regularized p-Laplacian-style flow a(p) = (eps^2 + p^2)^((q-2)/2).
 
     For q < 0 the degeneracy condition a(p) p^2 >= A fails at large |p|,
     which makes this the stock counterexample entry.
     """
     expo = (q - 2.0) / 2.0
-
-    def a(p, qq, x, t):
-        return (eps ** 2 + p ** 2) ** expo
-
-    return Quasilinear1D(
-        a=a,
-        b=lambda p: np.zeros_like(p),
-        A=min((eps ** 2 + 1.0) ** expo, 1.0),
+    return scalar_flow(
+        lambda p: (eps ** 2 + p ** 2) ** expo,
+        A0=min((eps ** 2 + 1.0) ** expo, 1.0),
         P=1.0,
         lambda_of_K=lambda K: (eps ** 2 + K ** 2) ** expo if expo < 0 else eps ** (2 * expo),
         Lambda_of_K=lambda K: eps ** (2 * expo) if expo < 0 else (eps ** 2 + K ** 2) ** expo,

@@ -1,21 +1,28 @@
 """Explicit monotone time integration of the catalog flows.
 
-Forward Euler with a per-step CFL restriction computed from the current
-gradient bound.  Cross-derivative terms in n-D graph flows use the diagonal
-stencil splitting so that the update stays order-preserving whenever the
-coefficient matrix is diagonally dominant on the data actually probed.
+Every flow has the one form u_t = a^ij(Du) D_ij u (GraphFlowND, n = 1, 2
+or 3), and one forward-Euler stepper advances a batch of solutions on a
+leading axis.  Each step takes dt = cfl_safety / (2 max S), where S is the
+node-wise stability coefficient of the scheme (|a|/h^2 in 1-D) and the
+maximum runs over all nodes and members.  ``evolve`` is a batch of one;
+``evolve_pair_ordered`` is a batch of two that also records the gap
+series.  Cross-derivative terms use the diagonal stencil splitting, so the
+update is order-preserving wherever the coefficient matrix is diagonally
+dominant.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, Grid1D, GridND, field_to_csv
-from .flows import DegeneracyProfile, FullyNonlinear1D, GraphFlowND, Quasilinear1D
+from .fields import Field, Grid1D, field_to_csv
+from .flows import DegeneracyProfile, GraphFlowND, scalar_flow
 
 __all__ = [
     "BoundaryCondition",
@@ -113,124 +120,6 @@ class Trajectory:
         return manifest
 
 
-# --- discrete operators -----------------------------------------------------
-
-
-def _pad_1d(u: np.ndarray, bc: BoundaryCondition, grid: Grid1D, t: float) -> np.ndarray:
-    """Return u extended by one ghost node on each side."""
-    if bc.kind == "periodic":
-        return np.concatenate([u[-1:], u, u[:1]])
-    if bc.kind == "neumann_zero":
-        return np.concatenate([u[1:2], u, u[-2:-1]])
-    # dirichlet: ghost by linear extrapolation (only derivatives at interior
-    # nodes are used; boundary nodes are overwritten each step)
-    return np.concatenate([[2 * u[0] - u[1]], u, [2 * u[-1] - u[-2]]])
-
-
-def _rhs_quasilinear(flow: Quasilinear1D, u, x, t, h, bc, grid):
-    up = _pad_1d(u, bc, grid, t)
-    ux = (up[2:] - up[:-2]) / (2 * h)
-    uxx = (up[2:] - 2 * u + up[:-2]) / h ** 2
-    return flow.a(ux, u, x, t) * uxx + flow.b(ux), ux
-
-
-def _rhs_fully_nonlinear(flow: FullyNonlinear1D, u, x, t, h, bc, grid):
-    up = _pad_1d(u, bc, grid, t)
-    ux = (up[2:] - up[:-2]) / (2 * h)
-    uxx = (up[2:] - 2 * u + up[:-2]) / h ** 2
-    return flow.F(uxx, ux, u, x, t), ux
-
-
-def _pad_nd(u: np.ndarray, bc: BoundaryCondition, axis: int) -> np.ndarray:
-    if bc.kind == "periodic":
-        lo = np.take(u, [-1], axis=axis)
-        hi = np.take(u, [0], axis=axis)
-    elif bc.kind == "neumann_zero":
-        lo = np.take(u, [1], axis=axis)
-        hi = np.take(u, [-2], axis=axis)
-    else:
-        lo = 2 * np.take(u, [0], axis=axis) - np.take(u, [1], axis=axis)
-        hi = 2 * np.take(u, [-1], axis=axis) - np.take(u, [-2], axis=axis)
-    return np.concatenate([lo, u, hi], axis=axis)
-
-
-def _rhs_graph_nd(flow: GraphFlowND, u, t, grids, bc):
-    """a^ij(Du) D_ij u with monotone diagonal splitting of cross terms.
-
-    Requires equal spacing on all axes when n > 1 (needed by the diagonal
-    stencils).  Returns (rhs, Du) with Du shaped grid + (n,).
-    """
-    n = u.ndim
-    hs = [g.h for g in grids]
-    up = u
-    for ax in range(n):
-        up = _pad_nd(up, bc, ax)
-    core = (slice(1, -1),) * n
-
-    def shift(arr, offsets):
-        sl = tuple(slice(1 + o, arr.shape[i] - 1 + o) for i, o in enumerate(offsets))
-        return arr[sl]
-
-    grads = []
-    for ax in range(n):
-        off_p = [0] * n
-        off_m = [0] * n
-        off_p[ax] = 1
-        off_m[ax] = -1
-        grads.append((shift(up, off_p) - shift(up, off_m)) / (2 * hs[ax]))
-    Du = np.stack(grads, axis=-1)
-
-    # coefficient matrices at every node
-    vec = getattr(flow, "coeff_field", None)
-    if vec is not None:
-        A = vec(Du)
-    else:
-        flat = Du.reshape(-1, n)
-        A = np.array([flow.coeff(p) for p in flat]).reshape(u.shape + (n, n))
-
-    second = []
-    for ax in range(n):
-        off_p = [0] * n
-        off_m = [0] * n
-        off_p[ax] = 1
-        off_m[ax] = -1
-        second.append((shift(up, off_p) - 2 * u + shift(up, off_m)) / hs[ax] ** 2)
-
-    if n == 1:
-        rhs = A[..., 0, 0] * second[0]
-        stab = np.abs(A[..., 0, 0]) / hs[0] ** 2
-    else:
-        h = hs[0]
-        if any(abs(hi - h) > 1e-12 * h for hi in hs):
-            raise SolverError("graph flows with n > 1 need equal axis spacing")
-        diag_coeff = [A[..., i, i].copy() for i in range(n)]
-        rhs = np.zeros_like(u)
-        stab = np.zeros_like(u)
-        for i in range(n):
-            for j in range(i + 1, n):
-                aij = A[..., i, j]
-                pos = np.maximum(aij, 0.0)
-                neg = np.maximum(-aij, 0.0)
-                off_pp = [0] * n
-                off_pp[i] = 1
-                off_pp[j] = 1
-                off_pm = [0] * n
-                off_pm[i] = 1
-                off_pm[j] = -1
-                dpp = (shift(up, off_pp) - 2 * u + shift(up, [-o for o in off_pp])) / h ** 2
-                dpm = (shift(up, off_pm) - 2 * u + shift(up, [-o for o in off_pm])) / h ** 2
-                rhs += pos * dpp + neg * dpm
-                stab += (pos + neg) / h ** 2
-                diag_coeff[i] -= pos + neg
-                diag_coeff[j] -= pos + neg
-        for i in range(n):
-            rhs += diag_coeff[i] * second[i]
-            stab += np.abs(diag_coeff[i]) / h ** 2
-    if flow.b is not None:
-        rhs = rhs + flow.b(Du)
-    return rhs, Du, stab
-
-
 # --- time stepping ----------------------------------------------------------
 
 
@@ -243,84 +132,124 @@ def _check_bc_compatible(grid, bc: BoundaryCondition):
             raise SolverError(f"{bc.kind} bc needs a bounded grid")
 
 
-def _apply_dirichlet(u: np.ndarray, grid, bc: BoundaryCondition, t: float):
-    if bc.kind != "dirichlet":
-        return
-    if u.ndim == 1:
-        x = grid.nodes() if isinstance(grid, Grid1D) else grid.axes[0].nodes()
-        u[0] = bc.value(x[0], t)
-        u[-1] = bc.value(x[-1], t)
-        return
-    mesh = grid.meshgrid()
-    for ax in range(u.ndim):
-        for side in (0, -1):
-            idx = [slice(None)] * u.ndim
-            idx[ax] = side
-            idx = tuple(idx)
-            coords = np.stack([m[idx] for m in mesh], axis=-1)
-            u[idx] = np.apply_along_axis(lambda c: bc.value(c, t), -1, coords)
+def _total(terms: list) -> np.ndarray:
+    """Sum of arrays in list order."""
+    return functools.reduce(np.add, terms)
 
 
 class _Stepper:
-    """One explicit Euler step, shared by evolve and evolve_pair_ordered."""
+    """Explicit Euler for u_t = a^ij(Du) D_ij u on a batch (B, *grid shape).
 
-    def __init__(self, flow, u0: Field, bc: BoundaryCondition, plan: TimeStepPlan):
-        _check_bc_compatible(u0.grid, bc)
-        self.flow = flow
-        self.grid = u0.grid
-        self.bc = bc
-        self.plan = plan
-        self.scale = max(1.0, float(np.max(np.abs(u0.values))))
-        if isinstance(self.grid, Grid1D):
-            self.grids = [self.grid]
-            self.x = self.grid.nodes()
-        else:
-            self.grids = list(self.grid.axes)
-            self.x = None
-        self.n = len(self.grids)
-        self.hmin = min(g.h for g in self.grids)
+    The batch lives in one buffer with a ghost layer on every side.  The
+    ghost, stencil and Dirichlet-face views into it are built once, so a step
+    only does arithmetic.  Cross terms use the diagonal splitting.
+    """
 
-    def rhs_and_dt(self, u: np.ndarray, t: float):
-        flow, plan = self.flow, self.plan
-        if isinstance(flow, Quasilinear1D):
-            h = self.grids[0].h
-            rhs, ux = _rhs_quasilinear(flow, u, self.x, t, h, self.bc, self.grid)
-            gmax = float(np.max(np.abs(ux)))
-            if gmax > plan.max_grad_clip:
-                raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
-            pprobe = np.linspace(-gmax, gmax, 33)
-            amax = float(np.max(flow.a(pprobe, np.zeros_like(pprobe), np.zeros_like(pprobe), t)))
-            stab_max = amax / h ** 2
-        elif isinstance(flow, FullyNonlinear1D):
-            h = self.grids[0].h
-            rhs, ux = _rhs_fully_nonlinear(flow, u, self.x, t, h, self.bc, self.grid)
-            gmax = float(np.max(np.abs(ux)))
-            if gmax > plan.max_grad_clip:
-                raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
-            up = _pad_1d(u, self.bc, self.grid, t)
-            uxx = (up[2:] - 2 * u + up[:-2]) / h ** 2
-            dmax = float(np.max(flow.dF_dr(uxx, ux, u, self.x, t)))
-            stab_max = dmax / h ** 2
-        elif isinstance(flow, GraphFlowND):
-            rhs, Du, stab = _rhs_graph_nd(flow, u, t, self.grids, self.bc)
-            gmax = float(np.max(np.linalg.norm(Du, axis=-1)))
-            if gmax > plan.max_grad_clip:
-                raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
-            stab_max = float(np.max(stab))
+    def __init__(self, flow: GraphFlowND, grid, u0: np.ndarray, bc: BoundaryCondition,
+                 plan: TimeStepPlan):
+        _check_bc_compatible(grid, bc)
+        axes = [grid] if isinstance(grid, Grid1D) else list(grid.axes)
+        n = len(axes)
+        if flow.n != n:
+            raise SolverError(f"flow {flow.name!r} is {flow.n}-D but the grid is {n}-D")
+        h = axes[0].h
+        if any(abs(ax.h - h) > 1e-12 * h for ax in axes):
+            raise SolverError("graph flows with n > 1 need equal axis spacing")
+        self.flow, self.bc, self.plan, self.n = flow, bc, plan, n
+        self.h2 = h ** 2
+        shape = u0.shape[1:]
+        up = np.empty((u0.shape[0],) + tuple(s + 2 for s in shape))
+        batch = (slice(None),)
+
+        def shifted(offsets):
+            return up[batch + tuple(slice(1 + o, s + 1 + o) for o, s in zip(offsets, shape))]
+
+        def ghost_layer(ax, k):
+            # padded index k on axis ax; ghosts of earlier axes are included
+            return up[batch + tuple(slice(None) if d < ax else k if d == ax
+                                         else slice(1, -1) for d in range(n))]
+
+        e = np.eye(n, dtype=int)
+        self.u = shifted((0,) * n)
+        self.u[...] = u0
+        self.grid_axes = tuple(range(1, n + 1))
+        self.limit = 1e6 * np.maximum(1.0, np.max(np.abs(u0), axis=self.grid_axes))
+        self.Du = np.empty(self.u.shape + (n,))
+        self.axes = [(self.Du[..., i], shifted(e[i]), shifted(-e[i]), 2 * ax.h, ax.h ** 2)
+                     for i, ax in enumerate(axes)]
+        self.cross = [(i, j, shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
+                       shifted(e[i] - e[j]), shifted(e[j] - e[i]))
+                      for i in range(n) for j in range(i + 1, n)]
+
+        # ghost <- source, or <- 2 * source - second for linear extrapolation
+        # (Dirichlet: boundary nodes are overwritten after every step)
+        self.ghosts = []
+        for ax, N in enumerate(shape):
+            rules = {"periodic": [(0, N, None), (N + 1, 1, None)],
+                     "neumann_zero": [(0, 2, None), (N + 1, N - 1, None)],
+                     "dirichlet": [(0, 1, 2), (N + 1, N, N - 1)]}[bc.kind]
+            self.ghosts += [(ghost_layer(ax, d), ghost_layer(ax, a),
+                             None if b is None else ghost_layer(ax, b)) for d, a, b in rules]
+
+        # Dirichlet faces with their node coordinates (a scalar x when n = 1)
+        self.faces = []
+        if bc.kind == "dirichlet":
+            mesh = np.stack(np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij"), axis=-1)
+            for ax in range(n):
+                for side in (0, -1):
+                    idx = tuple(side if d == ax else slice(None) for d in range(n))
+                    points = mesh[idx].reshape(-1, n)
+                    self.faces.append((self.u[batch + idx], points[:, 0] if n == 1 else points))
+
+    def apply_dirichlet(self, t: float) -> None:
+        for face, points in self.faces:
+            # values come node by node; reshape them to the face's grid shape
+            face[...] = np.reshape([self.bc.value(p, t) for p in points], face.shape[1:])
+
+    def rhs_and_dt(self, t: float):
+        """a^ij D_ij u on the batch, and the CFL step from its node-wise
+        stability coefficient maximised over all nodes and members."""
+        for ghost, a, b in self.ghosts:
+            ghost[...] = a if b is None else 2 * a - b
+        flow, plan, n, h2, Du = self.flow, self.plan, self.n, self.h2, self.Du
+        for g, p, m, two_h, _ in self.axes:
+            np.subtract(p, m, out=g)
+            np.divide(g, two_h, out=g)
+        if flow.coeff_field is not None:
+            A = flow.coeff_field(Du)
         else:
-            raise SolverError(f"unsupported flow type {type(flow)!r}")
+            A = np.array([flow.coeff(p) for p in Du.reshape(-1, n)]).reshape(Du.shape + (n,))
+        gmax = math.sqrt(_total([g * g for g, *_ in self.axes]).max())
+        if gmax > plan.max_grad_clip:
+            raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
+
+        two_u = 2 * self.u
+        diag = [A[..., i, i] for i in range(n)]
+        rhs, stab = [], []
+        for i, j, pp, mm, pm, mp in self.cross:
+            aij = A[..., i, j]
+            pos = np.maximum(aij, 0.0)
+            neg = np.maximum(-aij, 0.0)
+            off = pos + neg
+            rhs.append(pos * ((pp - two_u + mm) / h2) + neg * ((pm - two_u + mp) / h2))
+            stab.append(off / h2)
+            diag[i] = diag[i] - off
+            diag[j] = diag[j] - off
+        for d, (_, p, m, _, h2_axis) in zip(diag, self.axes):
+            rhs.append(d * ((p - two_u + m) / h2_axis))
+            stab.append(np.abs(d) / h2)
+        stab_max = float(_total(stab).max())
         dt = plan.cfl_safety / (2.0 * stab_max) if stab_max > 0 else plan.t_end
         if dt < 1e-14 * plan.t_end:
             raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
-        return rhs, dt
+        return _total(rhs), dt
 
-    def advance(self, u: np.ndarray, t: float, dt: float, rhs: np.ndarray) -> np.ndarray:
-        unew = u + dt * rhs
-        t_new = t + dt
-        _apply_dirichlet(unew, self.grid, self.bc, t_new)
-        if not np.all(np.isfinite(unew)) or np.max(np.abs(unew)) > 1e6 * self.scale:
+    def advance(self, t_new: float, dt: float, rhs: np.ndarray) -> None:
+        self.u += dt * rhs
+        self.apply_dirichlet(t_new)
+        # one test for both: a NaN fails the comparison too
+        if not (np.abs(self.u).max(axis=self.grid_axes) <= self.limit).all():
             raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
-        return unew
 
 
 def _prep_output_times(plan: TimeStepPlan, output_times) -> list:
@@ -333,72 +262,65 @@ def _prep_output_times(plan: TimeStepPlan, output_times) -> list:
     return out
 
 
-def evolve(flow, u0: Field, bc: BoundaryCondition, plan: TimeStepPlan,
-           output_times: Sequence[float] | None = None) -> Trajectory:
-    """Forward-Euler evolution; snapshots at t = 0 and each output time."""
-    stepper = _Stepper(flow, u0, bc, plan)
-    out = _prep_output_times(plan, output_times)
-    traj = Trajectory()
-    traj.append(0.0, u0)
+def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: TimeStepPlan,
+                  output_times, gaps: list | None = None) -> list:
+    """Evolve fields on one grid as a batch with one dt sequence.
 
-    u = u0.values.copy()
-    _apply_dirichlet(u, u0.grid, bc, 0.0)
+    Returns one Trajectory per field.  When ``gaps`` is a list it receives
+    min over nodes of (u[1] - u[0]) at t = 0 and after every step.
+    """
+    grid = fields[0].grid
+    stepper = _Stepper(flow, grid, np.stack([f.values for f in fields]), bc, plan)
+    pending = _prep_output_times(plan, output_times)
+    trajs = [Trajectory() for _ in fields]
+    for traj, f in zip(trajs, fields):
+        traj.append(0.0, f)
+
+    u = stepper.u
+    stepper.apply_dirichlet(0.0)
+    if gaps is not None:
+        gaps.append(float((u[1] - u[0]).min()))
     t = 0.0
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
-    pending = list(out)
     while pending:
-        rhs, dt = stepper.rhs_and_dt(u, t)
-        target = pending[0]
-        dt = min(dt, target - t)
-        u = stepper.advance(u, t, dt, rhs)
+        rhs, dt = stepper.rhs_and_dt(t)
+        dt = min(dt, pending[0] - t)
         t += dt
+        stepper.advance(t, dt, rhs)
         n_steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        if t >= target - 1e-14:
-            t = target
-            traj.append(t, Field(u0.grid, u.copy(), time=t))
-            pending.pop(0)
-    traj.dt_stats = {"n_steps": n_steps, "dt_min": dt_min, "dt_max": dt_max}
+        if gaps is not None:
+            gaps.append(float((u[1] - u[0]).min()))
+        if t >= pending[0] - 1e-14:
+            t = pending.pop(0)
+            for traj, values in zip(trajs, u):
+                traj.append(t, Field(grid, values.copy(), time=t))
+    for traj in trajs:
+        traj.dt_stats = {"n_steps": n_steps, "dt_min": dt_min, "dt_max": dt_max}
+    return trajs
+
+
+def evolve(flow, u0: Field, bc: BoundaryCondition, plan: TimeStepPlan,
+           output_times: Sequence[float] | None = None) -> Trajectory:
+    """Forward-Euler evolution; snapshots at t = 0 and each output time."""
+    (traj,) = _evolve_batch(flow, [u0], bc, plan, output_times)
     return traj
 
 
 def evolve_pair_ordered(flow, u0_low: Field, u0_high: Field, bc: BoundaryCondition,
                         plan: TimeStepPlan, output_times: Sequence[float] | None = None):
-    """Evolve an ordered pair with an identical dt sequence.
+    """Evolve an ordered pair as a batch of two with one dt sequence.
 
     Returns (traj_low, traj_high, min_gap_series) where the gap series holds
-    min over nodes of (high - low) after every step.
+    min over nodes of (high - low) initially and after every step.
     """
+    if u0_low.grid != u0_high.grid:
+        raise ValueError("the pair must share one grid")
     if np.any(u0_low.values > u0_high.values):
         raise ValueError("initial data not ordered: u0_low > u0_high somewhere")
-    s_lo = _Stepper(flow, u0_low, bc, plan)
-    s_hi = _Stepper(flow, u0_high, bc, plan)
-    out = _prep_output_times(plan, output_times)
-
-    traj_lo, traj_hi = Trajectory(), Trajectory()
-    traj_lo.append(0.0, u0_low)
-    traj_hi.append(0.0, u0_high)
-    ulo = u0_low.values.copy()
-    uhi = u0_high.values.copy()
-    _apply_dirichlet(ulo, u0_low.grid, bc, 0.0)
-    _apply_dirichlet(uhi, u0_high.grid, bc, 0.0)
-    gaps = [float(np.min(uhi - ulo))]
-    t = 0.0
-    pending = list(out)
-    while pending:
-        rhs_lo, dt_lo = s_lo.rhs_and_dt(ulo, t)
-        rhs_hi, dt_hi = s_hi.rhs_and_dt(uhi, t)
-        dt = min(dt_lo, dt_hi, pending[0] - t)
-        ulo = s_lo.advance(ulo, t, dt, rhs_lo)
-        uhi = s_hi.advance(uhi, t, dt, rhs_hi)
-        t += dt
-        gaps.append(float(np.min(uhi - ulo)))
-        if t >= pending[0] - 1e-14:
-            t = pending[0]
-            traj_lo.append(t, Field(u0_low.grid, ulo.copy(), time=t))
-            traj_hi.append(t, Field(u0_high.grid, uhi.copy(), time=t))
-            pending.pop(0)
+    gaps = []
+    traj_lo, traj_hi = _evolve_batch(flow, [u0_low, u0_high], bc, plan, output_times, gaps)
     return traj_lo, traj_hi, np.array(gaps)
 
 
@@ -413,15 +335,13 @@ def solve_auxiliary_phi(profile: DegeneracyProfile, grid: Grid1D, plan: TimeStep
         raise ValueError("auxiliary phi needs a bounded grid on [0, Z_max]")
     z = grid.nodes()
     u0 = np.clip(z / (2 * grid.h), 0.0, 1.0)
-    flow = Quasilinear1D(
-        a=lambda p, q, x, t: 4.0 * np.asarray(profile.alpha_tilde(np.abs(p)), dtype=float),
-        b=lambda p: np.zeros_like(p),
-        A=4.0 * profile.A0,
+    alpha_tilde = profile.alpha_tilde
+    flow = scalar_flow(
+        lambda p: 4.0 * np.asarray(alpha_tilde(np.abs(p)), dtype=float),
+        A0=4.0 * profile.A0,
         P=profile.P,
         lambda_of_K=lambda K: 0.0,
-        Lambda_of_K=lambda K: 4.0 * max(
-            float(profile.alpha_tilde(s)) for s in np.linspace(0, K, 65)
-        ),
+        Lambda_of_K=lambda K: 4.0 * max(float(alpha_tilde(s)) for s in np.linspace(0, K, 65)),
         name="auxiliary-phi",
     )
     bc = BoundaryCondition("dirichlet", value=lambda x, t: 0.0 if x <= 0.0 else 1.0)

@@ -8,7 +8,7 @@ bound holds with margin) and ``passed`` is always max_defect <= tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -30,7 +30,6 @@ __all__ = [
     "count_intersections",
     "intersection_monotonicity",
     "heat_zero_counting_gradient",
-    "barrier_family_gradient",
     "gradient_function",
     "eh_bound_check",
     "convergence_to_initial_data",
@@ -418,70 +417,6 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         witness=witness,
         metadata={"M": M, "c": c, "relative": True,
                   "n_saturated": n_saturated, "n_tail_skipped": n_tail_skipped},
-    )
-
-
-def barrier_family_gradient(traj_u, flow, M: float, d: float,
-                            probe_times: Optional[Sequence[float]] = None,
-                            grid_tol: float = 0.0,
-                            width_factor: float = 8.0) -> VerificationReport:
-    """Compare u_x against the gradient of a matched-height evolved step
-    barrier.
-
-    One reference barrier (step at 0 on a wide interval) is evolved with the
-    same flow; translates phi^s(x) = phi^0(x - s) supply the family, and the
-    member through each probe point is found by inverting the monotone
-    profile.  Probes whose height falls outside the profile range are flagged
-    inconclusive in the metadata rather than failed.
-    """
-    from .solver import BoundaryCondition, TimeStepPlan, evolve
-
-    grid = traj_u.fields[0].grid
-    if not isinstance(grid, Grid1D):
-        raise PreconditionError("barrier-family check is one-dimensional")
-    if probe_times is None:
-        probe_times = [t for t, _ in traj_u.snapshots if t > 0]
-    probe_times = sorted(probe_times)
-    t_end = probe_times[-1]
-
-    W = width_factor * max(d, 1.0)
-    bgrid = Grid1D(-W, W, 1024, "bounded")
-    bx = bgrid.nodes()
-    u0 = Field(bgrid, M * np.sign(bx + 1e-300))
-    bc = BoundaryCondition("dirichlet", value=lambda xx, tt: M if xx > 0 else -M)
-    btraj = evolve(flow, u0, bc, TimeStepPlan(t_end=t_end), probe_times)
-    profiles = {t: f.values for t, f in btraj.snapshots if t > 0}
-
-    x = grid.nodes()
-    worst, witness = -np.inf, {}
-    inconclusive = 0
-    snap = {t: f for t, f in traj_u.snapshots}
-    for t in probe_times:
-        if t not in snap or t not in profiles:
-            continue
-        u = snap[t].values
-        ux = gradient(snap[t])[..., 0]
-        prof = profiles[t]
-        prof_x = np.gradient(prof, bx)
-        lo, hi = prof[1], prof[-2]
-        for i in range(1, len(x) - 1):
-            if not (lo < u[i] < hi):
-                inconclusive += 1
-                continue
-            # profile is monotone increasing: invert by interpolation
-            xi = np.interp(u[i], prof, bx)
-            slope = np.interp(xi, bx, prof_x)
-            defect = float(ux[i] - slope)
-            if defect > worst:
-                worst = defect
-                witness = {"t": float(t), "x": float(x[i]), "u": float(u[i]),
-                           "barrier_slope": float(slope)}
-    return VerificationReport(
-        check_id="barrier-family-gradient",
-        max_defect=worst if np.isfinite(worst) else 0.0,
-        tolerance=grid_tol,
-        witness=witness,
-        metadata={"M": M, "d": d, "inconclusive_probes": inconclusive},
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -10,6 +11,18 @@ from flowlab.config import ConfigError, load_config
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 HEAT_STEP = os.path.join(CONFIG_DIR, "heat-step.cfg")
 CSF_CREN = os.path.join(CONFIG_DIR, "csf-crenellated.cfg")
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
+
+
+def _assert_reference_digests(out, name):
+    """manifest.json and every fields/*.csv match the benchmark's sha256."""
+    with open(REFERENCE) as fh:
+        expected = json.load(fh)["configs"][name]["sha256"]
+    observed = {}
+    for rel in ["manifest.json"] + ["fields/" + f for f in os.listdir(os.path.join(out, "fields"))]:
+        with open(os.path.join(out, rel), "rb") as fh:
+            observed[rel] = hashlib.sha256(fh.read()).hexdigest()
+    assert observed == expected
 
 
 def _write(tmp_path, text, name="exp.cfg"):
@@ -55,8 +68,9 @@ def test_load_bundled_configs():
 def test_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match=r"\(file\)"):
         load_config(str(tmp_path / "missing.cfg"))
-    with pytest.raises(ConfigError, match="flow.id"):
-        load_config(_write(tmp_path, MINIMAL.replace("id = heat", "id = wave")))
+    for flow_id in ("wave", "mcf2d", "aniso:euclid"):
+        with pytest.raises(ConfigError, match="flow.id"):
+            load_config(_write(tmp_path, MINIMAL.replace("id = heat", f"id = {flow_id}")))
     with pytest.raises(ConfigError, match="initial.kind"):
         load_config(_write(tmp_path, MINIMAL.replace("kind = sin", "kind = noise")))
     with pytest.raises(ConfigError, match="plan.output_times"):
@@ -94,6 +108,7 @@ def test_run_heat_step(tmp_path):
     assert rep["passed"] is True
     summary = open(os.path.join(out, "summary.txt")).read()
     assert "PASS" in summary
+    _assert_reference_digests(out, "heat-step")
 
 
 def test_run_csf_crenellated(tmp_path):
@@ -102,6 +117,7 @@ def test_run_csf_crenellated(tmp_path):
     with open(os.path.join(out, "reports", "double-coordinate.json")) as fh:
         rep = json.load(fh)
     assert rep["max_defect"] <= 0.0  # strict certificate at c = 1/4
+    _assert_reference_digests(out, "csf-crenellated")
 
 
 def test_run_byte_identical(tmp_path):
@@ -125,8 +141,9 @@ def test_run_assert_vs_report_only(tmp_path):
 
 
 def test_run_config_error_exit(tmp_path):
-    cfg = _write(tmp_path, MINIMAL.replace("id = heat", "id = wave"))
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    for flow_id in ("wave", "mcf2d", "aniso:euclid"):
+        cfg = _write(tmp_path, MINIMAL.replace("id = heat", f"id = {flow_id}"))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 # --- sweep --------------------------------------------------------------------

@@ -92,12 +92,14 @@ def test_degeneracy_certificates():
     assert check_degeneracy(mcf_graph(2).degeneracy, s).passed
     # csf: a(p) p^2 = p^2/(1+p^2) >= 1/2 for |p| >= 1
     c = csf()
-    profile = flows.DegeneracyProfile(lambda v: 1.0 / (1.0 + v ** 2), A0=c.A, P=c.P)
+    profile = flows.DegeneracyProfile(lambda v: 1.0 / (1.0 + v ** 2),
+                                      A0=c.degeneracy.A0, P=c.degeneracy.P)
     assert check_degeneracy(profile, s).passed
     # regularized p-laplacian with q < 0 fails at large |p|
     p = plaplace_reg(q=-1.0, eps=0.1)
     bad = flows.DegeneracyProfile(
-        lambda v: float(p.a(np.asarray(v), 0.0, 0.0, 0.0)), A0=p.A, P=p.P)
+        lambda v: float(p.coeff(np.array([v]))[0, 0]),
+        A0=p.degeneracy.A0, P=p.degeneracy.P)
     rep = check_degeneracy(bad, s)
     assert not rep.passed
     assert rep.witness["s"] == pytest.approx(1e3)

@@ -99,6 +99,9 @@ def test_bc_grid_compatibility():
     with pytest.raises(SolverError):
         evolve(flows.heat_1d(0.25), f0, BoundaryCondition("periodic"),
                TimeStepPlan(t_end=0.1))
+    with pytest.raises(SolverError):  # a 2-D flow on a 1-D grid
+        evolve(flows.mcf_graph(2), f0, BoundaryCondition("neumann_zero"),
+               TimeStepPlan(t_end=0.1))
 
 
 def test_blowup_on_gradient_clip():
@@ -126,6 +129,69 @@ def test_pair_requires_ordering():
     with pytest.raises(ValueError):
         evolve_pair_ordered(flows.csf(), Field(g, np.sin(x)), Field(g, -np.sin(x)),
                             BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1))
+    g2 = Grid1D(0.0, 4 * np.pi, 32, "periodic")
+    with pytest.raises(ValueError):  # the pair is one batch on one grid
+        evolve_pair_ordered(flows.csf(), Field(g, np.sin(x)), Field(g2, np.sin(x) + 1),
+                            BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1))
+
+
+def test_cfl_step_from_nodewise_coefficient():
+    # on the ramp u = x every node has slope 1, so the step is set by a(1),
+    # not by a(0) = 1000 on slopes the data does not have
+    g = Grid1D(0.0, 1.0, 64, "bounded")
+    x = g.nodes()
+    plan = TimeStepPlan(t_end=1e-3)
+    traj = evolve(flows.plaplace_reg(q=-1.0, eps=0.1), Field(g, x.copy()),
+                  BoundaryCondition("dirichlet", value=lambda xx, tt: xx), plan)
+    a_ramp = 1.01 ** -1.5
+    assert traj.dt_stats["dt_max"] == pytest.approx(
+        plan.cfl_safety * g.h ** 2 / (2 * a_ramp), rel=1e-12)
+    assert traj.dt_stats["n_steps"] < 20
+    assert np.max(np.abs(traj.fields[-1].values - x)) < 1e-12
+
+
+@pytest.mark.parametrize("topology, bc", [
+    ("periodic", BoundaryCondition("periodic")),
+    ("bounded", BoundaryCondition("dirichlet", value=lambda xx, tt: np.sin(xx))),
+])
+def test_pair_equals_single_runs(topology, bc):
+    # a constant coefficient gives both members the single-run step sizes
+    g = Grid1D(0.0, 2 * np.pi, 64, topology)
+    x = g.nodes()
+    lo = Field(g, np.sin(x))
+    hi = Field(g, np.sin(x) + 0.5 * np.cos(2 * x) ** 2 + 0.1)
+    flow, plan, times = flows.heat_1d(0.25), TimeStepPlan(t_end=0.1), [0.05, 0.1]
+    traj_lo, traj_hi, gaps = evolve_pair_ordered(flow, lo, hi, bc, plan, times)
+    for pair_traj, u0 in ((traj_lo, lo), (traj_hi, hi)):
+        single = evolve(flow, u0, bc, plan, times)
+        assert np.array_equal(pair_traj.times, single.times)
+        for a, b in zip(pair_traj.fields, single.fields):
+            assert np.array_equal(a.values, b.values)
+    assert gaps.size == single.dt_stats["n_steps"] + 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dirichlet_faces_nd(n):
+    # a constant field under a constant boundary value stays exactly constant,
+    # and a linear field (D^2 u = 0) keeps its boundary values node by node
+    ax = Grid1D(0.0, 1.0, 6, "bounded")
+    g = GridND((ax,) * n)
+    mesh = np.stack(g.meshgrid(), axis=-1)
+    plan = TimeStepPlan(t_end=1e-2)
+    traj = evolve(flows.mcf_graph(n), Field(g, np.full(mesh.shape[:-1], 0.5)),
+                  BoundaryCondition("dirichlet", value=lambda p, t: 0.5), plan)
+    assert np.array_equal(traj.fields[-1].values, np.full(mesh.shape[:-1], 0.5))
+
+    w = np.arange(1.0, n + 1.0)
+    linear = mesh @ w
+    traj = evolve(flows.mcf_graph(n), Field(g, linear),
+                  BoundaryCondition("dirichlet", value=lambda p, t: float(p @ w)), plan)
+    u = traj.fields[-1].values
+    for d in range(n):
+        for side in (0, -1):
+            idx = tuple(side if k == d else slice(None) for k in range(n))
+            assert np.array_equal(u[idx], linear[idx])
+    assert np.max(np.abs(u - linear)) < 1e-12
 
 
 def test_auxiliary_phi_monotone():
