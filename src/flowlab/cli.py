@@ -20,53 +20,9 @@ import sys
 
 import numpy as np
 
-from . import barriers, finsler, flows, verify
+from . import finsler, flows, verify
 from .config import CHECK_TYPES, INITIAL_KINDS, ConfigError, ExperimentConfig, load_config
 from .solver import SolverError, evolve
-
-
-def _build_check(cfg: ExperimentConfig, name: str, params: dict, traj, flow):
-    ctype = params["type"]
-    if ctype == "heat_zero_counting":
-        return verify.heat_zero_counting_gradient(
-            traj, M=params["M"], c=params["c"],
-            rel_tol=params.get("rel_tol", 0.02),
-            tail_floor=params.get("tail_floor", 0.0))
-    if ctype == "double_coordinate":
-        b = barriers.PsiBarrier(c=params["c"])
-        t_window = None
-        if "t_lo" in params or "t_hi" in params:
-            t_window = (params.get("t_lo", 0.0), params.get("t_hi", np.inf))
-        return verify.double_coordinate_defect(
-            traj, b, params["M"], region=params.get("region", "full"),
-            t_window=t_window)
-    if ctype == "convergence":
-        kind = params.get("modulus", "lipschitz")
-        if kind == "lipschitz":
-            omega = verify.lipschitz_modulus(params["L"])
-        elif kind == "holder":
-            omega = verify.holder_modulus(params["alpha"], params.get("C", 1.0))
-        else:
-            raise ConfigError(f"check:{name}.modulus", f"unknown modulus {kind!r}")
-        return verify.convergence_to_initial_data(
-            traj, omega, grid_tol=params.get("grid_tol", 0.0))
-    if ctype == "eh_bound":
-        return verify.eh_bound_check(
-            traj, params["M"], kind=params.get("kind", "periodic"),
-            c=params["c"], q=params.get("q", 2.0), R=params.get("R"),
-            T_prime=params.get("T_prime", np.inf),
-            t_min=params.get("t_min", 0.0),
-            grid_tol=params.get("grid_tol", 0.0))
-    if ctype == "gradient_bound":
-        coeff = params["coeff"]
-        power = params.get("power", -0.5)
-        t_window = None
-        if "t_lo" in params or "t_hi" in params:
-            t_window = (params.get("t_lo", 0.0), params.get("t_hi", np.inf))
-        return verify.gradient_bound_check(
-            traj, lambda t: coeff * t ** power,
-            grid_tol=params.get("grid_tol", 0.0), t_window=t_window)
-    raise ConfigError(f"check:{name}.type", f"unknown check type {ctype!r}")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
@@ -94,7 +50,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     for name in sorted(cfg.checks):
         params = cfg.checks[name]
         try:
-            rep = _build_check(cfg, name, params, traj, flow)
+            rep = CHECK_TYPES[params["type"]](params, traj)
         except (verify.PreconditionError, KeyError) as e:
             lines.append(f"ERROR {name}: {e}")
             failed_asserted = failed_asserted or params.get("assert", True)

@@ -2,7 +2,8 @@
 data, boundary conditions, time plans and checks.
 
 Sections: [flow], [grid], [initial], [bc], [plan], [run], and one
-[check:<name>] per requested check.  Validation errors carry the offending
+[check:<name>] per requested check; CHECK_TYPES maps each check type to the
+builder that runs it on a trajectory.  Validation errors carry the offending
 field path (e.g. "flow.id").
 """
 
@@ -13,21 +14,70 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import barriers, flows
+from . import barriers, flows, verify
 from .fields import Field, Grid1D
 from .solver import BoundaryCondition, TimeStepPlan
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES"]
 
 INITIAL_KINDS = ("sin", "cos", "abspow", "zigzag", "step", "crenel", "cone")
 
-CHECK_TYPES = (
-    "heat_zero_counting",
-    "double_coordinate",
-    "convergence",
-    "eh_bound",
-    "gradient_bound",
-)
+
+def _t_window(params: dict):
+    if "t_lo" in params or "t_hi" in params:
+        return (params.get("t_lo", 0.0), params.get("t_hi", np.inf))
+    return None
+
+
+MODULI = {
+    "lipschitz": lambda params: verify.lipschitz_modulus(params["L"]),
+    "holder": lambda params: verify.holder_modulus(params["alpha"], params.get("C", 1.0)),
+}
+
+
+def _heat_zero_counting(params, traj):
+    return verify.heat_zero_counting_gradient(
+        traj, M=params["M"], c=params["c"],
+        rel_tol=params.get("rel_tol", 0.02),
+        tail_floor=params.get("tail_floor", 0.0))
+
+
+def _double_coordinate(params, traj):
+    return verify.double_coordinate_defect(
+        traj, barriers.PsiBarrier(c=params["c"]), params["M"],
+        region=params.get("region", "full"), t_window=_t_window(params))
+
+
+def _convergence(params, traj):
+    omega = MODULI[params.get("modulus", "lipschitz")](params)
+    return verify.convergence_to_initial_data(traj, omega, grid_tol=params.get("grid_tol", 0.0))
+
+
+def _eh_bound(params, traj):
+    return verify.eh_bound_check(
+        traj, params["M"], kind=params.get("kind", "periodic"),
+        c=params["c"], q=params.get("q", 2.0), R=params.get("R"),
+        T_prime=params.get("T_prime", np.inf),
+        t_min=params.get("t_min", 0.0),
+        grid_tol=params.get("grid_tol", 0.0))
+
+
+def _gradient_bound(params, traj):
+    coeff = params["coeff"]
+    power = params.get("power", -0.5)
+    return verify.gradient_bound_check(
+        traj, lambda t: coeff * t ** power,
+        grid_tol=params.get("grid_tol", 0.0), t_window=_t_window(params))
+
+
+# check type -> builder(params, trajectory) -> VerificationReport
+CHECK_TYPES = {
+    "heat_zero_counting": _heat_zero_counting,
+    "double_coordinate": _double_coordinate,
+    "convergence": _convergence,
+    "eh_bound": _eh_bound,
+    "gradient_bound": _gradient_bound,
+}
 
 
 class ConfigError(ValueError):
@@ -136,6 +186,8 @@ def load_config(path) -> ExperimentConfig:
         flow = flows.get_flow(flow_id, **flow_params)
     except KeyError:
         raise ConfigError("flow.id", f"unknown flow id {flow_id!r}")
+    except ValueError as e:
+        raise ConfigError("flow", str(e))
     if flow.n != 1:
         raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
 
@@ -174,6 +226,8 @@ def load_config(path) -> ExperimentConfig:
     output_times = _floats(out_text) if out_text else [plan.t_end]
     if any(t <= 0 or t > plan.t_end + 1e-12 for t in output_times):
         raise ConfigError("plan.output_times", "times must lie in (0, t_end]")
+    if len(set(output_times)) < len(output_times):
+        raise ConfigError("plan.output_times", "times must not repeat")
 
     checks = {}
     for section in cp.sections():
@@ -183,8 +237,11 @@ def load_config(path) -> ExperimentConfig:
         ctype = cp.get(section, "type", fallback=None)
         if ctype not in CHECK_TYPES:
             raise ConfigError(f"{section}.type",
-                              f"unknown check type {ctype!r}; choose from {CHECK_TYPES}")
+                              f"unknown check type {ctype!r}; choose from {tuple(CHECK_TYPES)}")
         params = _section_params(cp, section, skip=("type", "assert"))
+        if ctype == "convergence" and params.get("modulus", "lipschitz") not in MODULI:
+            raise ConfigError(f"{section}.modulus", f"unknown modulus "
+                              f"{params['modulus']!r}; choose from {tuple(MODULI)}")
         params["assert"] = cp.getboolean(section, "assert", fallback=True)
         params["type"] = ctype
         checks[name] = params

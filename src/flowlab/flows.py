@@ -53,14 +53,12 @@ class GraphFlowND:
     """u_t = a^ij(Du) D_ij u with a symmetric PSD coefficient matrix.
 
     Every catalog flow has this form; one-dimensional flows are n = 1.
-    ``coeff`` maps one covector p, shape (n,), to a^ij(p); ``coeff_field``
-    maps a stack (..., n) to (..., n, n) and is what the solver calls when
-    it is given.
+    ``coeff`` maps a stack of covectors (..., n) to coefficient matrices
+    (..., n, n); one covector p, shape (n,), gives a^ij(p), shape (n, n).
     """
 
     n: int
     coeff: Callable[[np.ndarray], np.ndarray]
-    coeff_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     Lambda_of_K: Callable[[float], float] = lambda K: 1.0
     lambda_of_K: Callable[[float], float] = lambda K: 1.0
     degeneracy: Optional[DegeneracyProfile] = None
@@ -76,8 +74,7 @@ def scalar_flow(a: Callable[[np.ndarray], np.ndarray], A0: float, P: float,
     """
     return GraphFlowND(
         n=1,
-        coeff=lambda p: np.reshape(a(np.asarray(p, dtype=float)), (1, 1)),
-        coeff_field=lambda Du: a(Du)[..., None],
+        coeff=lambda Du: a(np.asarray(Du, dtype=float))[..., None],
         Lambda_of_K=Lambda_of_K,
         lambda_of_K=lambda_of_K,
         degeneracy=DegeneracyProfile(a, A0=A0, P=P),
@@ -90,11 +87,7 @@ def mcf_graph(n: int) -> GraphFlowND:
     if n < 1:
         raise ValueError("dimension must be >= 1")
 
-    def coeff(p):
-        p = np.asarray(p, dtype=float)
-        return np.eye(n) - np.outer(p, p) / (1.0 + p @ p)
-
-    def coeff_field(P):
+    def coeff(P):
         P = np.asarray(P, dtype=float)
         pp = np.sum(P ** 2, axis=-1)
         outer = P[..., :, None] * P[..., None, :]
@@ -104,7 +97,6 @@ def mcf_graph(n: int) -> GraphFlowND:
     return GraphFlowND(
         n=n,
         coeff=coeff,
-        coeff_field=coeff_field,
         Lambda_of_K=lambda K: 1.0,
         lambda_of_K=lambda K: 1.0 / (1.0 + K ** 2),
         degeneracy=profile,

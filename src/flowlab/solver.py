@@ -215,10 +215,7 @@ class _Stepper:
         for g, p, m, two_h, _ in self.axes:
             np.subtract(p, m, out=g)
             np.divide(g, two_h, out=g)
-        if flow.coeff_field is not None:
-            A = flow.coeff_field(Du)
-        else:
-            A = np.array([flow.coeff(p) for p in Du.reshape(-1, n)]).reshape(Du.shape + (n,))
+        A = flow.coeff(Du)
         gmax = math.sqrt(_total([g * g for g, *_ in self.axes]).max())
         if gmax > plan.max_grad_clip:
             raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
@@ -259,6 +256,8 @@ def _prep_output_times(plan: TimeStepPlan, output_times) -> list:
         out = sorted(float(t) for t in output_times)
     if any(t <= 0 or t > plan.t_end + 1e-12 for t in out):
         raise ValueError("output times must lie in (0, t_end]")
+    if any(a == b for a, b in zip(out, out[1:])):
+        raise ValueError("output times must not repeat")
     return out
 
 

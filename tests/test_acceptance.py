@@ -250,7 +250,7 @@ def test_criterion_9_sphere_order():
         u = Field(g, np.asarray(barriers.sphere_eval(sb, pts, t)).reshape(X.shape))
         Du = gradient(u)
         H = hessian(u)
-        A = flow.coeff_field(Du)
+        A = flow.coeff(Du)
         rhs = np.einsum("...ij,...ij->...", A, H)
         d2 = X ** 2 + Y ** 2
         ut = 2.0 / np.sqrt(r ** 2 - d2)

@@ -76,9 +76,17 @@ def test_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match="plan.output_times"):
         load_config(_write(tmp_path, MINIMAL.replace(
             "output_times = 0.05", "output_times = 0.2")))
+    with pytest.raises(ConfigError, match="plan.output_times"):
+        load_config(_write(tmp_path, MINIMAL.replace(
+            "output_times = 0.05", "output_times = 0.05 0.05")))
+    with pytest.raises(ConfigError, match="flow: c must be positive"):
+        load_config(_write(tmp_path, MINIMAL.replace("c = 0.25", "c = -1.0")))
     bad_check = MINIMAL + "\n[check:x]\ntype = telepathy\n"
     with pytest.raises(ConfigError, match="check:x.type"):
         load_config(_write(tmp_path, bad_check))
+    bad_modulus = MINIMAL + "\n[check:x]\ntype = convergence\nmodulus = foo\n"
+    with pytest.raises(ConfigError, match="check:x.modulus"):
+        load_config(_write(tmp_path, bad_modulus))
 
 
 def test_build_initial_kinds(tmp_path):
@@ -141,9 +149,27 @@ def test_run_assert_vs_report_only(tmp_path):
 
 
 def test_run_config_error_exit(tmp_path):
-    for flow_id in ("wave", "mcf2d", "aniso:euclid"):
-        cfg = _write(tmp_path, MINIMAL.replace("id = heat", f"id = {flow_id}"))
+    bad = [MINIMAL.replace("id = heat", f"id = {flow_id}")
+           for flow_id in ("wave", "mcf2d", "aniso:euclid")]
+    bad += [MINIMAL.replace("c = 0.25", "c = -1.0"),
+            MINIMAL.replace("output_times = 0.05", "output_times = 0.05 0.05"),
+            MINIMAL + "\n[check:x]\ntype = convergence\nmodulus = foo\n"]
+    for text in bad:
+        cfg = _write(tmp_path, text)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("coeff, exit_code", [(1.0, 0), (0.1, 1)])
+def test_gradient_bound_controls(tmp_path, coeff, exit_code):
+    # u = exp(-t) sin x solves the c = 0.25 heat flow, so max|u_x| = exp(-t) <= t^(-1/2)
+    # on (0, 1]; 0.1 t^(-1/2) falls below exp(-t) from t ~ 0.01 on
+    text = MINIMAL.replace("t_end = 0.05\noutput_times = 0.05",
+                           "t_end = 1.0\noutput_times = 0.01 0.1 0.5 1.0")
+    text += f"\n[check:grad]\ntype = gradient_bound\ncoeff = {coeff}\n"
+    out = str(tmp_path / "o")
+    assert main(["run", _write(tmp_path, text), "--out", out]) == exit_code
+    with open(os.path.join(out, "reports", "grad.json")) as fh:
+        assert json.load(fh)["passed"] is (exit_code == 0)
 
 
 # --- sweep --------------------------------------------------------------------

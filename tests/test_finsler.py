@@ -1,3 +1,7 @@
+import json
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from flowlab.finsler import (
     quartic_norm,
     trace_lower_bound,
 )
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 NORMS = [
     euclidean_norm(3),
@@ -64,6 +70,20 @@ def test_derivatives_match_finite_differences(nf):
         assert np.allclose(nf.grad(w), _fd_grad(nf, w), atol=1e-8)
         assert np.allclose(nf.hess(w), _fd_hess(nf, w), atol=1e-6)
         assert np.allclose(nf.third(w), _fd_third(nf, w), atol=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_derivatives_match_per_covector(n):
+    rng = np.random.default_rng(10 + n)
+    for nf in builtin_norms(n):
+        W = rng.normal(size=(5, 7, nf.dim))
+        for order, name in enumerate(("value", "grad", "hess", "third")):
+            fn = getattr(nf, name)
+            batch = fn(W)
+            single = np.array([[fn(W[i, j]) for j in range(7)] for i in range(5)])
+            assert batch.shape == single.shape == (5, 7) + (nf.dim,) * order
+            np.testing.assert_allclose(batch, single, rtol=1e-14, atol=1e-14,
+                                       err_msg=f"{nf.id} {name}")
 
 
 @pytest.mark.parametrize("nf", NORMS, ids=lambda nf: nf.id)
@@ -203,3 +223,13 @@ def test_builtin_norms_catalog():
     assert [nf.dim for nf in norms] == [3, 3, 3]
     with pytest.raises(ValueError):
         builtin_norms(0)
+
+
+def test_quartic_certificate_matches_benchmark_reference():
+    with open(REFERENCE) as fh:
+        expected = json.load(fh)["aniso"]["certify"]
+    observed = certify(quartic_norm(1e-3, 3)).to_jsonable()
+    assert observed["norm_id"] == expected["norm_id"]
+    assert observed["S_eps"] == expected["S_eps"]
+    for key in ("A", "P", "k", "C1", "C2"):
+        assert math.isclose(observed[key], expected[key], rel_tol=1e-12), key

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlab import flows
+from flowlab import finsler, flows
 from flowlab.flows import (
     alpha,
     alpha_closed_form,
     bernstein_E,
+    catalog_ids,
     check_degeneracy,
     csf,
     get_flow,
@@ -41,14 +42,24 @@ def test_mcf_coeff_properties():
         assert np.allclose(A @ p, p / (1.0 + p @ p))
 
 
+def _catalog_flows():
+    """Every catalog flow, with the aniso entry over each builtin norm in 1-D and 2-D."""
+    concrete = [fid for fid in catalog_ids() if not fid.startswith("aniso:")]
+    out = [get_flow(fid) for fid in concrete]
+    for n in (1, 2):
+        out += [get_flow(f"aniso:{nf.id}", dim=n + 1) for nf in finsler.builtin_norms(n)]
+    return out
+
+
 def test_mcf_coeff_field_matches_pointwise():
-    flow = mcf_graph(2)
     rng = np.random.default_rng(1)
-    P = rng.normal(size=(5, 7, 2))
-    A = flow.coeff_field(P)
-    for i in range(5):
-        for j in range(7):
-            assert np.allclose(A[i, j], flow.coeff(P[i, j]), atol=1e-14)
+    for flow in _catalog_flows():
+        P = rng.normal(size=(5, 7, flow.n))
+        A = flow.coeff(P)
+        assert A.shape == (5, 7, flow.n, flow.n), flow.name
+        for i in range(5):
+            for j in range(7):
+                assert np.allclose(A[i, j], flow.coeff(P[i, j]), atol=1e-14), flow.name
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ def test_output_times_validation():
     with pytest.raises(ValueError):
         evolve(flows.heat_1d(0.25), f0, BoundaryCondition("periodic"),
                TimeStepPlan(t_end=0.1), [0.2])
+    # repeated times fail before the first step evaluates the coefficient
+    calls = []
+    heat = flows.heat_1d(0.25)
+    counted = dataclasses.replace(heat, coeff=lambda Du: calls.append(1) or heat.coeff(Du))
+    with pytest.raises(ValueError, match="repeat"):
+        evolve(counted, f0, BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.05])
+    assert calls == []
 
 
 def test_bc_grid_compatibility():
