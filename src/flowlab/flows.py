@@ -221,29 +221,10 @@ def alpha_closed_form(A: np.ndarray, p: np.ndarray) -> float:
     return float(p @ p / (p @ np.linalg.solve(A, p)))
 
 
-def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
-    """Directional degeneracy |p|^2 inf_v (v^T A v)/(v . p)^2 over unit v.
-
-    Sampled over quasi-uniform directions then refined by Nelder-Mead descent
-    from the best candidates.  For strictly positive-definite A the closed
-    form |p|^2/(p^T A^{-1} p) is checked against the sampled value.
-    """
-    A = np.asarray(A, dtype=float)
-    p = np.asarray(p, dtype=float)
+def _alpha_descent(A: np.ndarray, p: np.ndarray, pp: float, dirs: np.ndarray,
+                   vals: np.ndarray) -> float:
+    """Sampled minimum refined by Nelder-Mead from the 8 best directions."""
     n = p.shape[0]
-    pp = float(p @ p)
-    if pp == 0.0:
-        raise ValueError("alpha undefined at p = 0")
-
-    if n == 1:
-        return float(A[0, 0])
-
-    dirs = _unit_directions(n, n_dirs)
-    vp = dirs @ p
-    quad = np.einsum("ki,ij,kj->k", dirs, A, dirs)
-    mask = np.abs(vp) > 1e-12 * np.sqrt(pp)
-    vals = np.full(n_dirs, np.inf)
-    vals[mask] = pp * quad[mask] / vp[mask] ** 2
 
     def objective(theta):
         v = _angles_to_dir(np.atleast_1d(theta), n)
@@ -263,17 +244,52 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
             options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
         )
         result = min(result, float(res.fun))
-
-    # cross-check against the closed form when A is safely positive definite
-    eigmin = float(np.linalg.eigvalsh(A)[0])
-    if eigmin > 1e-10:
-        closed = alpha_closed_form(A, p)
-        if abs(result - closed) > 1e-4 * max(1.0, abs(closed)):
-            raise ArithmeticError(
-                f"sampled alpha {result} disagrees with closed form {closed}"
-            )
-        result = min(result, closed)
     return result
+
+
+def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
+    """Directional degeneracy |p|^2 inf_v (v^T A v)/(v . p)^2 over unit v.
+
+    For positive-definite A (least eigenvalue above 1e-10) this is the closed
+    form |p|^2/(p^T A^{-1} p), cross-checked at run time: it may not exceed
+    the minimum over ``n_dirs`` quasi-uniform directions by more than
+    1e-4 max(1, |alpha|), and the objective at the minimiser v = A^{-1} p
+    must equal it to 1e-12 max(1, |alpha|); otherwise ArithmeticError.  For
+    singular A the sampled minimum is refined by Nelder-Mead descent from
+    the best directions.
+    """
+    A = np.asarray(A, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    pp = float(p @ p)
+    if pp == 0.0:
+        raise ValueError("alpha undefined at p = 0")
+
+    if n == 1:
+        return float(A[0, 0])
+
+    dirs = _unit_directions(n, n_dirs)
+    vp = dirs @ p
+    quad = np.einsum("ki,ij,kj->k", dirs, A, dirs)
+    mask = np.abs(vp) > 1e-12 * np.sqrt(pp)
+    vals = np.full(n_dirs, np.inf)
+    vals[mask] = pp * quad[mask] / vp[mask] ** 2
+
+    if float(np.linalg.eigvalsh(A)[0]) <= 1e-10:
+        return _alpha_descent(A, p, pp, dirs, vals)
+
+    closed = alpha_closed_form(A, p)
+    scale = max(1.0, abs(closed))
+    sampled = float(np.min(vals))
+    if closed - sampled > 1e-4 * scale:
+        raise ArithmeticError(f"closed-form alpha {closed} exceeds sampled minimum {sampled}")
+    v = np.linalg.solve(A, p)
+    at_minimiser = pp * float(v @ A @ v) / float(v @ p) ** 2
+    if abs(at_minimiser - closed) > 1e-12 * scale:
+        raise ArithmeticError(
+            f"closed-form alpha {closed} differs from the objective {at_minimiser} at A^-1 p"
+        )
+    return closed
 
 
 def bernstein_E(A: np.ndarray, p: np.ndarray) -> float:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import minimize_scalar
 from scipy.special import erf as _erf
 
@@ -103,6 +104,28 @@ def check_comparison(min_gap_series, scale: float = 1.0) -> VerificationReport:
 # --- double-coordinate estimate ---------------------------------------------
 
 
+# lags per block of the pair scan: bounds its (lags, nodes) intermediate
+_LAG_CHUNK = 32
+
+
+def _pair_max(u: np.ndarray, k_max: int) -> np.ndarray:
+    """max_i u[(i + lag) % n] - u[i] for the lags 1..k_max and n - k_max..n - 1
+    in increasing order (k_max <= n // 2, a lag n/2 counted once).
+
+    Row k of the scan is the lag-k difference; lag n - k is its exact
+    negation, so its maximum is minus the row minimum.
+    """
+    n = u.size
+    rows = sliding_window_view(np.concatenate([u, u]), n)
+    hi, lo = [], []
+    for k0 in range(1, k_max + 1, _LAG_CHUNK):
+        diff = rows[k0:min(k0 + _LAG_CHUNK, k_max + 1)] - u
+        hi.append(diff.max(axis=1))
+        lo.append(diff.min(axis=1))
+    n_mirror = min(k_max, (n - 1) // 2)
+    return np.concatenate(hi + [-np.concatenate(lo)[:n_mirror][::-1]])
+
+
 def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
                              region: str = "full",
                              t_window=None) -> VerificationReport:
@@ -111,7 +134,9 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
 
     Out-of-range barrier arguments clamp phi to 2M (conservative).  Region
     "G" restricts pair distances to |y-x| <= z_M(t).  Tolerance is
-    10 h (1 + max |phi'|) over the probed region.
+    10 h (1 + max |phi'|) over the probed region.  The witness is the first
+    maximiser in (snapshot, lag) order.  Raises PreconditionError when no
+    snapshot with t > 0 in ``t_window`` has a pair in the region.
     """
     if region not in ("full", "G"):
         raise ValueError("region must be 'full' or 'G'")
@@ -122,43 +147,56 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     n = grid.n_nodes
     period = grid.x_hi - grid.x_lo
 
-    worst = -np.inf
-    witness = {}
-    max_slope = 0.0
+    # pair distance min(lag, n - lag) h takes the values k h, k = 1..n // 2
+    dists = np.arange(1, n // 2 + 1) * h
+    # per snapshot: t, u, the largest k in the region, slope probe points
+    snaps = []
     for t, f in traj.snapshots:
         if t <= 0:
             continue
         if t_window is not None and not (t_window[0] <= t <= t_window[1]):
             continue
-        u = f.values
-        lags = np.arange(1, n)
-        dists = np.minimum(lags, n - lags) * h
+        k_max = dists.size
         if region == "G":
-            zm = float(barriers.z_M(t, M, b.c))
-            keep = dists <= zm
-            lags, dists = lags[keep], dists[keep]
-        if lags.size == 0:
+            k_max = int(np.count_nonzero(dists <= float(barriers.z_M(t, M, b.c))))
+        if k_max == 0:
             continue
-        phi_vals = barriers.phi_double_coordinate(b, dists, t, M)
+        zs = np.linspace(0.5 * h, max(float(dists[k_max - 1]), 2.0 * h), 256)
+        snaps.append((t, f.values, k_max, zs))
+    if not snaps:
+        raise PreconditionError(
+            f"no snapshot with t > 0 in t_window {t_window} has a node pair "
+            f"in region {region}")
+
+    # one psi solve for every snapshot: pair distances, then slope probes
+    z_parts = [dists[:k] for _, _, k, _ in snaps] + [zs for *_, zs in snaps]
+    t_parts = [np.full(z.size, t) for z, (t, *_) in zip(z_parts, snaps + snaps)]
+    phi = barriers.phi_double_coordinate(b, np.concatenate(z_parts), np.concatenate(t_parts), M)
+    phi = np.split(phi, np.cumsum([z.size for z in z_parts])[:-1])
+
+    worst = -np.inf
+    witness = {}
+    max_slope = 0.0
+    for (t, u, k_max, zs), phi_k, pv in zip(snaps, phi, phi[len(snaps):]):
         # slope of phi sampled at the probed distances, for the tolerance
-        zs = np.linspace(0.5 * h, max(float(np.max(dists)), 2.0 * h), 256)
-        pv = barriers.phi_double_coordinate(b, zs, t, M)
         max_slope = max(max_slope, float(np.max(np.abs(np.gradient(pv, zs)))))
-        for lag, d, pval in zip(lags, dists, phi_vals):
-            diff = np.roll(u, -lag) - u
-            Z = np.max(diff) - pval
-            if Z > worst:
-                worst = float(Z)
-                witness = {
-                    "t": float(t),
-                    "distance": float(d),
-                    "max_pair_diff": float(np.max(diff)),
-                    "phi": float(pval),
-                }
+        pair_max = _pair_max(u, k_max)
+        # index k - 1 of each lag's distance k h, in increasing lag order
+        ks = np.concatenate([np.arange(k_max), np.arange(pair_max.size - k_max)[::-1]])
+        Z = pair_max - phi_k[ks]
+        i = int(np.argmax(Z))
+        if Z[i] > worst:
+            worst = float(Z[i])
+            witness = {
+                "t": float(t),
+                "distance": float(dists[ks[i]]),
+                "max_pair_diff": float(pair_max[i]),
+                "phi": float(phi_k[ks[i]]),
+            }
     tol = 10.0 * h * (1.0 + max_slope)
     return VerificationReport(
         check_id=f"double-coordinate:{region}",
-        max_defect=worst if np.isfinite(worst) else 0.0,
+        max_defect=worst,
         tolerance=tol,
         witness=witness,
         metadata={"M": M, "c": b.c, "h": h, "period": period,

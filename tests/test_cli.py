@@ -172,6 +172,32 @@ def test_gradient_bound_controls(tmp_path, coeff, exit_code):
         assert json.load(fh)["passed"] is (exit_code == 0)
 
 
+@pytest.mark.parametrize("c, exit_code, defect", [(0.25, 0, 0.034), (0.1, 1, 0.62)])
+def test_heat_zero_counting_controls(tmp_path, c, exit_code, defect):
+    # the bundled run evolves u_t = u_xx / (4c) with c = 0.25; the check's bound
+    # grows like sqrt(c), so the one for c = 0.1 lies below the run's gradient
+    text = open(HEAT_STEP).read()
+    head, sep, check = text.partition("[check:zero-counting]")
+    cfg = _write(tmp_path, head + sep + check.replace("c = 0.25", f"c = {c}"))
+    out = str(tmp_path / "o")
+    assert main(["run", cfg, "--out", out]) == exit_code
+    with open(os.path.join(out, "reports", "zero-counting.json")) as fh:
+        rep = json.load(fh)
+    assert rep["passed"] is (exit_code == 0)
+    assert rep["max_defect"] == pytest.approx(defect, abs=0.005)
+
+
+def test_double_coordinate_empty_window_is_error(tmp_path):
+    # t_hi below the only output time: no snapshot to check, so no PASS
+    text = MINIMAL + ("\n[check:dc]\ntype = double_coordinate\nM = 1.0\nc = 0.25\n"
+                      "t_lo = 0.0\nt_hi = 0.01\n")
+    out = str(tmp_path / "o")
+    assert main(["run", _write(tmp_path, text), "--out", out]) == 1
+    assert not os.path.exists(os.path.join(out, "reports", "dc.json"))
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert "ERROR dc: no snapshot" in summary
+
+
 # --- sweep --------------------------------------------------------------------
 
 

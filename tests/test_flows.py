@@ -81,6 +81,44 @@ def test_alpha_closed_form_diag():
     assert alpha(A, p, n_dirs=256) == pytest.approx(2.0, abs=1e-6)
 
 
+def test_alpha_positive_definite_uses_closed_form(monkeypatch):
+    def no_descent(*args, **kwargs):
+        raise AssertionError("Nelder-Mead reached for positive-definite A")
+
+    monkeypatch.setattr(flows, "minimize", no_descent)
+    p = np.array([0.3, -2.0, 1.1])
+    A = mcf_graph(3).coeff(p)
+    assert alpha(A, p, n_dirs=512) == alpha_closed_form(A, p)
+
+
+def _rank2_3d():
+    # A = Q diag(2, 3, 0) Q^T, p = Q (1, 1, 0): p lies in the range of A, so
+    # alpha = |p|^2 / (p^T A^+ p) = 2 / (1/2 + 1/3) = 2.4
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return Q @ np.diag([2.0, 3.0, 0.0]) @ Q.T, Q @ np.array([1.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("A, p, expected", [
+    (np.diag([1.0, 0.0]), np.array([1.0, 0.0]), 1.0),
+    (np.diag([1.0, 0.0]), np.array([1.0, 1.0]), 0.0),
+    (*_rank2_3d(), 2.4),
+])
+def test_alpha_singular_descent(A, p, expected):
+    assert np.linalg.eigvalsh(A)[0] <= 1e-10
+    assert alpha(A, p, n_dirs=512) == pytest.approx(expected, abs=1e-6)
+
+
+# 1 % off fails against the sampled minimum; 1e-9 only at the minimiser A^-1 p
+@pytest.mark.parametrize("factor, match", [(1.01, "sampled minimum"), (1.0 + 1e-9, "objective")])
+def test_alpha_cross_check_can_fail(monkeypatch, factor, match):
+    closed_form = flows.alpha_closed_form
+    monkeypatch.setattr(flows, "alpha_closed_form", lambda A, p: factor * closed_form(A, p))
+    for n in (2, 3):
+        p = np.linspace(0.5, 2.0, n)
+        with pytest.raises(ArithmeticError, match=match):
+            alpha(mcf_graph(n).coeff(p), p, n_dirs=512)
+
+
 def test_alpha_rejects_zero_p():
     with pytest.raises(ValueError):
         alpha(np.eye(2), np.zeros(2))

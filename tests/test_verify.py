@@ -257,3 +257,102 @@ def test_double_coordinate_requires_periodic():
     traj.append(0.0, Field(g, np.zeros(17)))
     with pytest.raises(PreconditionError):
         verify.double_coordinate_defect(traj, barriers.PsiBarrier(c=0.25), 1.0)
+
+
+def _double_coordinate_oracle(traj, b, M, region, t_window=None):
+    """Pair-by-pair scan: every snapshot, then every lag, then every node.
+
+    Returns (max_defect, tolerance, witness) as double_coordinate_defect
+    defines them, the witness being the first maximiser in that order.
+    """
+    grid = traj.fields[0].grid
+    h, n = grid.h, grid.n_nodes
+    worst, witness, max_slope = -np.inf, {}, 0.0
+    for t, f in traj.snapshots:
+        if t <= 0 or (t_window is not None and not t_window[0] <= t <= t_window[1]):
+            continue
+        u = f.values
+        zm = float(barriers.z_M(t, M, b.c))
+        lags = [lag for lag in range(1, n)
+                if region == "full" or min(lag, n - lag) * h <= zm]
+        if not lags:
+            continue
+        dists = np.array([min(lag, n - lag) for lag in lags]) * h
+        phi = barriers.phi_double_coordinate(b, dists, t, M)
+        zs = np.linspace(0.5 * h, max(float(np.max(dists)), 2.0 * h), 256)
+        pv = barriers.phi_double_coordinate(b, zs, t, M)
+        max_slope = max(max_slope, float(np.max(np.abs(np.gradient(pv, zs)))))
+        for lag, d, pval in zip(lags, dists, phi):
+            pair_max = max(u[(i + lag) % n] - u[i] for i in range(n))
+            if pair_max - pval > worst:
+                worst = float(pair_max - pval)
+                witness = {"t": float(t), "distance": float(d),
+                           "max_pair_diff": float(pair_max), "phi": float(pval)}
+    return worst, 10.0 * h * (1.0 + max_slope), witness
+
+
+@pytest.mark.parametrize("n", [31, 32, 33])
+@pytest.mark.parametrize("region", ["G", "full"])
+@pytest.mark.parametrize("chunk", [32, 5])
+def test_double_coordinate_matches_pair_oracle(monkeypatch, n, region, chunk):
+    monkeypatch.setattr(verify, "_LAG_CHUNK", chunk)
+    g = Grid1D(0.0, 2.0, n, "periodic")
+    x = g.nodes()
+    rng = np.random.default_rng(n)
+    traj = Trajectory()
+    # t = 0 is skipped; at t = 0.005 no pair lies within z_M (G skips it)
+    for t in (0.0, 0.005, 0.08, 0.3):
+        u = 0.5 * np.sign(np.sin(np.pi * x)) + 0.05 * rng.normal(size=x.size)
+        traj.append(t, Field(g, u))
+    traj.append(0.4, Field(g, np.full(x.size, 0.25)))
+    traj.append(0.5, Field(g, np.where(np.arange(x.size) % 2 == 0, 0.5, -0.5)))
+    b = barriers.PsiBarrier(c=0.25)
+    for t_window in (None, (0.0, 0.1)):
+        rep = verify.double_coordinate_defect(traj, b, 1.0, region=region, t_window=t_window)
+        worst, tol, witness = _double_coordinate_oracle(traj, b, 1.0, region, t_window)
+        assert rep.max_defect == worst
+        assert rep.tolerance == tol
+        assert rep.witness == witness
+
+
+def test_double_coordinate_vacuous_window_is_precondition_error():
+    g = Grid1D(0.0, 2.0, 32, "periodic")
+    traj = Trajectory()
+    traj.append(0.5, Field(g, np.sin(np.pi * g.nodes())))
+    b = barriers.PsiBarrier(c=0.25)
+    assert verify.double_coordinate_defect(traj, b, 1.0, t_window=(0.0, 1.0)).witness
+    # no snapshot in the window
+    with pytest.raises(PreconditionError, match="t_window"):
+        verify.double_coordinate_defect(traj, b, 1.0, t_window=(0.0, 0.1))
+    # z_M(0.5) is far below one cell at c = 4, so region G holds no pair
+    assert barriers.z_M(0.5, 1.0, 4.0) < g.h
+    with pytest.raises(PreconditionError, match="region G"):
+        verify.double_coordinate_defect(traj, barriers.PsiBarrier(c=4.0), 1.0, region="G")
+
+
+@pytest.mark.parametrize("chunk", [32, 5])
+def test_double_coordinate_clamped_barrier_witness(monkeypatch, chunk):
+    # at M = 0.1 and t >= 1 every pair distance is out of the barrier's range,
+    # so phi = 2M at every pair and Z = u(y) - u(x) - 0.2: the witness is the
+    # first pair in (snapshot, lag) order with the largest difference
+    monkeypatch.setattr(verify, "_LAG_CHUNK", chunk)
+    g = Grid1D(0.0, 2.0, 32, "periodic")
+    b = barriers.PsiBarrier(c=0.25)
+    for j in range(1, 32):
+        for sign in (1.0, -1.0):
+            u = np.zeros(32)
+            u[0], u[j] = 0.5 * sign, -0.5 * sign
+            traj = Trajectory()
+            traj.append(1.0, Field(g, u))
+            traj.append(2.0, Field(g, u.copy()))  # ties with the first snapshot
+            rep = verify.double_coordinate_defect(traj, b, 0.1)
+            assert (rep.max_defect, rep.tolerance, rep.witness) == \
+                _double_coordinate_oracle(traj, b, 0.1, "full")
+            assert rep.witness == {"t": 1.0, "distance": min(j, 32 - j) * g.h,
+                                   "max_pair_diff": 1.0, "phi": 0.2}
+    # equal differences at lags 22 (x_10 -> x_0) and 29 (x_3 -> x_0): lag 22 comes first
+    u = np.zeros(32)
+    u[0], u[3], u[10] = 0.5, -0.5, -0.5
+    traj = Trajectory()
+    traj.append(1.0, Field(g, u))
+    assert verify.double_coordinate_defect(traj, b, 0.1).witness["distance"] == 10 * g.h
