@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "HeatKernel",
@@ -30,11 +29,23 @@ __all__ = [
     "sphere_eval",
     "step_eval",
     "inverf",
+    "erf",
 ]
 
 
 class RangeError(ValueError):
     """Requested point is outside the representable branch."""
+
+
+# --- error function ---------------------------------------------------------
+
+
+def erf(x):
+    """scipy.special.erf, imported on first call so that importing flowlab
+    loads no scipy; the one place that knows where erf comes from."""
+    from scipy.special import erf as scipy_erf
+
+    return scipy_erf(x)
 
 
 # --- inverse error function -------------------------------------------------
@@ -60,7 +71,7 @@ def inverf(y):
 
     half_sqrt_pi = math.sqrt(math.pi) / 2.0
     for _ in range(8):
-        resid = _erf(x) - y
+        resid = erf(x) - y
         if np.max(np.abs(resid)) < 1e-15:
             break
         x = x - resid * half_sqrt_pi * np.exp(np.minimum(x ** 2, 700.0))
@@ -248,7 +259,7 @@ def cone_barrier_eval(cb: ConeBarrier, x, t):
         raise ValueError("require t + eps > 0")
     c = cb.c
     xi = x - cb.h
-    return cb.L * xi * _erf(np.sqrt(c / tau) * xi) + cb.L * np.sqrt(
+    return cb.L * xi * erf(np.sqrt(c / tau) * xi) + cb.L * np.sqrt(
         tau / (c * np.pi)
     ) * np.exp(-c * xi ** 2 / tau)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .reports import VerificationReport
 
@@ -224,6 +223,8 @@ def alpha_closed_form(A: np.ndarray, p: np.ndarray) -> float:
 def _alpha_descent(A: np.ndarray, p: np.ndarray, pp: float, dirs: np.ndarray,
                    vals: np.ndarray) -> float:
     """Sampled minimum refined by Nelder-Mead from the 8 best directions."""
+    from scipy.optimize import minimize
+
     n = p.shape[0]
 
     def objective(theta):

@@ -22,7 +22,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_defect <= self.tolerance
+        return bool(self.max_defect <= self.tolerance)
 
     def to_jsonable(self) -> dict:
         return {

@@ -12,8 +12,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import minimize_scalar
-from scipy.special import erf as _erf
 
 from . import barriers
 from .fields import Field, Grid1D, gradient
@@ -207,7 +205,9 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
 def gradient_bound_check(traj, bound: Callable[[float], float],
                          grid_tol: float = 0.0,
                          t_window=None) -> VerificationReport:
-    """Max over snapshots of (max |Du|(t) - bound(t))."""
+    """Max over snapshots of (max |Du|(t) - bound(t)).  Raises
+    PreconditionError when no snapshot with t > 0 in ``t_window`` has a
+    finite bound."""
     worst = -np.inf
     witness = {}
     for t, f in traj.snapshots:
@@ -221,9 +221,12 @@ def gradient_bound_check(traj, bound: Callable[[float], float],
             worst = defect
             witness = {"t": float(t), "max_grad": float(np.max(g)),
                        "bound": float(bound(t))}
+    if worst == -np.inf:
+        raise PreconditionError(
+            f"no snapshot with t > 0 in t_window {t_window} where the bound is finite")
     return VerificationReport(
         check_id="gradient-bound",
-        max_defect=worst if np.isfinite(worst) else 0.0,
+        max_defect=worst,
         tolerance=grid_tol,
         witness=witness,
         metadata={"t_window": list(t_window) if t_window else None},
@@ -308,6 +311,8 @@ def displacement_check(traj, kind: str, *, Lambda_of_K=None, L=None, h=0.0,
     if kind == "modulus":
         if omega is None or Lambda_of_K is None:
             raise ValueError("modulus kind needs omega and Lambda_of_K")
+        from scipy.optimize import minimize_scalar
+
         i0 = int(np.argmin(np.abs(x - h)))
         worst, witness = -np.inf, {}
         k_max = float(x[-1] - x[0])
@@ -424,7 +429,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         if np.any(np.abs(u) > M * (1.0 + 1e-12)):
             raise PreconditionError(f"|u| > M at t = {t:g}")
         ux = gradient_of(x, t) if gradient_of is not None else gradient(f)[..., 0]
-        N = M / _erf(np.sqrt(c) * dist[interior] / (2.0 * np.sqrt(t)))
+        N = M / barriers.erf(np.sqrt(c) * dist[interior] / (2.0 * np.sqrt(t)))
         ratio = u[interior] / N
         # nodes where u/N rounds to +-1 have bound and gradient both
         # vanishing; the relative defect is ill-defined there
@@ -475,6 +480,8 @@ def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
     kind "periodic": v <= t^(1/2) exp(c (|u| - 2M)^2 / (4t)).
     kind "interior": v <= t^(q/2) exp(c q (u + 2M)^2 / (4t)) / eta with the
     localizer eta = R^2 - 2nt - |x|^2 + u^2 required positive at probes.
+    Raises PreconditionError when no snapshot with t > 0 in
+    [t_min, T_prime] has a node where the bound is finite.
     """
     grid = traj.fields[0].grid
     n = traj.fields[0].ndim
@@ -506,9 +513,13 @@ def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
         if darr[i] > worst:
             worst = float(darr[i])
             witness = {"t": float(t), "v": float(v[i]), "bound": float(bound[i])}
+    if worst == -np.inf:
+        raise PreconditionError(
+            f"no snapshot with t > 0 in [t_min, T_prime] = [{t_min:g}, {T_prime:g}]"
+            " where the bound is finite")
     return VerificationReport(
         check_id=f"eh-bound:{kind}",
-        max_defect=worst if np.isfinite(worst) else 0.0,
+        max_defect=worst,
         tolerance=grid_tol,
         witness=witness,
         metadata={"M": M, "c": c, "q": q, "R": R, "T_prime": T_prime},

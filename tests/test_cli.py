@@ -198,6 +198,38 @@ def test_double_coordinate_empty_window_is_error(tmp_path):
     assert "ERROR dc: no snapshot" in summary
 
 
+@pytest.mark.parametrize("ctype, params", [
+    ("gradient_bound", "coeff = 0.0\nt_lo = 0.0\nt_hi = 0.01"),
+    ("eh_bound", "M = 1.0\nc = 1.0\nt_min = 0.1"),
+], ids=["gradient_bound", "eh_bound"])
+def test_empty_window_is_error(tmp_path, ctype, params):
+    # the window excludes the only output time 0.05: no snapshot to check, so no PASS
+    text = MINIMAL + f"\n[check:w]\ntype = {ctype}\n{params}\n"
+    out = str(tmp_path / "o")
+    assert main(["run", _write(tmp_path, text), "--out", out]) == 1
+    assert not os.path.exists(os.path.join(out, "reports", "w.json"))
+    summary = open(os.path.join(out, "summary.txt")).read()
+    assert "ERROR w: no snapshot" in summary
+
+
+@pytest.mark.parametrize("L, exit_code, defect", [(8.0, 0, -0.366), (0.5, 1, 0.160)])
+def test_convergence_controls(tmp_path, L, exit_code, defect):
+    # curve shortening from sin(8x), whose Lipschitz constant is 8: the sphere
+    # barrier bound sqrt(2t) + L sqrt(2t) holds for L = 8, while with L = 0.5
+    # it falls below the displacement of the crests by t = 0.05
+    text = (MINIMAL.replace("id = heat\nc = 0.25", "id = csf")
+            .replace("n_cells = 64", "n_cells = 256")
+            .replace("amplitude = 1.0", "amplitude = 1.0\nfrequency = 8.0")
+            .replace("output_times = 0.05", "output_times = 0.001 0.005 0.01 0.05"))
+    text += f"\n[check:conv]\ntype = convergence\nmodulus = lipschitz\nL = {L}\n"
+    out = str(tmp_path / "o")
+    assert main(["run", _write(tmp_path, text), "--out", out]) == exit_code
+    with open(os.path.join(out, "reports", "conv.json")) as fh:
+        rep = json.load(fh)
+    assert rep["passed"] is (exit_code == 0)
+    assert rep["max_defect"] == pytest.approx(defect, abs=0.005)
+
+
 # --- sweep --------------------------------------------------------------------
 
 

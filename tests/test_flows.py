@@ -85,7 +85,7 @@ def test_alpha_positive_definite_uses_closed_form(monkeypatch):
     def no_descent(*args, **kwargs):
         raise AssertionError("Nelder-Mead reached for positive-definite A")
 
-    monkeypatch.setattr(flows, "minimize", no_descent)
+    monkeypatch.setattr("scipy.optimize.minimize", no_descent)
     p = np.array([0.3, -2.0, 1.1])
     A = mcf_graph(3).coeff(p)
     assert alpha(A, p, n_dirs=512) == alpha_closed_form(A, p)
