@@ -255,7 +255,8 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
     form |p|^2/(p^T A^{-1} p), cross-checked at run time: it may not exceed
     the minimum over ``n_dirs`` quasi-uniform directions by more than
     1e-4 max(1, |alpha|), and the objective at the minimiser v = A^{-1} p
-    must equal it to 1e-12 max(1, |alpha|); otherwise ArithmeticError.  For
+    must equal it to max(1e-12, 4 eps cond(A)) max(1, |alpha|), which is
+    1e-12 for cond(A) below about 1e3; otherwise ArithmeticError.  For
     singular A the sampled minimum is refined by Nelder-Mead descent from
     the best directions.
     """
@@ -276,7 +277,8 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
     vals = np.full(n_dirs, np.inf)
     vals[mask] = pp * quad[mask] / vp[mask] ** 2
 
-    if float(np.linalg.eigvalsh(A)[0]) <= 1e-10:
+    eig = np.linalg.eigvalsh(A)
+    if float(eig[0]) <= 1e-10:
         return _alpha_descent(A, p, pp, dirs, vals)
 
     closed = alpha_closed_form(A, p)
@@ -286,7 +288,9 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
         raise ArithmeticError(f"closed-form alpha {closed} exceeds sampled minimum {sampled}")
     v = np.linalg.solve(A, p)
     at_minimiser = pp * float(v @ A @ v) / float(v @ p) ** 2
-    if abs(at_minimiser - closed) > 1e-12 * scale:
+    # solving with A loses about eps cond(A); 1e-12 below cond ~ 1e3
+    cond = float(eig[-1] / eig[0])
+    if abs(at_minimiser - closed) > max(1e-12, 4 * np.finfo(float).eps * cond) * scale:
         raise ArithmeticError(
             f"closed-form alpha {closed} differs from the objective {at_minimiser} at A^-1 p"
         )

@@ -8,12 +8,15 @@ maximum runs over all nodes and members.  ``evolve`` is a batch of one;
 ``evolve_pair_ordered`` is a batch of two that also records the gap
 series.  Cross-derivative terms use the diagonal stencil splitting, so the
 update is order-preserving wherever the coefficient matrix is diagonally
-dominant.
+dominant.  The stepper allocates its work buffers once and writes every
+step into them in place, in the operation order of the term-by-term
+formula, so results are the same bit for bit.  Its blow-up guard takes one
+max|u| over the batch per step and looks at members one by one only when
+that exceeds the smallest member limit.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -132,17 +135,18 @@ def _check_bc_compatible(grid, bc: BoundaryCondition):
             raise SolverError(f"{bc.kind} bc needs a bounded grid")
 
 
-def _total(terms: list) -> np.ndarray:
-    """Sum of arrays in list order."""
-    return functools.reduce(np.add, terms)
-
-
 class _Stepper:
     """Explicit Euler for u_t = a^ij(Du) D_ij u on a batch (B, *grid shape).
 
     The batch lives in one buffer with a ghost layer on every side.  The
-    ghost, stencil and Dirichlet-face views into it are built once, so a step
-    only does arithmetic.  Cross terms use the diagonal splitting.
+    ghost, stencil and Dirichlet-face views into it, and the work buffers of
+    a step, are built once, so a step only does arithmetic, written in place
+    with ``out=`` ufuncs.  Sums of terms keep the order cross terms first,
+    then axes, so every float matches the term-by-term formula.  Cross terms
+    use the diagonal splitting; with n = 1 there are none, and the diagonal
+    is a view into the coefficient array.  The blow-up guard compares one
+    batch-wide max|u| with the smallest member limit and tests the members
+    one by one only when that fails (a NaN fails both).
     """
 
     def __init__(self, flow: GraphFlowND, grid, u0: np.ndarray, bc: BoundaryCondition,
@@ -155,7 +159,7 @@ class _Stepper:
         h = axes[0].h
         if any(abs(ax.h - h) > 1e-12 * h for ax in axes):
             raise SolverError("graph flows with n > 1 need equal axis spacing")
-        self.flow, self.bc, self.plan, self.n = flow, bc, plan, n
+        self.flow, self.bc, self.plan = flow, bc, plan
         self.h2 = h ** 2
         shape = u0.shape[1:]
         up = np.empty((u0.shape[0],) + tuple(s + 2 for s in shape))
@@ -174,12 +178,19 @@ class _Stepper:
         self.u[...] = u0
         self.grid_axes = tuple(range(1, n + 1))
         self.limit = 1e6 * np.maximum(1.0, np.max(np.abs(u0), axis=self.grid_axes))
+        self.limit_min = float(self.limit.min())
         self.Du = np.empty(self.u.shape + (n,))
         self.axes = [(self.Du[..., i], shifted(e[i]), shifted(-e[i]), 2 * ax.h, ax.h ** 2)
                      for i, ax in enumerate(axes)]
         self.cross = [(i, j, shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
                        shifted(e[i] - e[j]), shifted(e[j] - e[i]))
                       for i in range(n) for j in range(i + 1, n)]
+        # work buffers: 2u, the rhs and stability sums, and one term at a time
+        self.two_u, self.rhs, self.stab, self.term, self.work = (
+            np.empty(self.u.shape) for _ in range(5))
+        if self.cross:
+            self.diag = [np.empty(self.u.shape) for _ in range(n)]
+            self.pos, self.neg, self.off = (np.empty(self.u.shape) for _ in range(3))
 
         # ghost <- source, or <- 2 * source - second for linear extrapolation
         # (Dirichlet: boundary nodes are overwritten after every step)
@@ -191,7 +202,8 @@ class _Stepper:
             self.ghosts += [(ghost_layer(ax, d), ghost_layer(ax, a),
                              None if b is None else ghost_layer(ax, b)) for d, a, b in rules]
 
-        # Dirichlet faces with their node coordinates (a scalar x when n = 1)
+        # Dirichlet faces, their grid shape and their node coordinates (a
+        # scalar x when n = 1, else a row of the mesh)
         self.faces = []
         if bc.kind == "dirichlet":
             mesh = np.stack(np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij"), axis=-1)
@@ -199,54 +211,103 @@ class _Stepper:
                 for side in (0, -1):
                     idx = tuple(side if d == ax else slice(None) for d in range(n))
                     points = mesh[idx].reshape(-1, n)
-                    self.faces.append((self.u[batch + idx], points[:, 0] if n == 1 else points))
+                    face = self.u[batch + idx]
+                    self.faces.append((face, face.shape[1:],
+                                       list(points[:, 0] if n == 1 else points)))
 
     def apply_dirichlet(self, t: float) -> None:
-        for face, points in self.faces:
+        value = self.bc.value
+        for face, shape, points in self.faces:
             # values come node by node; reshape them to the face's grid shape
-            face[...] = np.reshape([self.bc.value(p, t) for p in points], face.shape[1:])
+            face[...] = np.array([value(p, t) for p in points]).reshape(shape)
 
     def rhs_and_dt(self, t: float):
         """a^ij D_ij u on the batch, and the CFL step from its node-wise
-        stability coefficient maximised over all nodes and members."""
+        stability coefficient maximised over all nodes and members.
+
+        The rhs is the stepper's own buffer, overwritten by the next call.
+        """
         for ghost, a, b in self.ghosts:
-            ghost[...] = a if b is None else 2 * a - b
-        flow, plan, n, h2, Du = self.flow, self.plan, self.n, self.h2, self.Du
+            if b is None:
+                ghost[...] = a
+            else:
+                np.multiply(a, 2, out=ghost)
+                ghost -= b
+        plan, h2 = self.plan, self.h2
+        two_u, rhs, stab, term, work = self.two_u, self.rhs, self.stab, self.term, self.work
         for g, p, m, two_h, _ in self.axes:
             np.subtract(p, m, out=g)
             np.divide(g, two_h, out=g)
-        A = flow.coeff(Du)
-        gmax = math.sqrt(_total([g * g for g, *_ in self.axes]).max())
+        A = self.flow.coeff(self.Du)
+        # |Du|^2, summed over the axes in order
+        (g, *_), *rest = self.axes
+        np.multiply(g, g, out=term)
+        for g, *_ in rest:
+            term += np.multiply(g, g, out=work)
+        gmax = math.sqrt(np.maximum.reduce(term, axis=None))
         if gmax > plan.max_grad_clip:
             raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
 
-        two_u = 2 * self.u
-        diag = [A[..., i, i] for i in range(n)]
-        rhs, stab = [], []
-        for i, j, pp, mm, pm, mp in self.cross:
-            aij = A[..., i, j]
-            pos = np.maximum(aij, 0.0)
-            neg = np.maximum(-aij, 0.0)
-            off = pos + neg
-            rhs.append(pos * ((pp - two_u + mm) / h2) + neg * ((pm - two_u + mp) / h2))
-            stab.append(off / h2)
-            diag[i] = diag[i] - off
-            diag[j] = diag[j] - off
+        # term k of the rhs and of stab goes straight into the sum when k = 0,
+        # else through term/work and is added on
+        np.multiply(self.u, 2, out=two_u)
+        k = 0
+        if self.cross:
+            diag, pos, neg, off = self.diag, self.pos, self.neg, self.off
+            for i, d in enumerate(diag):
+                np.copyto(d, A[..., i, i])
+            for i, j, pp, mm, pm, mp in self.cross:
+                aij = A[..., i, j]
+                np.maximum(aij, 0.0, out=pos)
+                np.maximum(np.negative(aij, out=neg), 0.0, out=neg)
+                np.add(pos, neg, out=off)
+                out = term if k else rhs
+                np.subtract(pp, two_u, out=out)
+                out += mm
+                out /= h2
+                out *= pos
+                np.subtract(pm, two_u, out=work)
+                work += mp
+                work /= h2
+                work *= neg
+                out += work
+                np.divide(off, h2, out=work if k else stab)
+                if k:
+                    rhs += term
+                    stab += work
+                diag[i] -= off
+                diag[j] -= off
+                k += 1
+        else:
+            diag = (A[..., 0, 0],)
         for d, (_, p, m, _, h2_axis) in zip(diag, self.axes):
-            rhs.append(d * ((p - two_u + m) / h2_axis))
-            stab.append(np.abs(d) / h2)
-        stab_max = float(_total(stab).max())
+            out = term if k else rhs
+            np.subtract(p, two_u, out=out)
+            out += m
+            out /= h2_axis
+            out *= d
+            np.divide(np.abs(d, out=work), h2, out=work if k else stab)
+            if k:
+                rhs += term
+                stab += work
+            k += 1
+        stab_max = float(np.maximum.reduce(stab, axis=None))
         dt = plan.cfl_safety / (2.0 * stab_max) if stab_max > 0 else plan.t_end
         if dt < 1e-14 * plan.t_end:
             raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
-        return _total(rhs), dt
+        return rhs, dt
 
     def advance(self, t_new: float, dt: float, rhs: np.ndarray) -> None:
-        self.u += dt * rhs
+        """u += dt * rhs (rhs is scaled in place), then the Dirichlet faces
+        and the blow-up guard."""
+        rhs *= dt
+        self.u += rhs
         self.apply_dirichlet(t_new)
-        # one test for both: a NaN fails the comparison too
-        if not (np.abs(self.u).max(axis=self.grid_axes) <= self.limit).all():
-            raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
+        # a NaN fails both comparisons
+        au = np.abs(self.u, out=self.work)
+        if not np.maximum.reduce(au, axis=None) <= self.limit_min:
+            if not (np.maximum.reduce(au, axis=self.grid_axes) <= self.limit).all():
+                raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
 
 
 def _prep_output_times(plan: TimeStepPlan, output_times) -> list:
@@ -278,7 +339,12 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
     u = stepper.u
     stepper.apply_dirichlet(0.0)
     if gaps is not None:
-        gaps.append(float((u[1] - u[0]).min()))
+        gap = np.empty(u.shape[1:])
+
+        def record_gap():
+            gaps.append(float(np.minimum.reduce(np.subtract(u[1], u[0], out=gap), axis=None)))
+
+        record_gap()
     t = 0.0
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
@@ -290,7 +356,7 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
         n_steps += 1
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         if gaps is not None:
-            gaps.append(float((u[1] - u[0]).min()))
+            record_gap()
         if t >= pending[0] - 1e-14:
             t = pending.pop(0)
             for traj, values in zip(trajs, u):

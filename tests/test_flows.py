@@ -119,6 +119,23 @@ def test_alpha_cross_check_can_fail(monkeypatch, factor, match):
             alpha(mcf_graph(n).coeff(p), p, n_dirs=512)
 
 
+@pytest.mark.parametrize("seed", [7249, 8375])
+def test_alpha_cross_check_allows_ill_conditioned_a(seed):
+    # correct positive-definite A with cond 3e7 and 7e8: the objective at
+    # A^-1 p misses the closed form by more than 1e-12, the rounding of the
+    # solve (about eps cond(A)), which the allowance now scales with
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    A = Q @ np.diag(10.0 ** rng.uniform(-9, 1, size=3)) @ Q.T
+    A = 0.5 * (A + A.T)
+    p = rng.normal(size=3)
+    assert np.linalg.cond(A) > 9e5
+    v = np.linalg.solve(A, p)
+    closed = alpha_closed_form(A, p)
+    assert abs((p @ p) * (v @ A @ v) / (v @ p) ** 2 - closed) > 1e-12 * max(1.0, closed)
+    assert alpha(A, p, n_dirs=512) == closed
+
+
 def test_alpha_rejects_zero_p():
     with pytest.raises(ValueError):
         alpha(np.eye(2), np.zeros(2))

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from flowlab.solver import (
     SolverError,
     TimeStepPlan,
     Trajectory,
+    _Stepper,
     evolve,
     evolve_pair_ordered,
     solve_auxiliary_phi,
@@ -225,3 +228,172 @@ def test_export(tmp_path):
     assert (tmp_path / "fields" / "t=0.05.csv").exists()
     assert manifest["output_times"] == [0.0, 0.05, 0.1]
     assert manifest["grid"][0]["n_cells"] == 32
+
+
+# --- the stepper against a term-by-term oracle, bit for bit ------------------
+
+
+def _oracle_padded(u, bc_kind):
+    """u (B, *grid) with one ghost layer per side, filled axis by axis;
+    later axes copy the ghosts of earlier ones into the corners."""
+    n = u.ndim - 1
+    up = np.zeros((u.shape[0],) + tuple(s + 2 for s in u.shape[1:]))
+    up[(slice(None),) + (slice(1, -1),) * n] = u
+    for ax, N in enumerate(u.shape[1:]):
+        def layer(k):
+            return up[(slice(None),) + tuple(slice(None) if d < ax else k if d == ax
+                                             else slice(1, -1) for d in range(n))]
+        if bc_kind == "periodic":
+            layer(0)[...], layer(N + 1)[...] = layer(N), layer(1)
+        elif bc_kind == "neumann_zero":
+            layer(0)[...], layer(N + 1)[...] = layer(2), layer(N - 1)
+        else:
+            layer(0)[...] = 2 * layer(1) - layer(2)
+            layer(N + 1)[...] = 2 * layer(N) - layer(N - 1)
+    return up
+
+
+def _oracle_rhs_and_dt(flow, u, bc_kind, hs, plan):
+    """The stepper's arithmetic as term lists summed left to right: cross
+    terms first, then axes, for both the rhs and the stability sum."""
+    n, shape = u.ndim - 1, u.shape[1:]
+    up = _oracle_padded(u, bc_kind)
+
+    def s(offsets):
+        return up[(slice(None),) + tuple(slice(1 + o, N + 1 + o) for o, N in zip(offsets, shape))]
+
+    e = np.eye(n, dtype=int)
+    h2 = hs[0] ** 2
+    Du = np.stack([(s(e[i]) - s(-e[i])) / (2 * hs[i]) for i in range(n)], axis=-1)
+    A = flow.coeff(Du)
+    gmax = math.sqrt(functools.reduce(np.add, [Du[..., i] * Du[..., i] for i in range(n)]).max())
+    assert gmax <= plan.max_grad_clip
+    two_u = 2 * u
+    diag = [A[..., i, i] for i in range(n)]
+    rhs, stab = [], []
+    for i in range(n):
+        for j in range(i + 1, n):
+            aij = A[..., i, j]
+            pos = np.maximum(aij, 0.0)
+            neg = np.maximum(-aij, 0.0)
+            off = pos + neg
+            rhs.append(pos * ((s(e[i] + e[j]) - two_u + s(-e[i] - e[j])) / h2)
+                       + neg * ((s(e[i] - e[j]) - two_u + s(e[j] - e[i])) / h2))
+            stab.append(off / h2)
+            diag[i] = diag[i] - off
+            diag[j] = diag[j] - off
+    for i, d in enumerate(diag):
+        rhs.append(d * ((s(e[i]) - two_u + s(-e[i])) / hs[i] ** 2))
+        stab.append(np.abs(d) / h2)
+    stab_max = float(functools.reduce(np.add, stab).max())
+    dt = plan.cfl_safety / (2.0 * stab_max) if stab_max > 0 else plan.t_end
+    return functools.reduce(np.add, rhs), dt
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("bc_kind", ["periodic", "neumann_zero", "dirichlet"])
+@pytest.mark.parametrize("flow_id", ["heat", "csf", "plaplace-reg", "mcf2d", "mcf3d",
+                                     "aniso:quartic:0.001"])
+def test_stepper_matches_term_by_term_oracle(flow_id, bc_kind, batch):
+    # rhs, dt and u agree bit for bit over 20 steps: the in-place stepper
+    # makes the same floating-point operations in the same order
+    flow = flows.get_flow(flow_id)
+    n = flow.n
+    ax = Grid1D(0.0, 2 * np.pi, {1: 32, 2: 10, 3: 6}[n],
+                "periodic" if bc_kind == "periodic" else "bounded")
+    grid = ax if n == 1 else GridND((ax,) * n)
+    mesh = np.stack(np.meshgrid(*[ax.nodes()] * n, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(n * 10 + batch)
+    # mixed-sign cross derivatives, plus noise so that no two nodes agree
+    u0 = np.stack([np.sin(mesh @ rng.uniform(-2, 2, n)) * np.cos(mesh[..., 0] - k)
+                   + 0.05 * rng.standard_normal(mesh.shape[:-1]) for k in range(batch)])
+
+    def value(p, t):
+        return 0.1 * float(np.sum(p)) + t
+    bc = BoundaryCondition(bc_kind, value=value if bc_kind == "dirichlet" else None)
+    faces = [(slice(None),) + tuple(side if d == a else slice(None) for d in range(n))
+             for a in range(n) for side in (0, -1)] if bc_kind == "dirichlet" else []
+
+    def oracle_dirichlet(u, t):
+        for idx in faces:
+            points = mesh[idx[1:]]
+            u[idx] = np.array([value(p, t) for p in points.reshape(-1, n)]).reshape(points.shape[:-1])
+
+    plan = TimeStepPlan(t_end=1.0)
+    stepper = _Stepper(flow, grid, u0, bc, plan)
+    u = u0.copy()
+    stepper.apply_dirichlet(0.0)
+    oracle_dirichlet(u, 0.0)
+    assert _same_bits(stepper.u, u)
+    t = 0.0
+    for _ in range(20):
+        rhs, dt = stepper.rhs_and_dt(t)
+        rhs_ref, dt_ref = _oracle_rhs_and_dt(flow, u, bc_kind, [ax.h] * n, plan)
+        assert dt == dt_ref
+        assert _same_bits(rhs, rhs_ref)
+        t += dt
+        stepper.advance(t, dt, rhs)
+        u += dt * rhs_ref
+        oracle_dirichlet(u, t)
+        assert _same_bits(stepper.u, u)
+    assert not np.array_equal(u, u0)
+
+
+# --- the solution blow-up guard ----------------------------------------------
+
+
+def _antidiffusion():
+    # u_t = -u_xx: every mode grows, the highest twofold per step at cfl 1/2
+    return flows.scalar_flow(lambda p: np.full_like(p, -1.0), A0=1.0, P=1.0,
+                             lambda_of_K=lambda K: 1.0, Lambda_of_K=lambda K: 1.0,
+                             name="antidiffusion")
+
+
+def _counted(flow, calls):
+    return dataclasses.replace(flow, coeff=lambda Du: calls.append(1) or flow.coeff(Du))
+
+
+def test_blowup_guard_catches_nan_at_first_step():
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    calls = []
+    nan_flow = _counted(dataclasses.replace(
+        flows.heat_1d(0.25), coeff=lambda Du: np.full(Du.shape + (1,), np.nan)), calls)
+    with pytest.raises(BlowUpError, match="solution blow-up"):
+        evolve(nan_flow, Field(g, np.sin(g.nodes())), BoundaryCondition("periodic"),
+               TimeStepPlan(t_end=0.1))
+    assert len(calls) == 1
+
+
+def test_blowup_guard_uses_each_members_own_limit():
+    # the constant 1e7 member is far above the sin member's limit (1e6) but
+    # within its own (1e13): no member has blown up
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    x = g.nodes()
+    lo, hi, gaps = evolve_pair_ordered(flows.heat_1d(0.25), Field(g, np.sin(x)),
+                                       Field(g, np.full_like(x, 1e7)),
+                                       BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1))
+    assert np.array_equal(hi.fields[-1].values, np.full_like(x, 1e7))
+    assert np.max(np.abs(lo.fields[-1].values)) < 1.0
+
+
+@pytest.mark.parametrize("with_big_member", [False, True])
+def test_blowup_guard_fires_when_a_member_passes_its_limit(with_big_member):
+    # 1e-3 (-1)^k doubles every step under anti-diffusion (its centred
+    # gradient is 0), so it passes its limit 1e6 at step 30; a constant 1e7
+    # member beside it, with limit 1e13, must not hide that
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    noise = Field(g, 1e-3 * (-1.0) ** np.arange(32))
+    calls = []
+    flow = _counted(_antidiffusion(), calls)
+    plan = TimeStepPlan(t_end=1.0, max_grad_clip=1e300)
+    with pytest.raises(BlowUpError, match="solution blow-up"):
+        if with_big_member:
+            evolve_pair_ordered(flow, noise, Field(g, np.full(32, 1e7)),
+                                BoundaryCondition("periodic"), plan)
+        else:
+            evolve(flow, noise, BoundaryCondition("periodic"), plan)
+    assert len(calls) == 30
