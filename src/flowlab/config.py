@@ -16,7 +16,7 @@ import numpy as np
 
 from . import barriers, flows, verify
 from .fields import Field, Grid1D
-from .solver import BoundaryCondition, TimeStepPlan
+from .solver import BoundaryCondition, TimeStepPlan, shared_snapshot_name
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES"]
 
@@ -228,6 +228,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("plan.output_times", "times must lie in (0, t_end]")
     if len(set(output_times)) < len(output_times):
         raise ConfigError("plan.output_times", "times must not repeat")
+    # the snapshots at t = 0 and at each output time need distinct file names
+    clash = shared_snapshot_name([0.0] + sorted(output_times))
+    if clash:
+        raise ConfigError("plan.output_times", clash)
 
     checks = {}
     for section in cp.sections():

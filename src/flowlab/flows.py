@@ -87,10 +87,22 @@ def mcf_graph(n: int) -> GraphFlowND:
         raise ValueError("dimension must be >= 1")
 
     def coeff(P):
+        # entry by entry, with the roundings of eye(n) - outer / (1 + |p|^2):
+        # |p|^2 summed left to right, and 0.0 - q (not -q) off the diagonal
         P = np.asarray(P, dtype=float)
-        pp = np.sum(P ** 2, axis=-1)
-        outer = P[..., :, None] * P[..., None, :]
-        return np.eye(n) - outer / (1.0 + pp)[..., None, None]
+        p = [P[..., i] for i in range(n)]
+        sq = [pi * pi for pi in p]
+        pp = sq[0]
+        for s in sq[1:]:
+            pp = pp + s
+        denom = 1.0 + pp
+        A = np.empty(P.shape + (n,))
+        for i in range(n):
+            np.subtract(1.0, sq[i] / denom, out=A[..., i, i])
+            for j in range(i + 1, n):
+                np.subtract(0.0, p[i] * p[j] / denom, out=A[..., i, j])
+                A[..., j, i] = A[..., i, j]
+        return A
 
     profile = DegeneracyProfile(lambda s: 1.0 / (1.0 + np.asarray(s) ** 2), A0=0.5, P=1.0)
     return GraphFlowND(

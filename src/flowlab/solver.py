@@ -10,9 +10,11 @@ series.  Cross-derivative terms use the diagonal stencil splitting, so the
 update is order-preserving wherever the coefficient matrix is diagonally
 dominant.  The stepper allocates its work buffers once and writes every
 step into them in place, in the operation order of the term-by-term
-formula, so results are the same bit for bit.  Its blow-up guard takes one
-max|u| over the batch per step and looks at members one by one only when
-that exceeds the smallest member limit.
+formula, so results are the same bit for bit.  A step makes two max
+reductions: one over a two-row buffer gives max |Du|^2 (for the gradient
+clip) and max S (for dt), and one gives max|u| for the blow-up guard, which
+looks at members one by one only when that exceeds the smallest member
+limit.
 """
 
 from __future__ import annotations
@@ -99,10 +101,13 @@ class Trajectory:
     def export(self, out_dir, flow_id: str = "", bc: str = "", extra: dict | None = None):
         import os
 
+        clash = shared_snapshot_name(t for t, _ in self.snapshots)
+        if clash:
+            raise ValueError(clash)
         fields_dir = os.path.join(out_dir, "fields")
         os.makedirs(fields_dir, exist_ok=True)
         for t, f in self.snapshots:
-            field_to_csv(f, os.path.join(fields_dir, f"t={t:.6g}.csv"))
+            field_to_csv(f, os.path.join(fields_dir, snapshot_file_name(t)))
         manifest = {
             "flow": flow_id,
             "bc": bc,
@@ -121,6 +126,24 @@ class Trajectory:
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         return manifest
+
+
+def snapshot_file_name(t: float) -> str:
+    """The file under ``fields/`` that ``Trajectory.export`` writes for time t."""
+    return f"t={t:.6g}.csv"
+
+
+def shared_snapshot_name(times) -> str:
+    """A message naming the first two times whose snapshots would be written
+    to one file by ``Trajectory.export``, or '' when all names differ."""
+    seen = {}
+    for t in times:
+        name = snapshot_file_name(t)
+        if name in seen:
+            return (f"times {seen[name]!r} and {t!r} would both be written to fields/{name}; "
+                    f"output times must differ in their first 6 significant digits")
+        seen[name] = t
+    return ""
 
 
 # --- time stepping ----------------------------------------------------------
@@ -144,9 +167,14 @@ class _Stepper:
     with ``out=`` ufuncs.  Sums of terms keep the order cross terms first,
     then axes, so every float matches the term-by-term formula.  Cross terms
     use the diagonal splitting; with n = 1 there are none, and the diagonal
-    is a view into the coefficient array.  The blow-up guard compares one
-    batch-wide max|u| with the smallest member limit and tests the members
-    one by one only when that fails (a NaN fails both).
+    is a view into the coefficient array.  |Du|^2 and the stability sum S
+    are the two rows of one buffer and share one reduction; with n = 1 the
+    second row is |a|, and max S = max|a| / h^2 exactly, because correctly
+    rounded division by h^2 > 0 is monotone.  The plan's numbers and the
+    flow's ``coeff`` are read into attributes once, so a step looks up no
+    nested attributes.  The blow-up guard compares one batch-wide max|u|
+    with the smallest member limit and tests the members one by one only
+    when that fails (a NaN fails both).
     """
 
     def __init__(self, flow: GraphFlowND, grid, u0: np.ndarray, bc: BoundaryCondition,
@@ -159,7 +187,10 @@ class _Stepper:
         h = axes[0].h
         if any(abs(ax.h - h) > 1e-12 * h for ax in axes):
             raise SolverError("graph flows with n > 1 need equal axis spacing")
-        self.flow, self.bc, self.plan = flow, bc, plan
+        self.bc, self.coeff = bc, flow.coeff
+        self.max_grad_clip, self.cfl_safety, self.t_end = (
+            plan.max_grad_clip, plan.cfl_safety, plan.t_end)
+        self.dt_floor = 1e-14 * plan.t_end
         self.h2 = h ** 2
         shape = u0.shape[1:]
         up = np.empty((u0.shape[0],) + tuple(s + 2 for s in shape))
@@ -180,17 +211,27 @@ class _Stepper:
         self.limit = 1e6 * np.maximum(1.0, np.max(np.abs(u0), axis=self.grid_axes))
         self.limit_min = float(self.limit.min())
         self.Du = np.empty(self.u.shape + (n,))
-        self.axes = [(self.Du[..., i], shifted(e[i]), shifted(-e[i]), 2 * ax.h, ax.h ** 2)
-                     for i, ax in enumerate(axes)]
+        self.grads = [self.Du[..., i] for i in range(n)]
+        self.differences = [(g, shifted(e[i]), shifted(-e[i]), 2 * ax.h)
+                            for i, (g, ax) in enumerate(zip(self.grads, axes))]
+        self.stencils = [(shifted(e[i]), shifted(-e[i]), ax.h ** 2) for i, ax in enumerate(axes)]
         self.cross = [(i, j, shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
                        shifted(e[i] - e[j]), shifted(e[j] - e[i]))
                       for i in range(n) for j in range(i + 1, n)]
-        # work buffers: 2u, the rhs and stability sums, and one term at a time
-        self.two_u, self.rhs, self.stab, self.term, self.work = (
-            np.empty(self.u.shape) for _ in range(5))
+        # |Du|^2 and the stability sum are the two rows of one buffer, so
+        # one reduction over its flat view gives both maxima; with n = 1 the
+        # stability row holds |a| and its maximum is divided by h^2 after
+        # (with cross terms by 1.0, which is exact)
+        rows = np.empty((2,) + self.u.shape)
+        self.gsq, self.stab = rows
+        self.reduced = rows.reshape(2, -1)
+        self.stab_scale = 1.0 if self.cross else self.h2
+        # work buffers: 2u, the rhs sum, one term at a time, and with cross
+        # terms one more term, the diagonal and the split off-diagonal
+        self.two_u, self.rhs, self.work = (np.empty(self.u.shape) for _ in range(3))
         if self.cross:
             self.diag = [np.empty(self.u.shape) for _ in range(n)]
-            self.pos, self.neg, self.off = (np.empty(self.u.shape) for _ in range(3))
+            self.term, self.pos, self.neg, self.off = (np.empty(self.u.shape) for _ in range(4))
 
         # ghost <- source, or <- 2 * source - second for linear extrapolation
         # (Dirichlet: boundary nodes are overwritten after every step)
@@ -233,29 +274,26 @@ class _Stepper:
             else:
                 np.multiply(a, 2, out=ghost)
                 ghost -= b
-        plan, h2 = self.plan, self.h2
-        two_u, rhs, stab, term, work = self.two_u, self.rhs, self.stab, self.term, self.work
-        for g, p, m, two_h, _ in self.axes:
+        h2, two_u, rhs, gsq, stab, work = (
+            self.h2, self.two_u, self.rhs, self.gsq, self.stab, self.work)
+        for g, p, m, two_h in self.differences:
             np.subtract(p, m, out=g)
             np.divide(g, two_h, out=g)
-        A = self.flow.coeff(self.Du)
+        A = self.coeff(self.Du)
         # |Du|^2, summed over the axes in order
-        (g, *_), *rest = self.axes
-        np.multiply(g, g, out=term)
-        for g, *_ in rest:
-            term += np.multiply(g, g, out=work)
-        gmax = math.sqrt(np.maximum.reduce(term, axis=None))
-        if gmax > plan.max_grad_clip:
-            raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
+        g = self.grads[0]
+        np.multiply(g, g, out=gsq)
+        for g in self.grads[1:]:
+            gsq += np.multiply(g, g, out=work)
 
         # term k of the rhs and of stab goes straight into the sum when k = 0,
         # else through term/work and is added on
         np.multiply(self.u, 2, out=two_u)
-        k = 0
         if self.cross:
-            diag, pos, neg, off = self.diag, self.pos, self.neg, self.off
+            diag, term, pos, neg, off = self.diag, self.term, self.pos, self.neg, self.off
             for i, d in enumerate(diag):
                 np.copyto(d, A[..., i, i])
+            k = 0
             for i, j, pp, mm, pm, mp in self.cross:
                 aij = A[..., i, j]
                 np.maximum(aij, 0.0, out=pos)
@@ -278,33 +316,44 @@ class _Stepper:
                 diag[i] -= off
                 diag[j] -= off
                 k += 1
-        else:
-            diag = (A[..., 0, 0],)
-        for d, (_, p, m, _, h2_axis) in zip(diag, self.axes):
-            out = term if k else rhs
-            np.subtract(p, two_u, out=out)
-            out += m
-            out /= h2_axis
-            out *= d
-            np.divide(np.abs(d, out=work), h2, out=work if k else stab)
-            if k:
+            for d, (p, m, h2_axis) in zip(diag, self.stencils):
+                np.subtract(p, two_u, out=term)
+                term += m
+                term /= h2_axis
+                term *= d
                 rhs += term
+                np.divide(np.abs(d, out=work), h2, out=work)
                 stab += work
-            k += 1
-        stab_max = float(np.maximum.reduce(stab, axis=None))
-        dt = plan.cfl_safety / (2.0 * stab_max) if stab_max > 0 else plan.t_end
-        if dt < 1e-14 * plan.t_end:
+        else:
+            # n = 1: no cross terms, and the stability row holds |a|
+            d = A[..., 0, 0]
+            p, m, h2_axis = self.stencils[0]
+            np.subtract(p, two_u, out=rhs)
+            rhs += m
+            rhs /= h2_axis
+            rhs *= d
+            np.abs(d, out=stab)
+        # one reduction gives max |Du|^2 and max S (times h^2 when n = 1)
+        gsq_max, stab_max = np.maximum.reduce(self.reduced, axis=1).tolist()
+        gmax = math.sqrt(gsq_max)
+        if gmax > self.max_grad_clip:
+            raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
+        stab_max /= self.stab_scale
+        dt = self.cfl_safety / (2.0 * stab_max) if stab_max > 0 else self.t_end
+        if dt < self.dt_floor:
             raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
         return rhs, dt
 
     def advance(self, t_new: float, dt: float, rhs: np.ndarray) -> None:
         """u += dt * rhs (rhs is scaled in place), then the Dirichlet faces
         and the blow-up guard."""
+        u = self.u
         rhs *= dt
-        self.u += rhs
-        self.apply_dirichlet(t_new)
+        u += rhs
+        if self.faces:
+            self.apply_dirichlet(t_new)
         # a NaN fails both comparisons
-        au = np.abs(self.u, out=self.work)
+        au = np.abs(u, out=self.work)
         if not np.maximum.reduce(au, axis=None) <= self.limit_min:
             if not (np.maximum.reduce(au, axis=self.grid_axes) <= self.limit).all():
                 raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
@@ -345,19 +394,26 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
             gaps.append(float(np.minimum.reduce(np.subtract(u[1], u[0], out=gap), axis=None)))
 
         record_gap()
+    rhs_and_dt, advance = stepper.rhs_and_dt, stepper.advance
     t = 0.0
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     while pending:
-        rhs, dt = stepper.rhs_and_dt(t)
-        dt = min(dt, pending[0] - t)
+        t_next = pending[0]
+        rhs, dt = rhs_and_dt(t)
+        # the same picks as min(dt, t_next - t), min(dt_min, dt), max(dt_max, dt)
+        if t_next - t < dt:
+            dt = t_next - t
         t += dt
-        stepper.advance(t, dt, rhs)
+        advance(t, dt, rhs)
         n_steps += 1
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+        if dt < dt_min:
+            dt_min = dt
+        if dt > dt_max:
+            dt_max = dt
         if gaps is not None:
             record_gap()
-        if t >= pending[0] - 1e-14:
+        if t >= t_next - 1e-14:
             t = pending.pop(0)
             for traj, values in zip(trajs, u):
                 traj.append(t, Field(grid, values.copy(), time=t))

@@ -79,6 +79,10 @@ def test_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match="plan.output_times"):
         load_config(_write(tmp_path, MINIMAL.replace(
             "output_times = 0.05", "output_times = 0.05 0.05")))
+    # both snapshots would be written to fields/t=0.01.csv
+    with pytest.raises(ConfigError, match=r"plan.output_times: .*fields/t=0\.01\.csv"):
+        load_config(_write(tmp_path, MINIMAL.replace(
+            "output_times = 0.05", "output_times = 0.01000001 0.01000002")))
     with pytest.raises(ConfigError, match="flow: c must be positive"):
         load_config(_write(tmp_path, MINIMAL.replace("c = 0.25", "c = -1.0")))
     bad_check = MINIMAL + "\n[check:x]\ntype = telepathy\n"
@@ -153,6 +157,7 @@ def test_run_config_error_exit(tmp_path):
            for flow_id in ("wave", "mcf2d", "aniso:euclid")]
     bad += [MINIMAL.replace("c = 0.25", "c = -1.0"),
             MINIMAL.replace("output_times = 0.05", "output_times = 0.05 0.05"),
+            MINIMAL.replace("output_times = 0.05", "output_times = 0.01000001 0.01000002"),
             MINIMAL + "\n[check:x]\ntype = convergence\nmodulus = foo\n"]
     for text in bad:
         cfg = _write(tmp_path, text)

@@ -62,6 +62,35 @@ def test_mcf_coeff_field_matches_pointwise():
                 assert np.allclose(A[i, j], flow.coeff(P[i, j]), atol=1e-14), flow.name
 
 
+def _broadcast_mcf_coeff(P, n):
+    """The mcf coefficient as a broadcast: eye(n) - outer / (1 + |p|^2)."""
+    P = np.asarray(P, dtype=float)
+    pp = np.sum(P ** 2, axis=-1)
+    outer = P[..., :, None] * P[..., None, :]
+    return np.eye(n) - outer / (1.0 + pp)[..., None, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mcf_coeff_bits_match_broadcast_formula(n):
+    # the entry-by-entry coefficient rounds exactly as the broadcast does;
+    # zero components next to positive and negative ones pin the sign of
+    # zero off the diagonal (0.0 - (+0.0) is +0.0, -(+0.0) is -0.0)
+    rng = np.random.default_rng(n)
+    coeff = mcf_graph(n).coeff
+    shape = (2,) + (6,) * n + (n,)
+    stack = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 4, shape[:-1] + (1,))
+    stack[rng.random(shape) < 0.25] = 0.0
+    stack[rng.random(shape) < 0.05] = -0.0
+    covectors = [np.zeros(n), np.full(n, -0.0), np.arange(n, dtype=float),
+                 -np.arange(n, dtype=float), np.array([0.0, -1.5, 2.0])[:n],
+                 np.array([3.0, 0.0, -1e-9])[:n], stack[1, (0,) * n]]
+    for P in [stack, stack[0, 1]] + covectors:
+        A = coeff(P)
+        expected = _broadcast_mcf_coeff(P, n)
+        assert A.shape == expected.shape == P.shape + (n,)
+        assert A.tobytes() == expected.tobytes(), P
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_alpha_mcf_closed_form(n):
     flow = mcf_graph(n)

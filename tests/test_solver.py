@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowlab import flows
 from flowlab.fields import Field, Grid1D, GridND
@@ -230,6 +232,18 @@ def test_export(tmp_path):
     assert manifest["grid"][0]["n_cells"] == 32
 
 
+def test_export_refuses_shared_file_names(tmp_path):
+    # 0.01000001 and 0.01000002 both format to t=0.01.csv: nothing is written
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    traj = evolve(flows.heat_1d(0.25), Field(g, np.sin(g.nodes())),
+                  BoundaryCondition("periodic"), TimeStepPlan(t_end=0.02),
+                  [0.01000001, 0.01000002])
+    assert len(traj.snapshots) == 3
+    with pytest.raises(ValueError, match=r"fields/t=0\.01\.csv"):
+        traj.export(tmp_path, flow_id="heat", bc="periodic")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- the stepper against a term-by-term oracle, bit for bit ------------------
 
 
@@ -397,3 +411,34 @@ def test_blowup_guard_fires_when_a_member_passes_its_limit(with_big_member):
         else:
             evolve(flow, noise, BoundaryCondition("periodic"), plan)
     assert len(calls) == 30
+
+
+# --- the fused |Du|^2 and stability reduction ---------------------------------
+
+
+@given(st.lists(st.one_of(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                          st.just(math.inf), st.just(math.nan)), min_size=1, max_size=40),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_max_commutes_with_division_by_positive_h2(xs, h2):
+    # the n = 1 step reads max|a| / h^2 for max(|a| / h^2): correctly rounded
+    # division by h^2 > 0 is monotone, so the two agree bit for bit
+    x = np.array(xs)
+    with np.errstate(over="ignore"):
+        lhs = float(np.maximum.reduce(x / h2, axis=None))
+    rhs = float(np.maximum.reduce(x, axis=None)) / h2
+    assert lhs == rhs or (math.isnan(lhs) and math.isnan(rhs))
+
+
+def test_gradient_clip_fires_at_a_known_step():
+    # a boundary value rising as 400 t steepens the csf solution by about 3
+    # per step, so |Du| passes 50 at the 18th coefficient call (t = 0.00415);
+    # the step raises with the message of the unfused check, before dt is used
+    g = Grid1D(0.0, 1.0, 32, "bounded")
+    calls = []
+    flow = _counted(flows.csf(), calls)
+    bc = BoundaryCondition("dirichlet", value=lambda x, t: 400.0 * t if x > 0.5 else 0.0)
+    with pytest.raises(BlowUpError) as info:
+        evolve(flow, Field(g, np.zeros(33)), bc, TimeStepPlan(t_end=1.0, max_grad_clip=50.0))
+    assert str(info.value) == "|Du| = 52.2 exceeds max_grad_clip at t = 0.00415"
+    assert len(calls) == 18
