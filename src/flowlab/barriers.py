@@ -124,15 +124,14 @@ class PsiBarrier:
     """psi(z, t) implicitly defined by z = Phi(psi-1, t) - Phi(psi+1, t).
 
     psi is odd in z, vanishes at z = 0, and tends to sign(z) as t -> 0+.
-    Roots are found by bisection on psi in (-1, 1) to ``root_tol``.
+    Roots are found by _PSI_BISECTIONS bisection steps on psi in (-1, 1).
     """
 
     c: float = 1.0
-    root_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.c <= 0 or self.root_tol <= 0:
-            raise ValueError("c and root_tol must be positive")
+        if self.c <= 0:
+            raise ValueError("c must be positive")
 
     @property
     def kernel(self) -> HeatKernel:
@@ -140,6 +139,8 @@ class PsiBarrier:
 
 
 _BRACKET = 1.0 - 1e-15
+# halvings of the bracket (-1, 1) down to a width below 1e-12: ceil(log2(2 / 1e-12))
+_PSI_BISECTIONS = 41
 
 
 def _psi_map(b: PsiBarrier, psi, t):
@@ -169,8 +170,7 @@ def psi_eval_clamped(b: PsiBarrier, z, t):
     lo = np.full(z.shape, -_BRACKET)
     hi = np.full(z.shape, _BRACKET)
     # strictly increasing map: plain bisection
-    n_iter = max(12, int(math.ceil(math.log2(2.0 / b.root_tol))))
-    for _ in range(n_iter):
+    for _ in range(_PSI_BISECTIONS):
         mid = 0.5 * (lo + hi)
         val = _psi_map(b, mid, t)
         less = val < z

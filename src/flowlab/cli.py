@@ -155,8 +155,7 @@ def cmd_certify(args) -> int:
     target = args.id
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
-    flow_ids = ("heat", "csf", "mcf2d", "mcf3d", "plaplace-reg")
-    if target in flow_ids or target.split(":")[0] in flow_ids:
+    if target in flows.catalog_ids() and target != "aniso:<norm-id>":
         profile = flows.get_flow(target).degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))
         rep.to_json(path)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import barriers, flows, verify
 from .fields import Field, Grid1D
-from .solver import BoundaryCondition, TimeStepPlan, shared_snapshot_name
+from .solver import BoundaryCondition, TimeStepPlan, prep_output_times, shared_snapshot_name
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES"]
 
@@ -223,13 +223,12 @@ def load_config(path) -> ExperimentConfig:
     except (configparser.NoOptionError, ValueError) as e:
         raise ConfigError("plan", str(e))
     out_text = cp.get("plan", "output_times", fallback=None)
-    output_times = _floats(out_text) if out_text else [plan.t_end]
-    if any(t <= 0 or t > plan.t_end + 1e-12 for t in output_times):
-        raise ConfigError("plan.output_times", "times must lie in (0, t_end]")
-    if len(set(output_times)) < len(output_times):
-        raise ConfigError("plan.output_times", "times must not repeat")
+    try:
+        output_times = prep_output_times(plan, _floats(out_text) if out_text else None)
+    except ValueError as e:
+        raise ConfigError("plan.output_times", str(e))
     # the snapshots at t = 0 and at each output time need distinct file names
-    clash = shared_snapshot_name([0.0] + sorted(output_times))
+    clash = shared_snapshot_name([0.0] + output_times)
     if clash:
         raise ConfigError("plan.output_times", clash)
 

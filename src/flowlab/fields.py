@@ -37,6 +37,7 @@ class Grid1D:
 
     Periodic grids carry ``n_cells`` nodes (x_hi identified with x_lo),
     bounded grids carry ``n_cells + 1`` nodes including both endpoints.
+    ``axes`` and ``shape`` are those of a one-axis GridND.
     """
 
     x_lo: float
@@ -59,6 +60,14 @@ class Grid1D:
     @property
     def n_nodes(self) -> int:
         return self.n_cells if self.topology == "periodic" else self.n_cells + 1
+
+    @property
+    def axes(self) -> tuple[Grid1D]:
+        return (self,)
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n_nodes,)
 
     def nodes(self) -> np.ndarray:
         if self.topology == "periodic":
@@ -90,16 +99,6 @@ class GridND:
         return list(np.meshgrid(*[ax.nodes() for ax in self.axes], indexing="ij"))
 
 
-def _axes_of(grid) -> tuple[Grid1D, ...]:
-    if isinstance(grid, Grid1D):
-        return (grid,)
-    return grid.axes
-
-
-def _shape_of(grid) -> tuple[int, ...]:
-    return tuple(ax.n_nodes for ax in _axes_of(grid))
-
-
 @dataclass(frozen=True)
 class Field:
     """Sampled solution values on a grid at one time instant."""
@@ -111,9 +110,9 @@ class Field:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if vals.shape != _shape_of(self.grid):
+        if vals.shape != self.grid.shape:
             raise GridError(
-                f"value shape {vals.shape} does not match grid shape {_shape_of(self.grid)}"
+                f"value shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.all(np.isfinite(vals)):
             raise GridError("field values must be finite")
@@ -122,7 +121,7 @@ class Field:
 
     @property
     def ndim(self) -> int:
-        return len(_shape_of(self.grid))
+        return len(self.grid.shape)
 
     def with_values(self, values: np.ndarray, time: float | None = None) -> "Field":
         return Field(self.grid, values, self.time if time is None else time)
@@ -158,7 +157,7 @@ def _diff2(values: np.ndarray, axis: int, ax: Grid1D) -> np.ndarray:
 
 def gradient(f: Field) -> np.ndarray:
     """Discrete gradient; shape = grid shape + (ndim,)."""
-    axes = _axes_of(f.grid)
+    axes = f.grid.axes
     comps = [_diff1(f.values, i, ax) for i, ax in enumerate(axes)]
     return np.stack(comps, axis=-1)
 
@@ -169,7 +168,7 @@ def hessian(f: Field) -> np.ndarray:
     Diagonal entries use the 3-point second-derivative stencil; mixed
     partials are nested first differences (symmetrized).
     """
-    axes = _axes_of(f.grid)
+    axes = f.grid.axes
     n = len(axes)
     H = np.empty(f.values.shape + (n, n))
     firsts = [_diff1(f.values, i, ax) for i, ax in enumerate(axes)]
@@ -184,7 +183,7 @@ def hessian(f: Field) -> np.ndarray:
 
 def sup_norm_defect(a: Field, b: Field) -> float:
     """Signed max over nodes of (a - b); one-sided comparison defect."""
-    if _shape_of(a.grid) != _shape_of(b.grid):
+    if a.grid.shape != b.grid.shape:
         raise GridError("fields live on different grids")
     if a.time != b.time:
         raise GridError("fields are at different times")
@@ -192,7 +191,7 @@ def sup_norm_defect(a: Field, b: Field) -> float:
 
 
 def field_to_csv(f: Field, path) -> None:
-    axes = _axes_of(f.grid)
+    axes = f.grid.axes
     coords = np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -203,11 +202,10 @@ def field_to_csv(f: Field, path) -> None:
 
 
 def _grid_to_jsonable(grid) -> dict:
-    axes = _axes_of(grid)
     return {
         "axes": [
             {"x_lo": ax.x_lo, "x_hi": ax.x_hi, "n_cells": ax.n_cells, "topology": ax.topology}
-            for ax in axes
+            for ax in grid.axes
         ]
     }
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, Grid1D, field_to_csv
+from .fields import Field, Grid1D, _grid_to_jsonable, field_to_csv
 from .flows import DegeneracyProfile, GraphFlowND, scalar_flow
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "BlowUpError",
     "evolve",
     "evolve_pair_ordered",
+    "prep_output_times",
     "solve_auxiliary_phi",
 ]
 
@@ -115,12 +116,7 @@ class Trajectory:
             "dt_stats": self.dt_stats,
         }
         if self.snapshots:
-            g = self.snapshots[0][1].grid
-            axes = [g] if isinstance(g, Grid1D) else list(g.axes)
-            manifest["grid"] = [
-                {"x_lo": a.x_lo, "x_hi": a.x_hi, "n_cells": a.n_cells, "topology": a.topology}
-                for a in axes
-            ]
+            manifest["grid"] = _grid_to_jsonable(self.snapshots[0][1].grid)["axes"]
         if extra:
             manifest.update(extra)
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -150,8 +146,7 @@ def shared_snapshot_name(times) -> str:
 
 
 def _check_bc_compatible(grid, bc: BoundaryCondition):
-    axes = [grid] if isinstance(grid, Grid1D) else list(grid.axes)
-    for ax in axes:
+    for ax in grid.axes:
         if bc.kind == "periodic" and ax.topology != "periodic":
             raise SolverError("periodic bc on a bounded grid")
         if bc.kind in ("dirichlet", "neumann_zero") and ax.topology != "bounded":
@@ -180,7 +175,7 @@ class _Stepper:
     def __init__(self, flow: GraphFlowND, grid, u0: np.ndarray, bc: BoundaryCondition,
                  plan: TimeStepPlan):
         _check_bc_compatible(grid, bc)
-        axes = [grid] if isinstance(grid, Grid1D) else list(grid.axes)
+        axes = grid.axes
         n = len(axes)
         if flow.n != n:
             raise SolverError(f"flow {flow.name!r} is {flow.n}-D but the grid is {n}-D")
@@ -359,7 +354,9 @@ class _Stepper:
                 raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
 
 
-def _prep_output_times(plan: TimeStepPlan, output_times) -> list:
+def prep_output_times(plan: TimeStepPlan, output_times) -> list:
+    """The output times sorted, or [t_end] for None; raises ValueError when a
+    time lies outside (0, t_end] or repeats."""
     if output_times is None:
         out = [plan.t_end]
     else:
@@ -380,7 +377,7 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
     """
     grid = fields[0].grid
     stepper = _Stepper(flow, grid, np.stack([f.values for f in fields]), bc, plan)
-    pending = _prep_output_times(plan, output_times)
+    pending = prep_output_times(plan, output_times)
     trajs = [Trajectory() for _ in fields]
     for traj, f in zip(trajs, fields):
         traj.append(0.0, f)

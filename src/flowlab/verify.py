@@ -3,6 +3,10 @@ barriers to a VerificationReport.
 
 Checks are pure and deterministic; defects are signed (negative means the
 bound holds with margin) and ``passed`` is always max_defect <= tolerance.
+The estimate checks scan the snapshots with t > 0 (inside a time window
+where the check has one), take one signed defect and witness per snapshot
+and report the first largest; a check that tests nothing raises
+PreconditionError.
 """
 
 from __future__ import annotations
@@ -82,6 +86,31 @@ def fit_exponent(times, values) -> float:
     return float(np.polyfit(np.log(t), np.log(v), 1)[0])
 
 
+# --- snapshot scan ------------------------------------------------------------
+
+
+def _scan(traj, t_window=None) -> list:
+    """The (t, field) snapshots of traj with t > 0 inside the closed t_window."""
+    lo, hi = (-np.inf, np.inf) if t_window is None else t_window
+    return [(t, f) for t, f in traj.snapshots if t > 0 and lo <= t <= hi]
+
+
+def _worst(samples, empty: str):
+    """The first largest (defect, witness) of samples, in their order.
+
+    A defect of -inf marks a sample that tested nothing; raises
+    PreconditionError(empty) when no sample tested anything.
+    """
+    worst = -np.inf
+    witness = None
+    for defect, wit in samples:
+        if defect > worst:
+            worst, witness = defect, wit
+    if witness is None:
+        raise PreconditionError(empty)
+    return worst, witness
+
+
 # --- ordering / comparison --------------------------------------------------
 
 
@@ -144,27 +173,22 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     h = grid.h
     n = grid.n_nodes
     period = grid.x_hi - grid.x_lo
+    empty = (f"no snapshot with t > 0 in t_window {t_window} has a node pair "
+             f"in region {region}")
 
     # pair distance min(lag, n - lag) h takes the values k h, k = 1..n // 2
     dists = np.arange(1, n // 2 + 1) * h
     # per snapshot: t, u, the largest k in the region, slope probe points
     snaps = []
-    for t, f in traj.snapshots:
-        if t <= 0:
-            continue
-        if t_window is not None and not (t_window[0] <= t <= t_window[1]):
-            continue
+    for t, f in _scan(traj, t_window):
         k_max = dists.size
         if region == "G":
             k_max = int(np.count_nonzero(dists <= float(barriers.z_M(t, M, b.c))))
-        if k_max == 0:
-            continue
-        zs = np.linspace(0.5 * h, max(float(dists[k_max - 1]), 2.0 * h), 256)
-        snaps.append((t, f.values, k_max, zs))
-    if not snaps:
-        raise PreconditionError(
-            f"no snapshot with t > 0 in t_window {t_window} has a node pair "
-            f"in region {region}")
+        if k_max:
+            zs = np.linspace(0.5 * h, max(float(dists[k_max - 1]), 2.0 * h), 256)
+            snaps.append((t, f.values, k_max, zs))
+    if not snaps:  # nothing for the one psi solve below
+        raise PreconditionError(empty)
 
     # one psi solve for every snapshot: pair distances, then slope probes
     z_parts = [dists[:k] for _, _, k, _ in snaps] + [zs for *_, zs in snaps]
@@ -172,30 +196,24 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     phi = barriers.phi_double_coordinate(b, np.concatenate(z_parts), np.concatenate(t_parts), M)
     phi = np.split(phi, np.cumsum([z.size for z in z_parts])[:-1])
 
-    worst = -np.inf
-    witness = {}
-    max_slope = 0.0
-    for (t, u, k_max, zs), phi_k, pv in zip(snaps, phi, phi[len(snaps):]):
-        # slope of phi sampled at the probed distances, for the tolerance
-        max_slope = max(max_slope, float(np.max(np.abs(np.gradient(pv, zs)))))
+    def sample(snap, phi_k):
+        t, u, k_max, _ = snap
         pair_max = _pair_max(u, k_max)
         # index k - 1 of each lag's distance k h, in increasing lag order
         ks = np.concatenate([np.arange(k_max), np.arange(pair_max.size - k_max)[::-1]])
         Z = pair_max - phi_k[ks]
         i = int(np.argmax(Z))
-        if Z[i] > worst:
-            worst = float(Z[i])
-            witness = {
-                "t": float(t),
-                "distance": float(dists[ks[i]]),
-                "max_pair_diff": float(pair_max[i]),
-                "phi": float(phi_k[ks[i]]),
-            }
-    tol = 10.0 * h * (1.0 + max_slope)
+        return float(Z[i]), {"t": float(t), "distance": float(dists[ks[i]]),
+                             "max_pair_diff": float(pair_max[i]), "phi": float(phi_k[ks[i]])}
+
+    worst, witness = _worst(map(sample, snaps, phi), empty)
+    # slope of phi sampled at the probed distances, for the tolerance
+    max_slope = max([0.0] + [float(np.max(np.abs(np.gradient(pv, zs))))
+                             for (*_, zs), pv in zip(snaps, phi[len(snaps):])])
     return VerificationReport(
         check_id=f"double-coordinate:{region}",
         max_defect=worst,
-        tolerance=tol,
+        tolerance=10.0 * h * (1.0 + max_slope),
         witness=witness,
         metadata={"M": M, "c": b.c, "h": h, "period": period,
                   "max_phi_slope": max_slope},
@@ -205,25 +223,17 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
 def gradient_bound_check(traj, bound: Callable[[float], float],
                          grid_tol: float = 0.0,
                          t_window=None) -> VerificationReport:
-    """Max over snapshots of (max |Du|(t) - bound(t)).  Raises
-    PreconditionError when no snapshot with t > 0 in ``t_window`` has a
-    finite bound."""
-    worst = -np.inf
-    witness = {}
-    for t, f in traj.snapshots:
-        if t <= 0:
-            continue
-        if t_window is not None and not (t_window[0] <= t <= t_window[1]):
-            continue
-        g = np.linalg.norm(gradient(f), axis=-1)
-        defect = float(np.max(g) - bound(t))
-        if defect > worst:
-            worst = defect
-            witness = {"t": float(t), "max_grad": float(np.max(g)),
-                       "bound": float(bound(t))}
-    if worst == -np.inf:
-        raise PreconditionError(
-            f"no snapshot with t > 0 in t_window {t_window} where the bound is finite")
+    """Max over snapshots of (max |Du|(t) - bound(t)).  A snapshot where the
+    bound is infinite tests nothing."""
+
+    def sample(t, f):
+        g = np.max(np.linalg.norm(gradient(f), axis=-1))
+        b = bound(t)
+        return float(g - b), {"t": float(t), "max_grad": float(g), "bound": float(b)}
+
+    worst, witness = _worst(
+        (sample(t, f) for t, f in _scan(traj, t_window)),
+        f"no snapshot with t > 0 in t_window {t_window} where the bound is finite")
     return VerificationReport(
         check_id="gradient-bound",
         max_defect=worst,
@@ -248,59 +258,23 @@ def displacement_check(traj, kind: str, *, Lambda_of_K=None, L=None, h=0.0,
     kind "holder": apex value u(h, t) fitted exponent vs alpha/(2+m(1-alpha)).
     kind "modulus": apex value u(h, t) <= inf_k [2 omega'(k) sqrt(Lambda t/pi)
       - omega'(k) k + omega(k)].
+    Raises PreconditionError when the trajectory has no snapshot with t > 0,
+    or fewer than two for the holder fit.
     """
     grid = traj.fields[0].grid
     if not isinstance(grid, Grid1D):
         raise PreconditionError("displacement checks are one-dimensional")
     x = grid.nodes()
-
-    if kind == "lipschitz":
-        if L is None or Lambda_of_K is None:
-            raise ValueError("lipschitz kind needs L and Lambda_of_K")
-        cone = barriers.ConeBarrier(L=L, h=h, Lambda=float(Lambda_of_K(L)))
-        worst, witness = -np.inf, {}
-        for t, f in traj.snapshots:
-            if t <= 0:
-                continue
-            v = barriers.cone_barrier_eval(cone, x, t)
-            d = f.values - v
-            i = int(np.argmax(d))
-            if d[i] > worst:
-                worst = float(d[i])
-                witness = {"t": float(t), "x": float(x[i]), "u": float(f.values[i]),
-                           "barrier": float(v[i])}
-        return VerificationReport("displacement:lipschitz", worst, grid_tol,
-                                  witness, {"L": L, "h": h})
-
-    if kind == "step":
-        if half_height is None or Lambda_of_K is None:
-            raise ValueError("step kind needs half_height and Lambda_of_K")
-        c = float(half_height)
-        worst, witness = -np.inf, {}
-        for t, f in traj.snapshots:
-            if t <= 0:
-                continue
-            left = x < jump
-            xi = np.abs(x[left] - jump)
-            Lam = np.array([float(Lambda_of_K(2.0 * c / d)) for d in xi])
-            env = np.minimum(4.0 * c / xi * np.sqrt(Lam * t / np.pi) - c, c)
-            d = f.values[left] - env
-            i = int(np.argmax(d))
-            if d[i] > worst:
-                worst = float(d[i])
-                witness = {"t": float(t), "x": float(x[left][i]),
-                           "envelope": float(env[i])}
-        return VerificationReport("displacement:step", worst, grid_tol,
-                                  witness, {"half_height": c, "jump": jump})
+    i0 = int(np.argmin(np.abs(x - h)))
 
     if kind == "holder":
         if alpha is None:
             raise ValueError("holder kind needs alpha")
-        i0 = int(np.argmin(np.abs(x - h)))
-        times = [t for t, _ in traj.snapshots if t > 0]
-        vals = [abs(f.values[i0] - traj.fields[0].values[i0])
-                for t, f in traj.snapshots if t > 0]
-        fitted = fit_exponent(times, vals)
+        snaps = _scan(traj)
+        if len(snaps) < 2:
+            raise PreconditionError("the holder exponent fit needs two snapshots with t > 0")
+        fitted = fit_exponent([t for t, _ in snaps],
+                              [abs(f.values[i0] - traj.fields[0].values[i0]) for _, f in snaps])
         target = alpha / (2.0 + m * (1.0 - alpha))
         defect = abs(fitted - target) / target
         return VerificationReport(
@@ -308,36 +282,61 @@ def displacement_check(traj, kind: str, *, Lambda_of_K=None, L=None, h=0.0,
             {"fitted_exponent": fitted, "target": target},
             {"alpha": alpha, "m": m, "apex": float(x[i0])})
 
-    if kind == "modulus":
+    if kind == "lipschitz":
+        if L is None or Lambda_of_K is None:
+            raise ValueError("lipschitz kind needs L and Lambda_of_K")
+        cone = barriers.ConeBarrier(L=L, h=h, Lambda=float(Lambda_of_K(L)))
+        metadata = {"L": L, "h": h}
+
+        def sample(t, f):
+            v = barriers.cone_barrier_eval(cone, x, t)
+            d = f.values - v
+            i = int(np.argmax(d))
+            return float(d[i]), {"t": float(t), "x": float(x[i]), "u": float(f.values[i]),
+                                 "barrier": float(v[i])}
+
+    elif kind == "step":
+        if half_height is None or Lambda_of_K is None:
+            raise ValueError("step kind needs half_height and Lambda_of_K")
+        c = float(half_height)
+        metadata = {"half_height": c, "jump": jump}
+        left = x < jump
+        xi = np.abs(x[left] - jump)
+        Lam = np.array([float(Lambda_of_K(2.0 * c / d)) for d in xi])
+
+        def sample(t, f):
+            env = np.minimum(4.0 * c / xi * np.sqrt(Lam * t / np.pi) - c, c)
+            d = f.values[left] - env
+            i = int(np.argmax(d))
+            return float(d[i]), {"t": float(t), "x": float(x[left][i]),
+                                 "envelope": float(env[i])}
+
+    elif kind == "modulus":
         if omega is None or Lambda_of_K is None:
             raise ValueError("modulus kind needs omega and Lambda_of_K")
         from scipy.optimize import minimize_scalar
 
-        i0 = int(np.argmin(np.abs(x - h)))
-        worst, witness = -np.inf, {}
+        metadata = {"apex": float(x[i0])}
         k_max = float(x[-1] - x[0])
-        for t, f in traj.snapshots:
-            if t <= 0:
-                continue
 
+        def sample(t, f):
             def envelope(k):
                 dk = omega.left_derivative(k)
                 lam = float(Lambda_of_K(dk)) if np.isfinite(dk) else 0.0
                 return (2.0 * dk * np.sqrt(lam * t / np.pi)
                         - dk * k + omega.omega(k)) if np.isfinite(dk) else np.inf
 
-            res = minimize_scalar(envelope, bounds=(1e-8 * k_max, k_max),
-                                  method="bounded")
+            res = minimize_scalar(envelope, bounds=(1e-8 * k_max, k_max), method="bounded")
             ct = min(float(res.fun), envelope(k_max))
             d = abs(f.values[i0] - traj.fields[0].values[i0]) - ct
-            if d > worst:
-                worst = float(d)
-                witness = {"t": float(t), "c_t": ct,
-                           "k_star": float(res.x)}
-        return VerificationReport("displacement:modulus", worst, grid_tol,
-                                  witness, {"apex": float(x[i0])})
+            return float(d), {"t": float(t), "c_t": ct, "k_star": float(res.x)}
 
-    raise ValueError(f"unknown displacement kind {kind!r}")
+    else:
+        raise ValueError(f"unknown displacement kind {kind!r}")
+
+    worst, witness = _worst((sample(t, f) for t, f in _scan(traj)),
+                            f"no snapshot with t > 0 to test the {kind} displacement bound")
+    return VerificationReport(f"displacement:{kind}", worst, grid_tol, witness, metadata)
 
 
 # --- intersection counting --------------------------------------------------
@@ -411,55 +410,53 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
     tail, where the bound is near-equality.  With discrete gradients set
     ``tail_floor`` > 0 to skip nodes whose bound is below tail_floor times
     the per-snapshot peak bound (skipped count goes to the metadata).
+    Raises PreconditionError when no interior node of a snapshot with t > 0
+    is left to test.
     """
     grid = traj.fields[0].grid
     if not isinstance(grid, Grid1D) or grid.topology != "bounded":
         raise PreconditionError("heat zero-counting check needs a bounded 1-D grid")
     x = grid.nodes()
-    dist = np.minimum(x - grid.x_lo, grid.x_hi - x)
     interior = slice(1, -1)
+    dist = np.minimum(x - grid.x_lo, grid.x_hi - x)[interior]
+    skipped = {"n_saturated": 0, "n_tail_skipped": 0}
 
-    worst, witness = -np.inf, {}
-    n_saturated = 0
-    n_tail_skipped = 0
-    for t, f in traj.snapshots:
-        if t <= 0:
-            continue
+    def sample(t, f):
         u = f.values
         if np.any(np.abs(u) > M * (1.0 + 1e-12)):
             raise PreconditionError(f"|u| > M at t = {t:g}")
-        ux = gradient_of(x, t) if gradient_of is not None else gradient(f)[..., 0]
-        N = M / barriers.erf(np.sqrt(c) * dist[interior] / (2.0 * np.sqrt(t)))
+        ux = (gradient_of(x, t) if gradient_of is not None
+              else gradient(f)[..., 0])[interior]
+        N = M / barriers.erf(np.sqrt(c) * dist / (2.0 * np.sqrt(t)))
         ratio = u[interior] / N
         # nodes where u/N rounds to +-1 have bound and gradient both
         # vanishing; the relative defect is ill-defined there
         live = np.abs(ratio) < 1.0 - 1e-12
-        n_saturated += int(np.sum(~live))
+        skipped["n_saturated"] += int(np.sum(~live))
         if not np.any(live):
-            continue
+            return -np.inf, None
         bound = (2.0 * N[live] * np.sqrt(c / (np.pi * t))
                  * np.exp(-barriers.inverf(ratio[live]) ** 2))
+        keep = slice(None)
         if tail_floor > 0.0:
             keep = bound >= tail_floor * float(np.max(bound))
-            n_tail_skipped += int(np.sum(~keep))
+            skipped["n_tail_skipped"] += int(np.sum(~keep))
             if not np.any(keep):
-                continue
-        else:
-            keep = slice(None)
-        rel = (ux[interior][live][keep] - bound[keep]) / bound[keep]
+                return -np.inf, None
+        rel = (ux[live][keep] - bound[keep]) / bound[keep]
         i = int(np.argmax(rel))
-        if rel[i] > worst:
-            worst = float(rel[i])
-            witness = {"t": float(t), "x": float(x[interior][live][keep][i]),
-                       "u_x": float(ux[interior][live][keep][i]),
-                       "bound": float(bound[keep][i])}
+        return float(rel[i]), {"t": float(t), "x": float(x[interior][live][keep][i]),
+                               "u_x": float(ux[live][keep][i]), "bound": float(bound[keep][i])}
+
+    worst, witness = _worst(
+        (sample(t, f) for t, f in _scan(traj)),
+        f"no snapshot with t > 0 has an unsaturated interior node above tail_floor {tail_floor:g}")
     return VerificationReport(
         check_id="heat-zero-counting",
-        max_defect=worst if np.isfinite(worst) else 0.0,
+        max_defect=worst,
         tolerance=rel_tol,
         witness=witness,
-        metadata={"M": M, "c": c, "relative": True,
-                  "n_saturated": n_saturated, "n_tail_skipped": n_tail_skipped},
+        metadata={"M": M, "c": c, "relative": True, **skipped},
     )
 
 
@@ -480,43 +477,37 @@ def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
     kind "periodic": v <= t^(1/2) exp(c (|u| - 2M)^2 / (4t)).
     kind "interior": v <= t^(q/2) exp(c q (u + 2M)^2 / (4t)) / eta with the
     localizer eta = R^2 - 2nt - |x|^2 + u^2 required positive at probes.
-    Raises PreconditionError when no snapshot with t > 0 in
-    [t_min, T_prime] has a node where the bound is finite.
+    The snapshots checked are those with t > 0 in [t_min, T_prime]; a node
+    where the bound is infinite tests nothing.
     """
+    if kind not in ("periodic", "interior"):
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == "interior" and R is None:
+        raise ValueError("interior kind needs R")
     grid = traj.fields[0].grid
     n = traj.fields[0].ndim
-    worst, witness = -np.inf, {}
-    for t, f in traj.snapshots:
-        if t <= 0 or t > T_prime or t < t_min:
-            continue
+    xx2 = sum(m ** 2 for m in np.meshgrid(*[ax.nodes() for ax in grid.axes], indexing="ij"))
+
+    def sample(t, f):
         v = gradient_function(f).values
         u = f.values
         if kind == "periodic":
             bound = np.sqrt(t) * np.exp(c * (np.abs(u) - 2.0 * M) ** 2 / (4.0 * t))
-        elif kind == "interior":
-            if R is None:
-                raise ValueError("interior kind needs R")
-            if isinstance(grid, Grid1D):
-                xx2 = grid.nodes() ** 2
-            else:
-                xx2 = sum(m ** 2 for m in grid.meshgrid())
+        else:
             eta = R ** 2 - 2.0 * n * t - xx2 + u ** 2
             mask = eta > 0
             bound = np.full_like(u, np.inf)
             bound[mask] = (t ** (q / 2.0)
                            * np.exp(c * q * (u[mask] + 2.0 * M) ** 2 / (4.0 * t))
                            / eta[mask])
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
         darr = v - bound
         i = np.unravel_index(int(np.argmax(darr)), darr.shape)
-        if darr[i] > worst:
-            worst = float(darr[i])
-            witness = {"t": float(t), "v": float(v[i]), "bound": float(bound[i])}
-    if worst == -np.inf:
-        raise PreconditionError(
-            f"no snapshot with t > 0 in [t_min, T_prime] = [{t_min:g}, {T_prime:g}]"
-            " where the bound is finite")
+        return float(darr[i]), {"t": float(t), "v": float(v[i]), "bound": float(bound[i])}
+
+    worst, witness = _worst(
+        (sample(t, f) for t, f in _scan(traj, (t_min, T_prime))),
+        f"no snapshot with t > 0 in [t_min, T_prime] = [{t_min:g}, {T_prime:g}]"
+        " where the bound is finite")
     return VerificationReport(
         check_id=f"eh-bound:{kind}",
         max_defect=worst,
@@ -526,27 +517,26 @@ def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
     )
 
 
-def convergence_to_initial_data(traj, omega: ModulusOfContinuity, n: int = None,
+def convergence_to_initial_data(traj, omega: ModulusOfContinuity,
                                 grid_tol: float = 0.0) -> VerificationReport:
     """Sphere-barrier bound |u(., t) - u0| <= sqrt(2nt) + omega(sqrt(2nt))
-    at interior nodes, per snapshot."""
+    at interior nodes, per snapshot with t > 0, with n the dimension of the
+    field.  Raises PreconditionError when there is no such snapshot."""
     u0 = traj.fields[0].values
-    if n is None:
-        n = traj.fields[0].ndim
+    n = traj.fields[0].ndim
     interior = tuple(slice(1, -1) for _ in range(u0.ndim))
-    worst, witness = -np.inf, {}
-    for t, f in traj.snapshots:
-        if t <= 0:
-            continue
+
+    def sample(t, f):
         r = np.sqrt(2.0 * n * t)
         delta = r + omega.omega(r)
-        d = float(np.max(np.abs(f.values[interior] - u0[interior]))) - delta
-        if d > worst:
-            worst = d
-            witness = {"t": float(t), "delta": float(delta)}
+        return (float(np.max(np.abs(f.values[interior] - u0[interior]))) - delta,
+                {"t": float(t), "delta": float(delta)})
+
+    worst, witness = _worst((sample(t, f) for t, f in _scan(traj)),
+                            "no snapshot with t > 0 to compare with the initial data")
     return VerificationReport(
         check_id="convergence-to-initial-data",
-        max_defect=worst if np.isfinite(worst) else 0.0,
+        max_defect=worst,
         tolerance=grid_tol,
         witness=witness,
         metadata={"n": n},

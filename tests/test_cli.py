@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ def test_run_config_error_exit(tmp_path):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_output_times_not_numbers_is_config_error(tmp_path):
+    text = MINIMAL.replace("output_times = 0.05", "output_times = 0.01 abc")
+    with pytest.raises(ConfigError, match="plan.output_times"):
+        load_config(_write(tmp_path, text))
+    assert main(["run", _write(tmp_path, text), "--out", str(tmp_path / "o")]) == 2
+
+
 @pytest.mark.parametrize("coeff, exit_code", [(1.0, 0), (0.1, 1)])
 def test_gradient_bound_controls(tmp_path, coeff, exit_code):
     # u = exp(-t) sin x solves the c = 0.25 heat flow, so max|u_x| = exp(-t) <= t^(-1/2)
@@ -203,18 +211,22 @@ def test_double_coordinate_empty_window_is_error(tmp_path):
     assert "ERROR dc: no snapshot" in summary
 
 
-@pytest.mark.parametrize("ctype, params", [
-    ("gradient_bound", "coeff = 0.0\nt_lo = 0.0\nt_hi = 0.01"),
-    ("eh_bound", "M = 1.0\nc = 1.0\nt_min = 0.1"),
-], ids=["gradient_bound", "eh_bound"])
-def test_empty_window_is_error(tmp_path, ctype, params):
-    # the window excludes the only output time 0.05: no snapshot to check, so no PASS
-    text = MINIMAL + f"\n[check:w]\ntype = {ctype}\n{params}\n"
+@pytest.mark.parametrize("text, name", [
+    # the window excludes the only output time 0.05
+    (MINIMAL + "\n[check:w]\ntype = gradient_bound\ncoeff = 0.0\nt_lo = 0.0\nt_hi = 0.01\n",
+     "w"),
+    (MINIMAL + "\n[check:w]\ntype = eh_bound\nM = 1.0\nc = 1.0\nt_min = 0.1\n", "w"),
+    # no node's bound reaches twice the peak bound, so the tail floor skips all of them
+    (Path(HEAT_STEP).read_text().replace("tail_floor = 1e-4", "tail_floor = 2"),
+     "zero-counting"),
+], ids=["gradient_bound", "eh_bound", "heat_zero_counting"])
+def test_empty_window_is_error(tmp_path, text, name):
+    # no snapshot to check, so no PASS
     out = str(tmp_path / "o")
     assert main(["run", _write(tmp_path, text), "--out", out]) == 1
-    assert not os.path.exists(os.path.join(out, "reports", "w.json"))
+    assert not os.path.exists(os.path.join(out, "reports", f"{name}.json"))
     summary = open(os.path.join(out, "summary.txt")).read()
-    assert "ERROR w: no snapshot" in summary
+    assert f"ERROR {name}: no snapshot" in summary
 
 
 @pytest.mark.parametrize("L, exit_code, defect", [(8.0, 0, -0.366), (0.5, 1, 0.160)])
@@ -267,7 +279,9 @@ def test_certify_flow(tmp_path):
 
 
 def test_certify_unknown_id(tmp_path):
-    assert main(["certify", "octagon", "--out", str(tmp_path / "c")]) == 2
+    # a flow id with a suffix is no flow id; it is not a norm id either
+    for target in ("octagon", "csf:foo", "heat:0.5"):
+        assert main(["certify", target, "--out", str(tmp_path / "c")]) == 2
 
 
 def test_list(capsys):

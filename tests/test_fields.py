@@ -26,6 +26,14 @@ def test_grid_node_counts():
     assert bnd.nodes()[-1] == pytest.approx(1.0)
 
 
+def test_grid1d_has_the_gridnd_interface():
+    bnd = Grid1D(0.0, 1.0, 8, "bounded")
+    assert bnd.axes == GridND((bnd,)).axes == (bnd,)
+    assert bnd.shape == GridND((bnd,)).shape == (9,)
+    box = GridND((bnd, Grid1D(0.0, 1.0, 4, "periodic")))
+    assert box.shape == (9, 4)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid1D(1.0, 0.0, 8)

@@ -49,6 +49,66 @@ def test_fit_exponent_rejects_nonpositive():
         fit_exponent([0.0, 1.0], [1.0, 2.0])
 
 
+# --- snapshot scan ---------------------------------------------------------------
+
+
+def test_scan_keeps_positive_times_in_closed_window():
+    g = Grid1D(0.0, 1.0, 8, "bounded")
+    traj = Trajectory()
+    for t in (0.0, 0.1, 0.2, 0.3):
+        traj.append(t, Field(g, np.zeros(9)))
+    assert [t for t, _ in verify._scan(traj)] == [0.1, 0.2, 0.3]
+    assert [t for t, _ in verify._scan(traj, (0.0, 0.2))] == [0.1, 0.2]
+    assert [t for t, _ in verify._scan(traj, (0.2, 0.3))] == [0.2, 0.3]
+    assert verify._scan(traj, (0.25, 0.26)) == []
+
+
+def test_worst_first_maximiser_wins():
+    samples = [(-np.inf, "untested"), (1.0, "a"), (2.0, "b"), (-np.inf, None), (2.0, "c")]
+    assert verify._worst(samples, "empty") == (2.0, "b")
+    assert verify._worst([(-3.0, "a"), (-3.0, "b")], "empty") == (-3.0, "a")
+    with pytest.raises(PreconditionError, match="nothing here"):
+        verify._worst([(-np.inf, None), (-np.inf, None)], "nothing here")
+    with pytest.raises(PreconditionError, match="nothing here"):
+        verify._worst([], "nothing here")
+
+
+def _initial_only():
+    g = Grid1D(-1.0, 1.0, 16, "bounded")
+    traj = Trajectory()
+    traj.append(0.0, Field(g, np.abs(g.nodes())))
+    return traj
+
+
+@pytest.mark.parametrize("check", [
+    lambda traj: heat_zero_counting_gradient(traj, M=2.0, c=0.25),
+    lambda traj: convergence_to_initial_data(traj, lipschitz_modulus(1.0)),
+    lambda traj: displacement_check(traj, "lipschitz", L=1.0,
+                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
+    lambda traj: displacement_check(traj, "step", half_height=1.0,
+                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
+    lambda traj: displacement_check(traj, "modulus", omega=lipschitz_modulus(1.0),
+                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
+    lambda traj: verify.gradient_bound_check(traj, lambda t: 1.0),
+    lambda traj: verify.eh_bound_check(traj, 1.0, c=1.0),
+    lambda traj: displacement_check(traj, "holder", alpha=0.5),
+], ids=["heat_zero_counting", "convergence", "lipschitz", "step", "modulus",
+        "gradient_bound", "eh_bound", "holder"])
+def test_check_without_positive_time_is_precondition_error(check):
+    # the only snapshot is the initial data at t = 0, so there is nothing to test
+    with pytest.raises(PreconditionError, match="snapshot.* with t > 0"):
+        check(_initial_only())
+
+
+def test_holder_fit_needs_two_snapshots():
+    traj = _initial_only()
+    traj.append(0.1, traj.fields[0].with_values(traj.fields[0].values + 0.1, 0.1))
+    with pytest.raises(PreconditionError, match="two snapshots"):
+        displacement_check(traj, "holder", alpha=0.5)
+    traj.append(0.2, traj.fields[0].with_values(traj.fields[0].values + 0.2, 0.2))
+    assert displacement_check(traj, "holder", alpha=0.5).witness["fitted_exponent"] > 0
+
+
 # --- comparison ----------------------------------------------------------------
 
 
