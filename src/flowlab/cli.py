@@ -50,8 +50,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     for name in sorted(cfg.checks):
         params = cfg.checks[name]
         try:
-            rep = CHECK_TYPES[params["type"]](params, traj)
-        except (verify.PreconditionError, KeyError) as e:
+            rep = CHECK_TYPES[params["type"]].build(params, traj)
+        except verify.PreconditionError as e:
             lines.append(f"ERROR {name}: {e}")
             failed_asserted = failed_asserted or params.get("assert", True)
             continue

@@ -3,14 +3,16 @@ data, boundary conditions, time plans and checks.
 
 Sections: [flow], [grid], [initial], [bc], [plan], [run], and one
 [check:<name>] per requested check; CHECK_TYPES maps each check type to the
-builder that runs it on a trajectory.  Validation errors carry the offending
-field path (e.g. "flow.id").
+builder that runs it on a trajectory and the keys its section takes.
+Validation errors carry the offending field path (e.g. "flow.id"), and a
+key that a [flow] or [check:<name>] section does not take is one.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,7 +20,8 @@ from . import barriers, flows, verify
 from .fields import Field, Grid1D
 from .solver import BoundaryCondition, TimeStepPlan, prep_output_times, shared_snapshot_name
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES",
+           "CheckType"]
 
 INITIAL_KINDS = ("sin", "cos", "abspow", "zigzag", "step", "crenel", "cone")
 
@@ -29,9 +32,27 @@ def _t_window(params: dict):
     return None
 
 
+@dataclass(frozen=True)
+class CheckType:
+    """How a [check:<name>] section runs: ``build(params, trajectory)``
+    returns its VerificationReport; the section must set every key in
+    ``required`` and may set those in ``optional`` (besides type and
+    assert).  MODULI uses it for the modulus of a convergence check, whose
+    ``build(params)`` returns the ModulusOfContinuity and whose keys the
+    section takes as well."""
+
+    build: Callable
+    required: tuple = ()
+    optional: tuple = ()
+
+
+WINDOW = ("t_lo", "t_hi")
+
 MODULI = {
-    "lipschitz": lambda params: verify.lipschitz_modulus(params["L"]),
-    "holder": lambda params: verify.holder_modulus(params["alpha"], params.get("C", 1.0)),
+    "lipschitz": CheckType(lambda params: verify.lipschitz_modulus(params["L"]), ("L",)),
+    "holder": CheckType(lambda params: verify.holder_modulus(params["alpha"],
+                                                             params.get("C", 1.0)),
+                        ("alpha",), ("C",)),
 }
 
 
@@ -49,7 +70,7 @@ def _double_coordinate(params, traj):
 
 
 def _convergence(params, traj):
-    omega = MODULI[params.get("modulus", "lipschitz")](params)
+    omega = MODULI[params.get("modulus", "lipschitz")].build(params)
     return verify.convergence_to_initial_data(traj, omega, grid_tol=params.get("grid_tol", 0.0))
 
 
@@ -70,14 +91,25 @@ def _gradient_bound(params, traj):
         grid_tol=params.get("grid_tol", 0.0), t_window=_t_window(params))
 
 
-# check type -> builder(params, trajectory) -> VerificationReport
 CHECK_TYPES = {
-    "heat_zero_counting": _heat_zero_counting,
-    "double_coordinate": _double_coordinate,
-    "convergence": _convergence,
-    "eh_bound": _eh_bound,
-    "gradient_bound": _gradient_bound,
+    "heat_zero_counting": CheckType(_heat_zero_counting, ("M", "c"), ("rel_tol", "tail_floor")),
+    "double_coordinate": CheckType(_double_coordinate, ("M", "c"), ("region",) + WINDOW),
+    # plus the keys of the modulus (MODULI)
+    "convergence": CheckType(_convergence, (), ("modulus", "grid_tol")),
+    "eh_bound": CheckType(_eh_bound, ("M", "c"),
+                          ("kind", "q", "R", "T_prime", "t_min", "grid_tol")),
+    "gradient_bound": CheckType(_gradient_bound, ("coeff",), ("power", "grid_tol") + WINDOW),
 }
+
+
+def _check_keys(section: str, params: dict, spec: CheckType) -> None:
+    for key in spec.required:
+        if key not in params:
+            raise ConfigError(f"{section}.{key}", "missing")
+    for key in params:
+        if key not in spec.required + spec.optional:
+            raise ConfigError(f"{section}.{key}", "unknown key; it takes "
+                              f"{spec.required + spec.optional + ('type', 'assert')}")
 
 
 class ConfigError(ValueError):
@@ -183,13 +215,18 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("flow.id", "missing")
     flow_params = _section_params(cp, "flow", skip=("id",))
     try:
-        flow = flows.get_flow(flow_id, **flow_params)
+        accepted = flows.flow_params(flow_id)
+        flow = flows.get_flow(flow_id, **{k: v for k, v in flow_params.items() if k in accepted})
     except KeyError:
         raise ConfigError("flow.id", f"unknown flow id {flow_id!r}")
     except ValueError as e:
         raise ConfigError("flow", str(e))
     if flow.n != 1:
         raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
+    for key in flow_params:
+        if key not in accepted:
+            raise ConfigError(f"flow.{key}", f"{flow_id!r} takes no parameter {key!r}; "
+                              f"it takes {accepted}")
 
     try:
         grid = Grid1D(
@@ -242,9 +279,15 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{section}.type",
                               f"unknown check type {ctype!r}; choose from {tuple(CHECK_TYPES)}")
         params = _section_params(cp, section, skip=("type", "assert"))
-        if ctype == "convergence" and params.get("modulus", "lipschitz") not in MODULI:
-            raise ConfigError(f"{section}.modulus", f"unknown modulus "
-                              f"{params['modulus']!r}; choose from {tuple(MODULI)}")
+        spec = CHECK_TYPES[ctype]
+        if ctype == "convergence":
+            modulus = MODULI.get(params.get("modulus", "lipschitz"))
+            if modulus is None:
+                raise ConfigError(f"{section}.modulus", f"unknown modulus "
+                                  f"{params['modulus']!r}; choose from {tuple(MODULI)}")
+            spec = CheckType(spec.build, spec.required + modulus.required,
+                             spec.optional + modulus.optional)
+        _check_keys(section, params, spec)
         params["assert"] = cp.getboolean(section, "assert", fallback=True)
         params["type"] = ctype
         checks[name] = params

@@ -315,9 +315,16 @@ def aniso_flow(nf: FinslerNorm):
         p = scales[:, None, None] * _spatial_directions(n, 16)
         return float(reducer(np.linalg.eigvalsh(flow_coefficients(nf, p))))
 
+    def coeff(p, out=None):
+        A = flow_coefficients(nf, p)
+        if out is None:
+            return A
+        np.copyto(out, A)
+        return out
+
     return GraphFlowND(
         n=n,
-        coeff=lambda p: flow_coefficients(nf, p),
+        coeff=coeff,
         Lambda_of_K=lambda K: _envelope(K, np.max),
         lambda_of_K=lambda K: _envelope(K, np.min),
         name=f"aniso:{nf.id}",

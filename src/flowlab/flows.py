@@ -25,6 +25,7 @@ __all__ = [
     "csf",
     "plaplace_reg",
     "get_flow",
+    "flow_params",
     "catalog_ids",
     "alpha",
     "alpha_closed_form",
@@ -52,28 +53,48 @@ class GraphFlowND:
     """u_t = a^ij(Du) D_ij u with a symmetric PSD coefficient matrix.
 
     Every catalog flow has this form; one-dimensional flows are n = 1.
-    ``coeff`` maps a stack of covectors (..., n) to coefficient matrices
-    (..., n, n); one covector p, shape (n,), gives a^ij(p), shape (n, n).
+    ``coeff(Du, out=None)`` maps a stack of covectors (..., n) to
+    coefficient matrices (..., n, n); one covector p, shape (n,), gives
+    a^ij(p), shape (n, n).  Given ``out`` of that shape, it writes the
+    matrices there and returns ``out``.
     """
 
     n: int
-    coeff: Callable[[np.ndarray], np.ndarray]
+    coeff: Callable[..., np.ndarray]
     Lambda_of_K: Callable[[float], float] = lambda K: 1.0
     lambda_of_K: Callable[[float], float] = lambda K: 1.0
     degeneracy: Optional[DegeneracyProfile] = None
     name: str = "graphflow"
 
 
-def scalar_flow(a: Callable[[np.ndarray], np.ndarray], A0: float, P: float,
+def _square(p, out=None):
+    """p^2, written into ``out`` when given.
+
+    Without ``out`` this is ``p ** 2``: p * p on arrays, but pow on a numpy
+    scalar, which rounds differently from p * p now and then, so the
+    degeneracy profile keeps its scalar values.
+    """
+    return p ** 2 if out is None else np.multiply(p, p, out=out)
+
+
+def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
                 lambda_of_K: Callable[[float], float],
                 Lambda_of_K: Callable[[float], float], name: str) -> GraphFlowND:
     """The n = 1 flow u_t = a(u_x) u_xx for an even, vectorised a.
 
-    Its degeneracy profile is a itself: a(s) s^2 >= A0 for s >= P.
+    ``a(p, out=None)`` returns a(p), written into ``out`` when given.  Its
+    degeneracy profile is a itself: a(s) s^2 >= A0 for s >= P.
     """
+
+    def coeff(Du, out=None):
+        if out is None:
+            return a(np.asarray(Du, dtype=float))[..., None]
+        a(Du, out[..., 0])
+        return out
+
     return GraphFlowND(
         n=1,
-        coeff=lambda Du: a(np.asarray(Du, dtype=float))[..., None],
+        coeff=coeff,
         Lambda_of_K=Lambda_of_K,
         lambda_of_K=lambda_of_K,
         degeneracy=DegeneracyProfile(a, A0=A0, P=P),
@@ -86,7 +107,7 @@ def mcf_graph(n: int) -> GraphFlowND:
     if n < 1:
         raise ValueError("dimension must be >= 1")
 
-    def coeff(P):
+    def coeff(P, out=None):
         # entry by entry, with the roundings of eye(n) - outer / (1 + |p|^2):
         # |p|^2 summed left to right, and 0.0 - q (not -q) off the diagonal
         P = np.asarray(P, dtype=float)
@@ -96,7 +117,7 @@ def mcf_graph(n: int) -> GraphFlowND:
         for s in sq[1:]:
             pp = pp + s
         denom = 1.0 + pp
-        A = np.empty(P.shape + (n,))
+        A = np.empty(P.shape + (n,)) if out is None else out
         for i in range(n):
             np.subtract(1.0, sq[i] / denom, out=A[..., i, i])
             for j in range(i + 1, n):
@@ -117,8 +138,13 @@ def mcf_graph(n: int) -> GraphFlowND:
 
 def csf() -> GraphFlowND:
     """Curve shortening flow for graphs: u_t = u_xx / (1 + u_x^2)."""
+
+    def a(p, out=None):
+        q = np.add(_square(p, out), 1.0, out=out)
+        return np.divide(1.0, q, out=out)
+
     return scalar_flow(
-        lambda p: 1.0 / (1.0 + p ** 2),
+        a,
         A0=0.5,
         P=1.0,
         lambda_of_K=lambda K: 1.0 / (1.0 + K ** 2),
@@ -136,8 +162,15 @@ def heat_1d(c: float) -> GraphFlowND:
     if c <= 0:
         raise ValueError("c must be positive")
     a_val = 1.0 / (4.0 * c)
+
+    def a(p, out=None):
+        if out is None:
+            out = np.empty_like(np.asarray(p, dtype=float))
+        out.fill(a_val)
+        return out
+
     return scalar_flow(
-        lambda p: np.full_like(np.asarray(p, dtype=float), a_val),
+        a,
         A0=a_val,  # = P^2/(4c) with P = 1
         P=1.0,
         lambda_of_K=lambda K: a_val,
@@ -153,8 +186,17 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     which makes this the stock counterexample entry.
     """
     expo = (q - 2.0) / 2.0
+    eps2 = eps ** 2
+
+    def a(p, out=None):
+        # ``**=`` works in place on an array, with the fast paths of ``**``
+        # (exponent 2, 0.5, -1, ...), and rebinds b to a new numpy scalar
+        b = np.add(eps2, _square(p, out), out=out)
+        b **= expo
+        return b
+
     return scalar_flow(
-        lambda p: (eps ** 2 + p ** 2) ** expo,
+        a,
         A0=min((eps ** 2 + 1.0) ** expo, 1.0),
         P=1.0,
         lambda_of_K=lambda K: (eps ** 2 + K ** 2) ** expo if expo < 0 else eps ** (2 * expo),
@@ -163,16 +205,35 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     )
 
 
+# catalog id, or "aniso:" for every aniso:<norm-id>, -> its parameters
+FLOW_PARAMS = {"heat": ("c",), "csf": (), "mcf2d": (), "mcf3d": (),
+               "plaplace-reg": ("q", "eps"), "aniso:": ("dim",)}
+
+
 def catalog_ids() -> list[str]:
-    return ["heat", "csf", "mcf2d", "mcf3d", "plaplace-reg", "aniso:<norm-id>"]
+    return [fid + "<norm-id>" if fid.endswith(":") else fid for fid in FLOW_PARAMS]
+
+
+def flow_params(flow_id: str) -> tuple:
+    """The parameters ``get_flow`` takes for a flow id; KeyError for an id
+    outside the catalog (an aniso id's norm is resolved by ``get_flow``)."""
+    key = "aniso:" if flow_id.startswith("aniso:") else flow_id
+    if key not in FLOW_PARAMS:
+        raise KeyError(f"unknown flow id {flow_id!r}")
+    return FLOW_PARAMS[key]
 
 
 def get_flow(flow_id: str, **params):
     """Resolve a catalog entry by string id.
 
     Known ids: "heat" (param c), "csf", "mcf2d", "mcf3d",
-    "plaplace-reg" (params q, eps), "aniso:<norm-id>".
+    "plaplace-reg" (params q, eps), "aniso:<norm-id>" (param dim, the
+    dimension of the norm).  A parameter the entry does not take is a
+    TypeError.
     """
+    unknown = sorted(set(params) - set(flow_params(flow_id)))
+    if unknown:
+        raise TypeError(f"flow {flow_id!r} takes no parameter {unknown[0]!r}")
     if flow_id == "heat":
         return heat_1d(float(params.get("c", 0.25)))
     if flow_id == "csf":
@@ -186,9 +247,11 @@ def get_flow(flow_id: str, **params):
     if flow_id.startswith("aniso:"):
         from . import finsler
 
-        norm = finsler.norm_by_id(flow_id.split(":", 1)[1], **params)
+        dim = float(params.get("dim", 3))
+        if not dim.is_integer():
+            raise ValueError(f"dim must be an integer, not {dim!r}")
+        norm = finsler.norm_by_id(flow_id.split(":", 1)[1], dim=int(dim))
         return finsler.aniso_flow(norm)
-    raise KeyError(f"unknown flow id {flow_id!r}")
 
 
 # --- directional degeneracy functional -------------------------------------

@@ -94,6 +94,43 @@ def test_config_error_paths(tmp_path):
         load_config(_write(tmp_path, bad_modulus))
 
 
+def _without_line(text, line):
+    assert line + "\n" in text
+    return text.replace(line + "\n", "", 1)
+
+
+@pytest.mark.parametrize("text, path", [
+    # a required key left out, and a misspelt optional one
+    (_without_line(Path(HEAT_STEP).read_text(), "M = 1.0"), "check:zero-counting.M"),
+    (Path(HEAT_STEP).read_text().replace("rel_tol = 0.05", "rel_tl = 0.05"),
+     "check:zero-counting.rel_tl"),
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\n", "check:conv.alpha"),
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nL = 1.0\nalpha = 0.5\n",
+     "check:conv.alpha"),
+    (MINIMAL + "\n[check:g]\ntype = gradient_bound\ncoeff = 1.0\nregion = G\n",
+     "check:g.region"),
+], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type"])
+def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
+    cfg = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
+        load_config(cfg)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_unknown_flow_param_is_config_error(tmp_path):
+    text = Path(CSF_CREN).read_text().replace("id = csf", "id = csf\nc = 0.3")
+    cfg = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"flow\.c: 'csf' takes no parameter 'c'"):
+        load_config(cfg)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+    # heat takes c, and the params it does not take are named
+    text = MINIMAL.replace("c = 0.25", "c = 0.25\neps = 0.1")
+    with pytest.raises(ConfigError, match=r"flow\.eps"):
+        load_config(_write(tmp_path, text))
+
+
 def test_build_initial_kinds(tmp_path):
     for kind, extra in [("sin", "frequency = 2.0"), ("cos", ""),
                         ("abspow", "exponent = 0.5"), ("zigzag", "period = 1.0"),
@@ -276,6 +313,23 @@ def test_certify_flow(tmp_path):
     assert main(["certify", "csf", "--out", out]) == 0
     # q < 0 regularized p-laplacian fails its degeneracy certificate
     assert main(["certify", "plaplace-reg", "--out", out]) == 1
+
+
+# sha256 of the certificate JSON and the exit code of `flowlab certify <id>`,
+# recorded before the catalog coefficients took ``out``
+CERTIFICATE_SHA256 = {
+    "heat": ("9f2368071e3b4934b496228b5ce5b5c817a79b215437d32ddf41ac425ff18530", 0),
+    "csf": ("8add945754f691886894386d94d87628d12ff991ecbf5478161de70ace8896b9", 0),
+    "plaplace-reg": ("343f5d72779c37f4d79da0935cfcadd8d43f23defae867583cd3e3305b431f1c", 1),
+}
+
+
+@pytest.mark.parametrize("flow_id", sorted(CERTIFICATE_SHA256))
+def test_certify_flow_output_pinned(tmp_path, flow_id):
+    out = str(tmp_path / "c")
+    code = main(["certify", flow_id, "--out", out])
+    with open(os.path.join(out, f"certificate-{flow_id}.json"), "rb") as fh:
+        assert (hashlib.sha256(fh.read()).hexdigest(), code) == CERTIFICATE_SHA256[flow_id]
 
 
 def test_certify_unknown_id(tmp_path):

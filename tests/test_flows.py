@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,3 +213,57 @@ def test_csf_envelopes():
     f = csf()
     assert f.Lambda_of_K(5.0) == 1.0
     assert f.lambda_of_K(2.0) == pytest.approx(0.2)
+
+
+def test_get_flow_takes_only_its_parameters():
+    assert flows.flow_params("heat") == ("c",)
+    assert flows.flow_params("plaplace-reg") == ("q", "eps")
+    assert flows.flow_params("aniso:quartic:0.001") == ("dim",)
+    assert get_flow("aniso:euclid", dim=2).n == 1
+    with pytest.raises(TypeError, match="'c'"):
+        get_flow("csf", c=0.3)
+    with pytest.raises(TypeError, match="'q'"):
+        get_flow("heat", c=0.25, q=1.0)
+    with pytest.raises(ValueError, match="integer"):
+        get_flow("aniso:euclid", dim=2.5)
+    with pytest.raises(KeyError):
+        flows.flow_params("wave")
+
+
+@pytest.mark.parametrize("flow", [
+    heat_1d(0.25), csf(), plaplace_reg(-1.0, 0.1), plaplace_reg(0.0, 0.1),
+    plaplace_reg(3.0, 0.2), plaplace_reg(6.0, 0.2), mcf_graph(2), mcf_graph(3),
+    get_flow("aniso:quartic:0.001")],
+    ids=["heat", "csf", "plaplace-q-1", "plaplace-q0", "plaplace-q3", "plaplace-q6",
+         "mcf2d", "mcf3d", "aniso"])
+def test_coeff_writes_into_out_bit_for_bit(flow):
+    # coeff(Du, out) fills out and returns it, with the bits of coeff(Du);
+    # q = 0, 3, 6 give the exponents -1, 0.5, 2 that ``**`` computes apart
+    P = np.random.default_rng(3).uniform(-30, 30, (2, 17, flow.n))
+    out = np.full(P.shape + (flow.n,), np.nan)
+    assert flow.coeff(P, out) is out
+    assert out.tobytes() == flow.coeff(P).tobytes()
+
+
+# sha256 of the degeneracy profile on the 400 samples of ``flowlab certify``,
+# called on each sample (numpy scalars) and on the sample array, recorded
+# before the coefficients took ``out``; pow rounds p ** 2 on a numpy scalar
+# differently from p * p, so plaplace-reg's two differ
+PROFILE_SHA256 = {
+    "heat": ("9498dac910b1db181ba67f375928e0a69b5d011418bbc60f185b36b4256fb76c",
+             "9498dac910b1db181ba67f375928e0a69b5d011418bbc60f185b36b4256fb76c"),
+    "csf": ("74f5958edf3d015e626c239935ca80795b79dace802196062336c40185f51be0",
+            "74f5958edf3d015e626c239935ca80795b79dace802196062336c40185f51be0"),
+    "plaplace-reg": ("01b11e345f472315f9f16e7a87da9d1f4ade84962ad1d53b2bfbf6d9f9ce2f23",
+                     "ea98a38e05b083aa9845855130f8b19423a1b596341abd4f74c4b892387ab346"),
+}
+
+
+@pytest.mark.parametrize("flow_id", sorted(PROFILE_SHA256))
+def test_degeneracy_profile_values_pinned(flow_id):
+    profile = get_flow(flow_id).degeneracy
+    s = np.geomspace(profile.P, 1e3, 400)
+    scalar = np.array([profile.alpha_tilde(si) for si in s])
+    array = np.asarray(profile.alpha_tilde(s), dtype=float)
+    assert (hashlib.sha256(scalar.tobytes()).hexdigest(),
+            hashlib.sha256(array.tobytes()).hexdigest()) == PROFILE_SHA256[flow_id]

@@ -101,7 +101,8 @@ def test_output_times_validation():
     # repeated times fail before the first step evaluates the coefficient
     calls = []
     heat = flows.heat_1d(0.25)
-    counted = dataclasses.replace(heat, coeff=lambda Du: calls.append(1) or heat.coeff(Du))
+    counted = dataclasses.replace(
+        heat, coeff=lambda Du, out=None: calls.append(1) or heat.coeff(Du, out))
     with pytest.raises(ValueError, match="repeat"):
         evolve(counted, f0, BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.05])
     assert calls == []
@@ -360,22 +361,32 @@ def test_stepper_matches_term_by_term_oracle(flow_id, bc_kind, batch):
 # --- the solution blow-up guard ----------------------------------------------
 
 
+def _constant_flow(value, name):
+    # u_t = value * u_xx, with the coefficient written into ``out`` when given
+
+    def a(p, out=None):
+        out = np.empty_like(p) if out is None else out
+        out.fill(value)
+        return out
+
+    return flows.scalar_flow(a, A0=1.0, P=1.0, lambda_of_K=lambda K: 1.0,
+                             Lambda_of_K=lambda K: 1.0, name=name)
+
+
 def _antidiffusion():
     # u_t = -u_xx: every mode grows, the highest twofold per step at cfl 1/2
-    return flows.scalar_flow(lambda p: np.full_like(p, -1.0), A0=1.0, P=1.0,
-                             lambda_of_K=lambda K: 1.0, Lambda_of_K=lambda K: 1.0,
-                             name="antidiffusion")
+    return _constant_flow(-1.0, "antidiffusion")
 
 
 def _counted(flow, calls):
-    return dataclasses.replace(flow, coeff=lambda Du: calls.append(1) or flow.coeff(Du))
+    return dataclasses.replace(
+        flow, coeff=lambda Du, out=None: calls.append(1) or flow.coeff(Du, out))
 
 
 def test_blowup_guard_catches_nan_at_first_step():
     g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
     calls = []
-    nan_flow = _counted(dataclasses.replace(
-        flows.heat_1d(0.25), coeff=lambda Du: np.full(Du.shape + (1,), np.nan)), calls)
+    nan_flow = _counted(_constant_flow(np.nan, "nan"), calls)
     with pytest.raises(BlowUpError, match="solution blow-up"):
         evolve(nan_flow, Field(g, np.sin(g.nodes())), BoundaryCondition("periodic"),
                TimeStepPlan(t_end=0.1))
@@ -413,6 +424,112 @@ def test_blowup_guard_fires_when_a_member_passes_its_limit(with_big_member):
     assert len(calls) == 30
 
 
+# --- the guard skip on monotone 1-D steps --------------------------------------
+
+
+@given(st.sampled_from(["heat", "csf", "plaplace-reg"]),
+       st.sampled_from(["periodic", "neumann_zero"]),
+       st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=40),
+       st.floats(1e-3, 1e3))
+@settings(max_examples=150, deadline=None)
+def test_monotone_steps_keep_the_maximum(flow_id, bc_kind, values, scale):
+    # the steps the guard skips are convex combinations: max|u| grows by
+    # rounding only, far below the guard's limit
+    n_cells = len(values) - (bc_kind != "periodic")
+    grid = Grid1D(0.0, 2 * np.pi, n_cells, "periodic" if bc_kind == "periodic" else "bounded")
+    u0 = scale * np.array(values)
+    stepper = _Stepper(flows.get_flow(flow_id), grid, u0[None], BoundaryCondition(bc_kind),
+                       TimeStepPlan(t_end=1.0, max_grad_clip=1e300))
+    bound = np.max(np.abs(u0)) * (1 + 1e-12)
+    t = 0.0
+    for _ in range(60):
+        rhs, dt = stepper.rhs_and_dt(t)
+        t += dt
+        stepper.advance(t, dt, rhs)
+        assert np.max(np.abs(stepper.u)) <= bound
+    assert not stepper.guarded
+
+
+@pytest.mark.parametrize("k", [1, 7])
+def test_nan_coefficient_raises_at_its_step(k):
+    # the k-th call of a csf coefficient gives NaN: that step is not
+    # monotone, so the guard runs and raises at step k
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    calls = []
+    csf = flows.csf()
+
+    def coeff(Du, out=None):
+        calls.append(1)
+        A = csf.coeff(Du, out)
+        if len(calls) == k:
+            A.fill(np.nan)
+        return A
+
+    with pytest.raises(BlowUpError, match="solution blow-up"):
+        evolve(dataclasses.replace(csf, coeff=coeff), Field(g, np.sin(g.nodes())),
+               BoundaryCondition("periodic"), TimeStepPlan(t_end=1.0))
+    assert len(calls) == k
+
+
+def test_dirichlet_face_above_the_limit_raises_at_step_1():
+    # the limit is 1e6 max(1, max|u0|) = 1e6; the right face holds 1e7
+    g = Grid1D(0.0, 1.0, 32, "bounded")
+    calls = []
+    bc = BoundaryCondition("dirichlet", value=lambda x, t: 1e7 if x > 0.5 else 0.0)
+    with pytest.raises(BlowUpError, match="solution blow-up at t = "):
+        evolve(_counted(flows.heat_1d(0.25), calls), Field(g, np.zeros(33)), bc,
+               TimeStepPlan(t_end=1.0, max_grad_clip=1e300))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a, guarded", [(1e155, False), (1e157, True)])
+def test_coefficient_that_could_overflow_keeps_the_guard(a, guarded):
+    # 1e150 (-1)^i has second differences 4e150 and no centred gradient; with
+    # h^2 = 0.0386, times a = 1e157 that is inf, and the guard must see it.
+    # The cap max_float / (8 max|u0| / h^2) = 8.7e155 lies between the two a
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    u0 = 1e150 * (-1.0) ** np.arange(32)
+    stepper = _Stepper(_constant_flow(a, "large"), g, u0[None], BoundaryCondition("periodic"),
+                       TimeStepPlan(t_end=1e-150))
+    with np.errstate(over="ignore"):
+        rhs, dt = stepper.rhs_and_dt(0.0)
+    assert stepper.guarded is guarded
+    if guarded:
+        with pytest.raises(BlowUpError, match="solution blow-up"):
+            stepper.advance(dt, dt, rhs)
+    else:
+        stepper.advance(dt, dt, rhs)
+        assert np.max(np.abs(stepper.u)) <= 1e150
+
+
+def test_guard_stays_on_after_the_first_non_monotone_step():
+    # a coefficient that is negative on its 2nd call only turns the guard on
+    # for good; u0 = inf max|u0| leaves no cap at all
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    calls = []
+    csf = flows.csf()
+
+    def coeff(Du, out=None):
+        calls.append(1)
+        A = csf.coeff(Du, out)
+        if len(calls) == 2:
+            np.negative(A, out=A)
+        return A
+
+    stepper = _Stepper(dataclasses.replace(csf, coeff=coeff), g, np.sin(g.nodes())[None],
+                       BoundaryCondition("periodic"), TimeStepPlan(t_end=1.0))
+    seen = []
+    t = 0.0
+    for _ in range(4):
+        rhs, dt = stepper.rhs_and_dt(t)
+        t += dt
+        stepper.advance(t, dt, rhs)
+        seen.append(stepper.guarded)
+    assert seen == [False, True, True, True]
+    assert _Stepper(csf, g, np.full((1, 32), np.inf), BoundaryCondition("periodic"),
+                    TimeStepPlan(t_end=1.0)).a_cap == 0.0
+
+
 # --- the fused |Du|^2 and stability reduction ---------------------------------
 
 
@@ -428,6 +545,19 @@ def test_max_commutes_with_division_by_positive_h2(xs, h2):
         lhs = float(np.maximum.reduce(x / h2, axis=None))
     rhs = float(np.maximum.reduce(x, axis=None)) / h2
     assert lhs == rhs or (math.isnan(lhs) and math.isnan(rhs))
+
+
+@given(st.lists(st.one_of(st.floats(allow_infinity=True), st.just(-0.0), st.just(math.nan)),
+                min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_max_abs_from_max_and_max_of_negation(xs):
+    # the n = 1 step reads max|a| as the larger of max a and max(-a), which is
+    # max|a| itself (0.0 up to sign when every a is 0, NaN when any is)
+    a = np.array(xs)
+    a_max, neg_max = np.maximum.reduce(np.stack([a, -a]), axis=1).tolist()
+    picked = a_max if a_max > neg_max else neg_max
+    expected = float(np.maximum.reduce(np.abs(a), axis=None))
+    assert picked == expected or (math.isnan(picked) and math.isnan(expected))
 
 
 def test_gradient_clip_fires_at_a_known_step():
