@@ -153,6 +153,24 @@ def psi_range(b: PsiBarrier, t) -> float:
     return float(_psi_map(b, _BRACKET, np.asarray(t, dtype=float)))
 
 
+def _phi_into(neg_c, y, t, sqrt_t):
+    """phi_eval(HeatKernel(-neg_c), y, t) written over y, for t > 0 already
+    checked and sqrt(t) given: the same rounded steps in the same order,
+    (-c) y^2, / t, exp, / sqrt(t)."""
+    np.square(y, out=y)
+    np.multiply(neg_c, y, out=y)
+    np.divide(y, t, out=y)
+    np.exp(y, out=y)
+    return np.divide(y, sqrt_t, out=y)
+
+
+def _psi_map_into(neg_c, psi, t, sqrt_t, out, work):
+    """_psi_map(b, psi, t) written into ``out``; ``work`` is scratch."""
+    _phi_into(neg_c, np.subtract(psi, 1.0, out=out), t, sqrt_t)
+    _phi_into(neg_c, np.add(psi, 1.0, out=work), t, sqrt_t)
+    return np.subtract(out, work, out=out)
+
+
 def psi_eval_clamped(b: PsiBarrier, z, t):
     """psi with out-of-range z clamped to +-1 (the t -> 0 limiting values).
 
@@ -165,17 +183,26 @@ def psi_eval_clamped(b: PsiBarrier, z, t):
     if np.any(t <= 0):
         raise ValueError("psi requires t > 0")
 
-    zmax = _psi_map(b, np.full_like(t, _BRACKET, dtype=float), t)
+    neg_c = -b.c
+    sqrt_t = np.sqrt(t)
+    val = np.empty(z.shape)
+    work = np.empty(z.shape)
+    zmax = _psi_map_into(neg_c, np.full(z.shape, _BRACKET), t, sqrt_t, val, work)
     clamped = np.abs(z) > zmax
     lo = np.full(z.shape, -_BRACKET)
     hi = np.full(z.shape, _BRACKET)
+    mid = np.empty(z.shape)
+    less = np.empty(z.shape, dtype=bool)
+    more = np.empty(z.shape, dtype=bool)
     # strictly increasing map: plain bisection
     for _ in range(_PSI_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        val = _psi_map(b, mid, t)
-        less = val < z
-        lo = np.where(less, mid, lo)
-        hi = np.where(less, hi, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        _psi_map_into(neg_c, mid, t, sqrt_t, val, work)
+        np.less(val, z, out=less)
+        np.logical_not(less, out=more)
+        np.copyto(lo, mid, where=less)
+        np.copyto(hi, mid, where=more)
     psi = 0.5 * (lo + hi)
     psi = np.where(clamped, np.sign(z), psi)
     if scalar:

@@ -39,20 +39,31 @@ class CheckType:
     ``required`` and may set those in ``optional`` (besides type and
     assert).  MODULI uses it for the modulus of a convergence check, whose
     ``build(params)`` returns the ModulusOfContinuity and whose keys the
-    section takes as well."""
+    section takes as well.  ``bad_value(params)`` returns (key, reason) for
+    a value that ``build`` would reject, or None, so that it is found when
+    the file is loaded rather than after the evolve."""
 
     build: Callable
     required: tuple = ()
     optional: tuple = ()
+    bad_value: Callable = lambda params: None
 
 
 WINDOW = ("t_lo", "t_hi")
+
+
+def _holder_bad_value(params):
+    try:
+        verify.holder_modulus(params["alpha"])
+    except (TypeError, ValueError) as e:
+        return "alpha", str(e)
+
 
 MODULI = {
     "lipschitz": CheckType(lambda params: verify.lipschitz_modulus(params["L"]), ("L",)),
     "holder": CheckType(lambda params: verify.holder_modulus(params["alpha"],
                                                              params.get("C", 1.0)),
-                        ("alpha",), ("C",)),
+                        ("alpha",), ("C",), _holder_bad_value),
 }
 
 
@@ -83,6 +94,14 @@ def _eh_bound(params, traj):
         grid_tol=params.get("grid_tol", 0.0))
 
 
+def _eh_bound_bad_value(params):
+    kind = params.get("kind", "periodic")
+    if kind not in verify.EH_BOUND_KINDS:
+        return "kind", f"unknown kind {kind!r}; choose from {verify.EH_BOUND_KINDS}"
+    if kind == "interior" and "R" not in params:
+        return "R", "missing; kind = interior needs R"
+
+
 def _gradient_bound(params, traj):
     coeff = params["coeff"]
     power = params.get("power", -0.5)
@@ -97,7 +116,7 @@ CHECK_TYPES = {
     # plus the keys of the modulus (MODULI)
     "convergence": CheckType(_convergence, (), ("modulus", "grid_tol")),
     "eh_bound": CheckType(_eh_bound, ("M", "c"),
-                          ("kind", "q", "R", "T_prime", "t_min", "grid_tol")),
+                          ("kind", "q", "R", "T_prime", "t_min", "grid_tol"), _eh_bound_bad_value),
     "gradient_bound": CheckType(_gradient_bound, ("coeff",), ("power", "grid_tol") + WINDOW),
 }
 
@@ -286,8 +305,11 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(f"{section}.modulus", f"unknown modulus "
                                   f"{params['modulus']!r}; choose from {tuple(MODULI)}")
             spec = CheckType(spec.build, spec.required + modulus.required,
-                             spec.optional + modulus.optional)
+                             spec.optional + modulus.optional, modulus.bad_value)
         _check_keys(section, params, spec)
+        bad = spec.bad_value(params)
+        if bad:
+            raise ConfigError(f"{section}.{bad[0]}", bad[1])
         params["assert"] = cp.getboolean(section, "assert", fallback=True)
         params["type"] = ctype
         checks[name] = params

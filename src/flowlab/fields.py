@@ -8,7 +8,7 @@ periodic axes.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -190,15 +190,26 @@ def sup_norm_defect(a: Field, b: Field) -> float:
     return float(np.max(a.values - b.values))
 
 
-def field_to_csv(f: Field, path) -> None:
-    axes = f.grid.axes
-    coords = np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij")
+def _coordinate_cells(grid) -> list:
+    """The coordinate cells "x0,...," of every row, in the C order of the
+    grid's values (meshgrid "ij"); each node coordinate is formatted once."""
+    per_axis = [[repr(x) + "," for x in ax.nodes()] for ax in grid.axes]
+    return ["".join(cells) for cells in itertools.product(*per_axis)]
+
+
+def _write_csv(f: Field, path, coordinate_cells: list) -> None:
+    """One write of the bytes csv.writer gives for rows of repr cells: a
+    header, then the coordinates and value of each node, CRLF after every
+    line.  No cell holds a delimiter, quote or line break, so none is quoted."""
+    header = ",".join([f"x{i}" for i in range(len(f.grid.axes))] + ["value"])
+    rows = [c + repr(v) for c, v in zip(coordinate_cells, f.values.ravel())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(len(axes))] + ["value"])
-        flat = [c.ravel() for c in coords] + [f.values.ravel()]
-        for row in zip(*flat):
-            w.writerow([repr(v) for v in row])
+        fh.write("\r\n".join([header] + rows) + "\r\n")
+
+
+def field_to_csv(f: Field, path) -> None:
+    """Write f as CSV: columns x0, ..., value, one row per node."""
+    _write_csv(f, path, _coordinate_cells(f.grid))
 
 
 def _grid_to_jsonable(grid) -> dict:

@@ -262,7 +262,7 @@ def _parse_matrix_spec(spec: str) -> np.ndarray:
     return np.array(rows)
 
 
-def norm_by_id(norm_id: str, dim: int = 3, **params) -> FinslerNorm:
+def norm_by_id(norm_id: str, dim: int = 3) -> FinslerNorm:
     """Resolve "euclid", "elliptic:<M-spec>", "quartic:<delta>".
 
     The elliptic M-spec is either a comma list (diagonal) or semicolon-joined

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import Field, Grid1D, _grid_to_jsonable, field_to_csv
+from .fields import Field, Grid1D, _coordinate_cells, _grid_to_jsonable, _write_csv
 from .flows import DegeneracyProfile, GraphFlowND, scalar_flow
 
 __all__ = [
@@ -108,8 +108,12 @@ class Trajectory:
             raise ValueError(clash)
         fields_dir = os.path.join(out_dir, "fields")
         os.makedirs(fields_dir, exist_ok=True)
+        # the coordinate column is formatted once per grid, not per snapshot
+        cells = {}
         for t, f in self.snapshots:
-            field_to_csv(f, os.path.join(fields_dir, snapshot_file_name(t)))
+            if f.grid not in cells:
+                cells[f.grid] = _coordinate_cells(f.grid)
+            _write_csv(f, os.path.join(fields_dir, snapshot_file_name(t)), cells[f.grid])
         manifest = {
             "flow": flow_id,
             "bc": bc,

@@ -469,6 +469,9 @@ def gradient_function(f: Field) -> Field:
     return f.with_values(np.sqrt(1.0 + np.sum(g ** 2, axis=-1)))
 
 
+EH_BOUND_KINDS = ("periodic", "interior")
+
+
 def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
                    q: float = 2.0, R: float = None, T_prime: float = np.inf,
                    t_min: float = 0.0, grid_tol: float = 0.0) -> VerificationReport:
@@ -480,7 +483,7 @@ def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
     The snapshots checked are those with t > 0 in [t_min, T_prime]; a node
     where the bound is infinite tests nothing.
     """
-    if kind not in ("periodic", "interior"):
+    if kind not in EH_BOUND_KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     if kind == "interior" and R is None:
         raise ValueError("interior kind needs R")

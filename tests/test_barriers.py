@@ -100,6 +100,41 @@ def test_psi_out_of_range():
     assert clamped and val == 1.0
 
 
+def _psi_bisection_reference(b, z, t):
+    """psi_eval_clamped's bisection written with phi_eval, step by step."""
+    k = b.kernel
+    z, t = np.broadcast_arrays(np.atleast_1d(z), np.atleast_1d(t))
+    zmax = phi_eval(k, barriers._BRACKET - 1.0, t) - phi_eval(k, barriers._BRACKET + 1.0, t)
+    clamped = np.abs(z) > zmax
+    lo = np.full(z.shape, -barriers._BRACKET)
+    hi = np.full(z.shape, barriers._BRACKET)
+    for _ in range(barriers._PSI_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        less = phi_eval(k, mid - 1.0, t) - phi_eval(k, mid + 1.0, t) < z
+        lo = np.where(less, mid, lo)
+        hi = np.where(less, hi, mid)
+    return np.where(clamped, np.sign(z), 0.5 * (lo + hi)), clamped
+
+
+# c = 0.3 and 1.7 are not powers of two, so a reordered product rounds differently
+@pytest.mark.parametrize("c", [0.25, 0.3, 1.7])
+def test_psi_bisection_bits_match_phi_eval(c):
+    b = PsiBarrier(c=c)
+    t = np.geomspace(1e-3, 4.0, 13)[:, None]
+    z = np.linspace(-1.2, 1.2, 49)[None, :] * psi_range(b, 1.0)
+    psi, clamped = psi_eval_clamped(b, z, t)
+    ref, ref_clamped = _psi_bisection_reference(b, z, t)
+    assert 0 < clamped.sum() < clamped.size
+    assert np.array_equal(clamped, ref_clamped)
+    assert psi.tobytes() == ref.tobytes()
+    # the map itself, bit for bit, away from the bisection's midpoints
+    k = b.kernel
+    y = np.random.default_rng(3).uniform(-1.0, 1.0, t.shape[0] * 49).reshape(-1, 49)
+    tt = np.broadcast_to(t, y.shape)
+    mapped = barriers._psi_map_into(-c, y, tt, np.sqrt(tt), np.empty(y.shape), np.empty(y.shape))
+    assert mapped.tobytes() == (phi_eval(k, y - 1.0, tt) - phi_eval(k, y + 1.0, tt)).tobytes()
+
+
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_psi_derivs_fd_crosscheck(c):
     b = PsiBarrier(c=c)

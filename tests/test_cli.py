@@ -109,7 +109,17 @@ def _without_line(text, line):
      "check:conv.alpha"),
     (MINIMAL + "\n[check:g]\ntype = gradient_bound\ncoeff = 1.0\nregion = G\n",
      "check:g.region"),
-], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type"])
+    # values the check would reject
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\nalpha = 1.5\n",
+     "check:conv.alpha"),
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\nalpha = half\n",
+     "check:conv.alpha"),
+    (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = interior\n",
+     "check:eh.R"),
+    (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = exterior\n",
+     "check:eh.kind"),
+], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
+        "holder-alpha", "holder-alpha-text", "interior-without-R", "kind-unknown"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):

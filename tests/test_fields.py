@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,3 +122,52 @@ def test_csv_export(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "x0,value"
     assert len(rows) == 6
+
+
+def _csv_reference(f):
+    """The bytes of f written row by row with csv.writer and repr cells."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow([f"x{i}" for i in range(len(f.grid.axes))] + ["value"])
+    coords = np.meshgrid(*[ax.nodes() for ax in f.grid.axes], indexing="ij")
+    for row in zip(*[c.ravel() for c in coords], f.values.ravel()):
+        w.writerow([repr(v) for v in row])
+    return buf.getvalue().encode()
+
+
+CSV_VALUES = [-0.0, 1e-05, 123456.789, 1e+16, -2.5, 0.1, 1.0 / 3.0]
+
+
+def test_csv_bytes_match_csv_writer_1d(tmp_path):
+    g = Grid1D(-1.0, 1.0, 6)
+    f = Field(g, np.array(CSV_VALUES), time=0.5)
+    path = tmp_path / "f.csv"
+    field_to_csv(f, path)
+    assert path.read_bytes() == _csv_reference(f)
+
+
+def test_csv_bytes_match_csv_writer_2d(tmp_path):
+    # the smallest axes a grid allows: 4 periodic nodes by 5 bounded ones
+    g = GridND((Grid1D(0.0, 1.0, 4, "periodic"), Grid1D(-0.3, 0.7, 4)))
+    vals = np.resize(CSV_VALUES, g.shape) * np.arange(1, 21).reshape(g.shape) ** 0.5
+    vals[0, 0] = -0.0
+    f = Field(g, vals)
+    path = tmp_path / "f.csv"
+    field_to_csv(f, path)
+    assert path.read_bytes() == _csv_reference(f)
+    rows = path.read_bytes().split(b"\r\n")
+    assert rows[0] == b"x0,x1,value" and rows[-1] == b"" and len(rows) == 4 * 5 + 2
+
+
+def test_trajectory_export_matches_field_to_csv(tmp_path):
+    from flowlab.solver import Trajectory, snapshot_file_name
+
+    g = GridND((Grid1D(0.0, 2.0, 4, "periodic"), Grid1D(0.0, 1.0, 5)))
+    traj = Trajectory()
+    for k, t in enumerate((0.0, 0.125, 0.3)):
+        traj.append(t, Field(g, np.sin(np.arange(4 * 6).reshape(g.shape) + k), time=t))
+    traj.export(tmp_path / "out")
+    for t, f in traj.snapshots:
+        name = snapshot_file_name(t)
+        field_to_csv(f, tmp_path / name)
+        assert (tmp_path / "out" / "fields" / name).read_bytes() == (tmp_path / name).read_bytes()

@@ -133,6 +133,9 @@ def test_norm_by_id():
     assert norm_by_id("quartic:0.001").id == "quartic:0.001"
     with pytest.raises(KeyError):
         norm_by_id("octagon")
+    # a keyword it does not take is an error, not silently dropped
+    with pytest.raises(TypeError, match="delta"):
+        norm_by_id("euclid", delta=0.1)
 
 
 def test_flow_coefficients_euclid_is_mcf():
