@@ -55,7 +55,7 @@ WINDOW = ("t_lo", "t_hi")
 def _holder_bad_value(params):
     try:
         verify.holder_modulus(params["alpha"])
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         return "alpha", str(e)
 
 
@@ -119,6 +119,8 @@ CHECK_TYPES = {
                           ("kind", "q", "R", "T_prime", "t_min", "grid_tol"), _eh_bound_bad_value),
     "gradient_bound": CheckType(_gradient_bound, ("coeff",), ("power", "grid_tol") + WINDOW),
 }
+# the check keys whose values are words; every other key is a number
+TEXT_KEYS = ("region", "kind", "modulus")
 
 
 def _check_keys(section: str, params: dict, spec: CheckType) -> None:
@@ -129,6 +131,8 @@ def _check_keys(section: str, params: dict, spec: CheckType) -> None:
         if key not in spec.required + spec.optional:
             raise ConfigError(f"{section}.{key}", "unknown key; it takes "
                               f"{spec.required + spec.optional + ('type', 'assert')}")
+        if isinstance(params[key], str) and key not in TEXT_KEYS:
+            raise ConfigError(f"{section}.{key}", f"{params[key]!r} is not a number")
 
 
 class ConfigError(ValueError):

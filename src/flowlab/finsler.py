@@ -5,7 +5,10 @@ Norms act on covectors in R^(n+1).  Index 0 is the vertical (graph) covector
 phi^0; indices 1..n are spatial.  Every norm derivative and flow coefficient
 acts on stacks of shape (..., dim); one covector is a stack with no batch
 axes.  All derivatives are hand-derived closed forms; finite differences are
-used only as test oracles.
+used only as test oracles.  Each norm family has one derivative jet,
+``FinslerNorm.jet(w, order)``, which returns (F, DF, D^2 F, D^3 F)[:order + 1]
+and computes the terms they share once; a caller that needs several
+derivatives of one stack calls it once.
 """
 
 from __future__ import annotations
@@ -44,18 +47,30 @@ class FinslerNorm:
     """Positive convex 1-homogeneous function on covectors, with analytic
     derivatives to third order.
 
-    ``value``, ``grad``, ``hess`` and ``third`` map a stack of covectors
-    (..., dim) to (...), (..., dim), (..., dim, dim) and (..., dim, dim, dim).
+    ``jet(w, order)`` maps a stack of covectors (..., dim) to
+    ``(F, DF, D^2 F, D^3 F)[:order + 1]``, of shapes (...), (..., dim),
+    (..., dim, dim) and (..., dim, dim, dim); ``value``, ``grad``, ``hess``
+    and ``third`` are its entries one at a time (``from_jet``).
     ``symmetric_flag`` claims evenness in the phi^0 coordinate:
     F(p + phi^0) = F(p - phi^0) for spatial p."""
 
     id: str
     dim: int
+    jet: Callable[[np.ndarray, int], tuple]
     value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
     symmetric_flag: bool
+
+    @classmethod
+    def from_jet(cls, norm_id: str, dim: int, jet, symmetric_flag: bool) -> "FinslerNorm":
+        return cls(norm_id, dim, jet,
+                   value=lambda w: jet(w, 0)[0],
+                   grad=lambda w: jet(w, 1)[1],
+                   hess=lambda w: jet(w, 2)[2],
+                   third=lambda w: jet(w, 3)[3],
+                   symmetric_flag=symmetric_flag)
 
 
 @dataclass
@@ -127,6 +142,8 @@ def euclidean_norm(dim: int = 3) -> FinslerNorm:
 def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
     """F(w) = sqrt(w^T M w) for symmetric positive-definite M.
 
+    With the unit-ball normal mh = M w / F, the jet is DF = mh,
+    D^2 F = (M - mh mh^T) / F and D^3 F = (3 mh(x)mh(x)mh - sym(M, mh)) / F^2.
     Symmetric in the vertical coordinate exactly when row 0 of M has no
     off-diagonal entries.
     """
@@ -140,88 +157,76 @@ def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
     dim = M.shape[0]
     symmetric = bool(np.all(M[0, 1:] == 0.0))
 
-    def value(w):
+    def jet(w, order):
         w = np.asarray(w, dtype=float)
-        return np.sqrt(_quad(w, M, w))
-
-    def normal(w):
-        """F(w) and the unit-ball normal M w / F(w)."""
-        w = np.asarray(w, dtype=float)
-        F = value(w)[..., None]
-        return F, w @ M.T / F
-
-    def grad(w):
-        return normal(w)[1]
-
-    def hess(w):
-        F, mh = normal(w)
-        return (M - _outer(mh, mh)) / F[..., None]
-
-    def third(w):
-        F, mh = normal(w)
-        return (3.0 * _outer3(mh) - _sym3(M, mh)) / F[..., None, None] ** 2
+        F = np.sqrt(_quad(w, M, w))
+        if order == 0:
+            return (F,)
+        F1 = F[..., None]
+        mh = w @ M.T / F1
+        out = [F, mh]
+        if order >= 2:
+            out.append((M - _outer(mh, mh)) / F1[..., None])
+        if order >= 3:
+            out.append((3.0 * _outer3(mh) - _sym3(M, mh)) / F1[..., None, None] ** 2)
+        return tuple(out)
 
     if norm_id is None:
         norm_id = "elliptic:" + ";".join(
             ",".join(repr(float(v)) for v in row) for row in M
         )
-    return FinslerNorm(norm_id, dim, value, grad, hess, third, symmetric_flag=symmetric)
+    return FinslerNorm.from_jet(norm_id, dim, jet, symmetric)
 
 
 def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     """F(w) = |w| (1 + delta * sum w_i^4 / |w|^4) = r + delta * S / r^3.
 
-    The radial part r is the Euclidean norm.  Admitted only if the sampled
-    minimum tangent-Hessian eigenvalue exceeds 1e-6 (convexity pre-check);
-    delta = 0 reduces to the Euclidean norm.
+    The radial part r is the Euclidean norm, and the jet adds delta times
+    the Leibniz expansion of S g with S = sum w_i^4 and g = r^-3 to the
+    Euclidean jet.  Admitted only if the sampled minimum tangent-Hessian
+    eigenvalue exceeds 1e-6 (convexity pre-check); delta = 0 reduces to the
+    Euclidean norm.
     """
     eu = euclidean_norm(dim)
     d = float(delta)
     I = np.eye(dim)
     idx = np.arange(dim)
 
-    def value(w):
+    def jet(w, order):
         w = np.asarray(w, dtype=float)
-        r = eu.value(w)
-        return r + d * np.sum(w ** 4, axis=-1) / r ** 3
+        e = eu.jet(w, order)
+        # the powers of r are taken on (..., 1) arrays and reshaped for each
+        # broadcast: numpy rounds ** on a 0-d scalar unlike its array loop, so
+        # one covector takes the array loop too
+        r, S = e[0], np.sum(w ** 4, axis=-1)
+        r1, S1 = r[..., None], S[..., None]
+        r3 = r1 ** 3
+        out = [r + d * S / r3[..., 0]]
+        if order >= 1:
+            r5 = r1 ** 5
+            Si = 4.0 * w ** 3
+            # grad(r) + delta * (S_i r^-3 - 3 S w_i r^-5)
+            out.append(e[1] + d * (Si / r3 - 3.0 * S1 * w / r5))
+        if order >= 2:
+            r7 = r1 ** 7
+            # S_ij and the derivatives g_i, g_ij of g = r^-3
+            Sij = I * (12.0 * w ** 2)[..., None, :]
+            gi = -3.0 * w / r5
+            gij = -3.0 * I / r5[..., None] + 15.0 * _outer(w, w) / r7[..., None]
+            H_u = Sij / r3[..., None] + _outer(Si, gi) + _outer(gi, Si) + S1[..., None] * gij
+            out.append(e[2] + d * H_u)
+        if order >= 3:
+            Sijk = np.zeros(w.shape + (dim, dim))
+            Sijk[..., idx, idx, idx] = 24.0 * w
+            gijk = (15.0 * _sym3(I, w) / r7[..., None, None]
+                    - 105.0 * _outer3(w) / (r1 ** 9)[..., None, None])
+            # Leibniz expansion of (S * g)_ijk
+            T_u = (Sijk / r3[..., None, None] + _sym3(Sij, gi) + _sym3(gij, Si)
+                   + S1[..., None, None] * gijk)
+            out.append(e[3] + d * T_u)
+        return tuple(out)
 
-    def grad(w):
-        w = np.asarray(w, dtype=float)
-        r = eu.value(w)[..., None]
-        S = np.sum(w ** 4, axis=-1)[..., None]
-        # grad(r) + delta * (S_i r^-3 - 3 S w_i r^-5)
-        return eu.grad(w) + d * (4.0 * w ** 3 / r ** 3 - 3.0 * S * w / r ** 5)
-
-    def parts(w):
-        """r, S = sum w_i^4 with its derivatives S_i, S_ij, and the
-        derivatives g_i, g_ij of g = r^-3."""
-        r = eu.value(w)
-        r1, r2 = r[..., None], r[..., None, None]
-        Si = 4.0 * w ** 3
-        Sij = I * (12.0 * w ** 2)[..., None, :]
-        gi = -3.0 * w / r1 ** 5
-        gij = -3.0 * I / r2 ** 5 + 15.0 * _outer(w, w) / r2 ** 7
-        return r, np.sum(w ** 4, axis=-1), Si, Sij, gi, gij
-
-    def hess(w):
-        w = np.asarray(w, dtype=float)
-        r, S, Si, Sij, gi, gij = parts(w)
-        r, S = r[..., None, None], S[..., None, None]
-        H_u = Sij / r ** 3 + _outer(Si, gi) + _outer(gi, Si) + S * gij
-        return eu.hess(w) + d * H_u
-
-    def third(w):
-        w = np.asarray(w, dtype=float)
-        r, S, Si, Sij, gi, gij = parts(w)
-        r, S = r[..., None, None, None], S[..., None, None, None]
-        Sijk = np.zeros(w.shape + (dim, dim))
-        Sijk[..., idx, idx, idx] = 24.0 * w
-        gijk = 15.0 * _sym3(I, w) / r ** 7 - 105.0 * _outer3(w) / r ** 9
-        # Leibniz expansion of (S * g)_ijk with g = r^-3
-        T_u = Sijk / r ** 3 + _sym3(Sij, gi) + _sym3(gij, Si) + S * gijk
-        return eu.third(w) + d * T_u
-
-    nf = FinslerNorm(f"quartic:{delta}", dim, value, grad, hess, third, symmetric_flag=True)
+    nf = FinslerNorm.from_jet(f"quartic:{delta}", dim, jet, True)
     if d != 0.0:
         _check_convexity(nf)
     return nf
@@ -295,13 +300,14 @@ def _z_of(p: np.ndarray) -> np.ndarray:
     return z
 
 
-def flow_coefficients(nf: FinslerNorm, p: np.ndarray) -> np.ndarray:
+def flow_coefficients(nf: FinslerNorm, p: np.ndarray, out=None) -> np.ndarray:
     """Spatial block of F(z) D^2 F|_z at z = p - phi^0; symmetric PSD.
 
-    Maps spatial covectors (..., n) to coefficient matrices (..., n, n).
+    Maps spatial covectors (..., n) to coefficient matrices (..., n, n),
+    written into ``out`` when it is given.
     """
-    z = _z_of(p)
-    return nf.value(z)[..., None, None] * nf.hess(z)[..., 1:, 1:]
+    F, _, H = nf.jet(_z_of(p), 2)
+    return np.multiply(F[..., None, None], H[..., 1:, 1:], out=out)
 
 
 def aniso_flow(nf: FinslerNorm):
@@ -316,11 +322,7 @@ def aniso_flow(nf: FinslerNorm):
         return float(reducer(np.linalg.eigvalsh(flow_coefficients(nf, p))))
 
     def coeff(p, out=None):
-        A = flow_coefficients(nf, p)
-        if out is None:
-            return A
-        np.copyto(out, A)
-        return out
+        return flow_coefficients(nf, p, out)
 
     return GraphFlowND(
         n=n,
@@ -368,11 +370,11 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
     # normalize so that F(p) equals the scale exactly; B is (dirs, scales)
     v_unit = dirs / nf.value(_embed(dirs))[:, None]
     p = scales[:, None] * v_unit[:, None, :]
-    z = _z_of(p)
     pe = _embed(p)
-    B = nf.value(z) * _quad(pe, nf.hess(z), pe)
-    ph = _embed(v_unit)
-    limits = nf.value(ph) * nf.hess(ph)[:, 0, 0]
+    F, _, H = nf.jet(_z_of(p), 2)
+    B = F * _quad(pe, H, pe)
+    F, _, H = nf.jet(_embed(v_unit), 2)
+    limits = F * H[:, 0, 0]
 
     rel = np.abs(B[:, -1] - limits) / np.maximum(np.abs(limits), 1e-300)
     if np.max(rel) > plateau_rtol:
@@ -392,9 +394,10 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
     return float(tail_min[j]), float(scales[j])
 
 
-def _hat(nf: FinslerNorm, z: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Project q onto the tangent plane of the unit ball at z (both broadcast)."""
-    c = np.sum(nf.grad(z) * q, axis=-1) / nf.value(z)
+def _hat(F: np.ndarray, DF: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Project q onto the tangent plane of the unit ball at z, given F and DF
+    at z (all broadcast)."""
+    c = np.sum(DF * q, axis=-1) / F
     return q - c[..., None] * z
 
 
@@ -404,11 +407,9 @@ def cartan_Q(nf: FinslerNorm, z: np.ndarray, p: np.ndarray, q: np.ndarray,
     z = np.asarray(z, dtype=float)
     if np.all(z == 0.0):
         raise ValueError("cartan_Q undefined at z = 0")
-    ph = _hat(nf, z, np.asarray(p, dtype=float))
-    qh = _hat(nf, z, np.asarray(q, dtype=float))
-    rh = _hat(nf, z, np.asarray(r, dtype=float))
-    T = nf.third(z)
-    return float(nf.value(z) ** 2 * np.einsum("ijk,i,j,k->", T, ph, qh, rh))
+    F, DF, _, T = nf.jet(z, 3)
+    ph, qh, rh = (_hat(F, DF, z, np.asarray(v, dtype=float)) for v in (p, q, r))
+    return float(F ** 2 * np.einsum("ijk,i,j,k->", T, ph, qh, rh))
 
 
 def check_smallness(nf: FinslerNorm, n_z: int = 200, n_triples: int = 20,
@@ -421,14 +422,14 @@ def check_smallness(nf: FinslerNorm, n_z: int = 200, n_triples: int = 20,
     # z is (n_z, 1, dim) against the (n_z, n_triples) samples; one (3, dim)
     # draw per triple, in order, is the same stream as one draw
     z = _sphere_points(nf.dim, n_z, rng)[:, None, :]
-    trio = _hat(nf, z[..., None, :], rng.normal(size=(n_z, n_triples, 3, nf.dim)))
+    F, DF, H, T = nf.jet(z, 3)
+    trio = _hat(F[..., None], DF[..., None, :], z[..., None, :],
+                rng.normal(size=(n_z, n_triples, 3, nf.dim)))
     p, q, r = np.moveaxis(trio, -2, 0)
-    F = nf.value(z)
-    H = nf.hess(z)
     denom_sq = F ** 3 * _quad(p, H, p) * _quad(q, H, q) * _quad(r, H, r)
     if np.any(denom_sq <= 0):
         raise ArithmeticError(f"degenerate tangent Hessian for {nf.id!r}")
-    Q = F ** 2 * _quad(p, np.einsum("...ijk,...k->...ij", nf.third(z), r), q)
+    Q = F ** 2 * _quad(p, np.einsum("...ijk,...k->...ij", T, r), q)
     C1 = float(np.max(np.abs(Q) / np.sqrt(denom_sq), initial=0.0))
     return C1, bool(C1 ** 2 < 4.0 / np.sqrt(n)), bool(C1 ** 2 < 2.0 / np.sqrt(n))
 
@@ -446,8 +447,8 @@ def check_symmetry(nf: FinslerNorm, n_samples: int = 200, seed: int = 11,
     e0 = np.zeros(nf.dim)
     e0[0] = 1.0
     d_val = np.abs(nf.value(p + e0) - nf.value(p - e0))
-    d_grad = np.abs(nf.grad(p)[:, 0])
-    T = nf.third(p)
+    _, DF, _, T = nf.jet(p, 3)
+    d_grad = np.abs(DF[:, 0])
     d_third = np.maximum(np.max(np.abs(T[:, 0, 1:, 1:]), axis=(1, 2)), np.abs(T[:, 0, 0, 0]))
     d = np.maximum(np.maximum(d_val, d_grad), d_third)
     i = int(np.argmax(d))
@@ -494,18 +495,18 @@ def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 32,
     # p is (dirs, scales, 1, n) against the q samples
     scales = np.geomspace(0.05, s_max, n_scales)[:, None, None]
     p = scales * _spatial_directions(n, n_dirs)[:, None, None, :]
-    z = _z_of(p)
-    F = nf.value(z)
-    G = F[..., None, None] * nf.hess(z)
+    F, _, H = nf.jet(_z_of(p), 2)
+    G = F[..., None, None] * H
     val = F * np.abs(_quad(_embed(p), G, qe)) / nf.value(qe)
     return float(np.max(val, initial=0.0))
 
 
-def estimate_S_eps(nf: FinslerNorm, eps: float, s_grid=None, n_dirs: int = 24,
-                   n_q: int = 12, seed: int = 5):
-    """Smallest sampled scale S with |F D(F D^2 F)|_{p-phi^0}(p, q^, q^)| <=
-    eps G(p,p)^(1/2) G(q,q) for all sampled F(p) >= S; None if the grid never
-    satisfies the bound (non-convergence flag)."""
+def estimate_S_eps(nf: FinslerNorm, eps_values, s_grid=None, n_dirs: int = 24,
+                   n_q: int = 12, seed: int = 5) -> dict:
+    """For each eps, the smallest sampled scale S with
+    |F D(F D^2 F)|_{p-phi^0}(p, q^, q^)| <= eps G(p,p)^(1/2) G(q,q) for all
+    sampled F(p) >= S; None if the grid never satisfies the bound
+    (non-convergence flag).  The samples are evaluated once for every eps."""
     if s_grid is None:
         s_grid = np.geomspace(1.0, 1e4, 40)
     rng = np.random.default_rng(seed)
@@ -516,22 +517,21 @@ def estimate_S_eps(nf: FinslerNorm, eps: float, s_grid=None, n_dirs: int = 24,
     p = scales * _spatial_directions(n, n_dirs)[:, None, :]
     z = _z_of(p)
     pe = _embed(p)
-    qh = _hat(nf, z, qe)
-    F = nf.value(z)
-    H = nf.hess(z)
+    F, DF, H, T = nf.jet(z, 3)
+    qh = _hat(F, DF, z, qe)
     Hqq = _quad(qh, H, qh)
-    Tpqq = _quad(qh, np.einsum("...ijk,...i->...jk", nf.third(z), pe), qh)
+    Tpqq = _quad(qh, np.einsum("...ijk,...i->...jk", T, pe), qh)
     # F * D(F D^2 F)(p, qh, qh) = F (DF(p) D2F(qh,qh) + F D3F(p,qh,qh))
-    dG = F * (np.sum(nf.grad(z) * pe, axis=-1) * Hqq + F * Tpqq)
+    dG = F * (np.sum(DF * pe, axis=-1) * Hqq + F * Tpqq)
     Gpp, Gqq = F * _quad(pe, H, pe), F * Hqq
     worst = np.max(np.abs(dG) / (np.sqrt(Gpp) * Gqq), axis=(1, 2))
-    ok = worst <= eps
-    # require the bound to hold for every sampled scale from S onward
-    tail_ok = np.logical_and.accumulate(ok[::-1])[::-1]
-    idx = np.nonzero(tail_ok)[0]
-    if idx.size == 0:
-        return None
-    return float(s_grid[int(idx[0])])
+    S_eps = {}
+    for eps in eps_values:
+        # require the bound to hold for every sampled scale from S onward
+        tail_ok = np.logical_and.accumulate((worst <= eps)[::-1])[::-1]
+        idx = np.nonzero(tail_ok)[0]
+        S_eps[eps] = float(s_grid[int(idx[0])]) if idx.size else None
+    return S_eps
 
 
 def certify(nf: FinslerNorm, s_max: float = 1e3, eps_values=(0.5, 0.1),
@@ -542,10 +542,7 @@ def certify(nf: FinslerNorm, s_max: float = 1e3, eps_values=(0.5, 0.1),
     k = trace_lower_bound(nf, s_max=s_max) if n > 1 else float("nan")
     C1, _, _ = check_smallness(nf)
     C2 = cross_term_bound(nf, s_max=s_max) if nf.symmetric_flag else None
-    S_eps = {}
-    if nf.symmetric_flag:
-        for eps in eps_values:
-            S_eps[eps] = estimate_S_eps(nf, eps)
+    S_eps = estimate_S_eps(nf, eps_values) if nf.symmetric_flag else {}
     consts = AnisoConstants(
         norm_id=nf.id,
         A=A,

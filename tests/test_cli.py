@@ -114,12 +114,14 @@ def _without_line(text, line):
      "check:conv.alpha"),
     (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\nalpha = half\n",
      "check:conv.alpha"),
+    (Path(HEAT_STEP).read_text().replace("M = 1.0", "M = one"), "check:zero-counting.M"),
     (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = interior\n",
      "check:eh.R"),
     (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = exterior\n",
      "check:eh.kind"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
-        "holder-alpha", "holder-alpha-text", "interior-without-R", "kind-unknown"])
+        "holder-alpha", "holder-alpha-text", "not-a-number",
+        "interior-without-R", "kind-unknown"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):

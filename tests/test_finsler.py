@@ -18,6 +18,7 @@ from flowlab.finsler import (
     cross_term_bound,
     elliptic_norm,
     estimate_A_P,
+    estimate_S_eps,
     euclidean_norm,
     flow_coefficients,
     norm_by_id,
@@ -32,6 +33,123 @@ NORMS = [
     elliptic_norm(np.diag([1.0, 1.5, 2.0])),
     quartic_norm(1e-3, 3),
 ]
+
+
+# --- reference formulas: one closure per derivative, each rebuilding its terms
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
+
+
+def _outer3(a):
+    return a[..., :, None, None] * a[..., None, :, None] * a[..., None, None, :]
+
+
+def _sym3(A, v):
+    T = A[..., :, :, None] * v[..., None, None, :]
+    return T + T.swapaxes(-1, -2) + np.moveaxis(T, -1, -3)
+
+
+def _quad(v, H, w):
+    return (v[..., None, :] @ H @ w[..., :, None])[..., 0, 0]
+
+
+def _ref_elliptic(M):
+    """value, grad, hess and third of F(w) = sqrt(w^T M w)."""
+
+    def value(w):
+        return np.sqrt(_quad(w, M, w))
+
+    def normal(w):
+        F = value(w)[..., None]
+        return F, w @ M.T / F
+
+    def grad(w):
+        return normal(w)[1]
+
+    def hess(w):
+        F, mh = normal(w)
+        return (M - _outer(mh, mh)) / F[..., None]
+
+    def third(w):
+        F, mh = normal(w)
+        return (3.0 * _outer3(mh) - _sym3(M, mh)) / F[..., None, None] ** 2
+
+    return value, grad, hess, third
+
+
+def _ref_quartic(d, dim):
+    """value, grad, hess and third of F(w) = r + d * sum w_i^4 / r^3."""
+    eu_value, eu_grad, eu_hess, eu_third = _ref_elliptic(np.eye(dim))
+    I = np.eye(dim)
+    idx = np.arange(dim)
+
+    def value(w):
+        r = eu_value(w)
+        return r + d * np.sum(w ** 4, axis=-1) / r ** 3
+
+    def grad(w):
+        r = eu_value(w)[..., None]
+        S = np.sum(w ** 4, axis=-1)[..., None]
+        return eu_grad(w) + d * (4.0 * w ** 3 / r ** 3 - 3.0 * S * w / r ** 5)
+
+    def parts(w):
+        r = eu_value(w)
+        r1, r2 = r[..., None], r[..., None, None]
+        Si = 4.0 * w ** 3
+        Sij = I * (12.0 * w ** 2)[..., None, :]
+        gi = -3.0 * w / r1 ** 5
+        gij = -3.0 * I / r2 ** 5 + 15.0 * _outer(w, w) / r2 ** 7
+        return r, np.sum(w ** 4, axis=-1), Si, Sij, gi, gij
+
+    def hess(w):
+        r, S, Si, Sij, gi, gij = parts(w)
+        r, S = r[..., None, None], S[..., None, None]
+        H_u = Sij / r ** 3 + _outer(Si, gi) + _outer(gi, Si) + S * gij
+        return eu_hess(w) + d * H_u
+
+    def third(w):
+        r, S, Si, Sij, gi, gij = parts(w)
+        r, S = r[..., None, None, None], S[..., None, None, None]
+        Sijk = np.zeros(w.shape + (dim, dim))
+        Sijk[..., idx, idx, idx] = 24.0 * w
+        gijk = 15.0 * _sym3(I, w) / r ** 7 - 105.0 * _outer3(w) / r ** 9
+        T_u = Sijk / r ** 3 + _sym3(Sij, gi) + _sym3(gij, Si) + S * gijk
+        return eu_third(w) + d * T_u
+
+    return value, grad, hess, third
+
+
+COUPLED = np.array([[1.0, 0.3, 0.0], [0.3, 1.5, 0.0], [0.0, 0.0, 2.0]])
+JET_CASES = [(nf, ref) for dim in (2, 3) for nf, ref in [
+    (euclidean_norm(dim), _ref_elliptic(np.eye(dim))),
+    (elliptic_norm(np.diag(1.0 + 0.5 * np.arange(dim))),
+     _ref_elliptic(np.diag(1.0 + 0.5 * np.arange(dim)))),
+    (quartic_norm(1e-3, dim), _ref_quartic(1e-3, dim)),
+    # the largest delta that passes the convexity probe shows the most of its terms
+    (quartic_norm(0.3, dim), _ref_quartic(0.3, dim)),
+]] + [(elliptic_norm(COUPLED), _ref_elliptic(COUPLED))]
+
+
+@pytest.mark.parametrize("nf, ref", JET_CASES,
+                         ids=[f"{nf.id}-dim{nf.dim}" for nf, _ in JET_CASES])
+def test_jet_matches_reference_formulas_bit_for_bit(nf, ref):
+    rng = np.random.default_rng(nf.dim)
+    # covector scales from 1e-3 to 1e3
+    W = rng.normal(size=(20, 10, nf.dim)) * 10.0 ** rng.uniform(-3, 3, size=(20, 10, 1))
+    # one covector is compared as a stack of one: numpy rounds the 0-d scalar
+    # powers of the value closure unlike the array loop
+    for w, expected in [(W, [fn(W) for fn in ref])] + [
+            (W[i, j], [fn(W[i:i + 1, j])[0] for fn in ref]) for i, j in ((0, 0), (19, 9))]:
+        for order in range(4):
+            jet = nf.jet(w, order)
+            assert len(jet) == order + 1
+            for k, (got, want) in enumerate(zip(jet, expected)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), \
+                    f"{nf.id} dim {nf.dim}: order {order} entry {k}"
+        for k, name in enumerate(("value", "grad", "hess", "third")):
+            assert getattr(nf, name)(w).tobytes() == expected[k].tobytes(), name
 
 
 def _fd_grad(nf, w, d=1e-6):
@@ -236,3 +354,38 @@ def test_quartic_certificate_matches_benchmark_reference():
     assert observed["S_eps"] == expected["S_eps"]
     for key in ("A", "P", "k", "C1", "C2"):
         assert math.isclose(observed[key], expected[key], rel_tol=1e-12), key
+
+
+NAN = float("nan")
+
+
+# (norm id, dim, A, P, k, C1, C2, S_eps) as certified before the derivative jet
+PINNED_CERTIFICATES = [
+    ("euclid", 2, 0.5000000000000001, 1.0, NAN, 1.120257477329595e-12,
+     0.9999995000502525, {0.5: 1.0, 0.1: 1.0}),
+    ("euclid", 3, 0.5001403837709987, 1.0002808069682727, 1.0000009999989998,
+     8.137771276330701e-15, 0.9999104564224002, {0.5: 1.0, 0.1: 1.0}),
+    ("elliptic:1,1.5", 2, 0.5, 1.0, NAN, 2.740649319549391e-13,
+     0.999999666672885, {0.5: 1.0, 0.1: 1.0}),
+    ("elliptic:1,1.5,2", 3, 0.5001403837709986, 1.0002808069682727, 1.5009044076680242,
+     7.503636610466052e-15, 0.9999174602724754, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.001", 2, 0.5019988716316827, 1.0, NAN, 0.011989932937762116,
+     0.9979965270938721, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.001", 3, 0.5016282282954934, 1.0, 0.9980653395792088,
+     0.011436510643955207, 0.9988816039286746, {0.5: 1.0, 0.1: 1.0}),
+]
+
+
+@pytest.mark.parametrize("norm_id, dim, A, P, k, C1, C2, S_eps", PINNED_CERTIFICATES,
+                         ids=[f"{c[0]}-dim{c[1]}" for c in PINNED_CERTIFICATES])
+def test_certificate_constants_are_pinned(norm_id, dim, A, P, k, C1, C2, S_eps):
+    c = certify(norm_by_id(norm_id, dim))
+    assert (c.A, c.P, c.C1, c.C2, c.S_eps) == (A, P, C1, C2, S_eps)
+    assert c.k == k or (math.isnan(c.k) and math.isnan(k))
+
+
+def test_S_eps_shares_its_samples_across_eps():
+    # 1e-12 is never met on the grid: the non-convergence flag
+    got = estimate_S_eps(quartic_norm(1e-3, 3), (0.5, 0.1, 1e-3, 1e-12))
+    assert got == {0.5: 1.0, 0.1: 1.0, 1e-3: 142.5102670302998, 1e-12: None}
+    assert list(got) == [0.5, 0.1, 1e-3, 1e-12]
