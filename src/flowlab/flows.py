@@ -67,16 +67,6 @@ class GraphFlowND:
     name: str = "graphflow"
 
 
-def _square(p, out=None):
-    """p^2, written into ``out`` when given.
-
-    Without ``out`` this is ``p ** 2``: p * p on arrays, but pow on a numpy
-    scalar, which rounds differently from p * p now and then, so the
-    degeneracy profile keeps its scalar values.
-    """
-    return p ** 2 if out is None else np.multiply(p, p, out=out)
-
-
 def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
                 lambda_of_K: Callable[[float], float],
                 Lambda_of_K: Callable[[float], float], name: str) -> GraphFlowND:
@@ -139,9 +129,17 @@ def mcf_graph(n: int) -> GraphFlowND:
 def csf() -> GraphFlowND:
     """Curve shortening flow for graphs: u_t = u_xx / (1 + u_x^2)."""
 
+    one = np.array(1.0)
+
     def a(p, out=None):
-        q = np.add(_square(p, out), 1.0, out=out)
-        return np.divide(1.0, q, out=out)
+        # without out, p ** 2 is pow on a numpy scalar, which rounds apart
+        # from p * p now and then, so the degeneracy profile keeps its
+        # scalar values; with out, 1.0 is a 0-d array, with the same bits
+        if out is None:
+            return np.divide(1.0, np.add(p ** 2, 1.0))
+        np.multiply(p, p, out)
+        np.add(out, one, out)
+        return np.divide(one, out, out)
 
     return scalar_flow(
         a,
@@ -189,9 +187,10 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     eps2 = eps ** 2
 
     def a(p, out=None):
-        # ``**=`` works in place on an array, with the fast paths of ``**``
-        # (exponent 2, 0.5, -1, ...), and rebinds b to a new numpy scalar
-        b = np.add(eps2, _square(p, out), out=out)
+        # p ** 2 without out as in csf; ``**=`` works in place on an array,
+        # with the fast paths of ``**`` (exponent 2, 0.5, -1, ...), and
+        # rebinds b to a new numpy scalar
+        b = np.add(eps2, p ** 2) if out is None else np.add(eps2, np.multiply(p, p, out), out)
         b **= expo
         return b
 

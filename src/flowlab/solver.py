@@ -8,13 +8,15 @@ maximum runs over all nodes and members.  ``evolve`` is a batch of one;
 ``evolve_pair_ordered`` is a batch of two that also records the gap
 series.  Cross-derivative terms use the diagonal stencil splitting, so the
 update is order-preserving wherever the coefficient matrix is diagonally
-dominant.  The stepper allocates its work buffers once and writes every
-step into them in place, in the operation order of the term-by-term
+dominant.  The stepper allocates its work buffers once and builds its step
+once, as two closures over them (``rhs_and_dt`` and ``advance``), which
+write every step in place, in the operation order of the term-by-term
 formula, so results are the same bit for bit.  One max reduction per step
-gives max |Du|^2 (for the gradient clip) and max S (for dt).  A second one
-gives max|u| for the blow-up guard, which looks at members one by one only
-when that exceeds the smallest member limit; 1-D steps that the scheme
-proves monotone skip it (see ``_Stepper``).
+gives max |Du|^2 (for the gradient clip) and max S (for dt); a NaN max S
+raises ``BlowUpError`` at that step.  A second reduction gives max|u| for
+the blow-up guard, which looks at members one by one only when that
+exceeds the smallest member limit; 1-D steps that the scheme proves
+monotone skip it (see ``_Stepper``).
 """
 
 from __future__ import annotations
@@ -161,26 +163,33 @@ def _check_bc_compatible(grid, bc: BoundaryCondition):
 class _Stepper:
     """Explicit Euler for u_t = a^ij(Du) D_ij u on a batch (B, *grid shape).
 
-    The batch lives in one buffer with a ghost layer on every side.  The
-    ghost, stencil and Dirichlet-face views into it, and the work buffers of
-    a step, are built once, so a step only does arithmetic, written in place
-    with ``out=`` ufuncs.  Sums of terms keep the order cross terms first,
-    then axes, so every float matches the term-by-term formula.  Cross terms
-    use the diagonal splitting.  The flow's ``coeff`` writes into a buffer
-    of the stepper.  |Du|^2 and the stability sum S are rows of one buffer
-    and share one reduction.  With n = 1 there are no cross terms and the
-    rows are [|Du|^2, a, -a]: ``coeff`` writes a straight into the second
-    row.  max|a| = max(max a, max(-a)) bit for bit (a NaN gives NaN), and
+    The batch lives in one buffer with a ghost layer on every side.
+    ``__init__`` builds the ghost, stencil and Dirichlet-face views into it,
+    the work buffers of a step, and then the step itself: ``rhs_and_dt`` and
+    ``advance`` are closures over those buffers and views and over the
+    plan's numbers, so a step looks nothing up and only does arithmetic,
+    written in place by ufunc calls with a positional ``out``.  There is one
+    ``rhs_and_dt`` for n = 1 and one for cross terms, and one ``advance``;
+    each takes Dirichlet faces when the bc has them.  The constants a step
+    divides by (2h, h^2) or takes a maximum with (0) are 0-d float64 arrays
+    made here: as operands they give the bits of the Python floats (NEP 50)
+    at a lower cost per call.  Sums of terms keep the order cross terms
+    first, then axes, so every float matches the term-by-term formula.
+    Cross terms use the diagonal splitting.  The flow's ``coeff`` writes
+    into a buffer of the stepper.  |Du|^2 and the stability sum S are rows of one buffer and
+    share one reduction.  With n = 1 there are no cross terms and the rows
+    are [|Du|^2, a, -a]: ``coeff`` writes a straight into the second row.
+    max|a| = max(max a, max(-a)) bit for bit (a NaN gives NaN), and
     max S = max|a| / h^2 exactly, because correctly rounded division by
-    h^2 > 0 is monotone.  The plan's numbers are read into attributes, and
-    the buffers and views a step uses into the tuple ``hot``, once.
+    h^2 > 0 is monotone.  A NaN max S raises ``BlowUpError`` at the step
+    that met it.
 
     The blow-up guard compares one batch-wide max|u| with the smallest
     member limit and tests the members one by one only when that fails (a
     NaN fails both).  It is skipped on every monotone step: n = 1, no
     Dirichlet faces, max(-a) <= 0 (so every a >= 0 and none is NaN) and
     max a < ``a_cap``.  The first step that is not monotone turns the guard
-    on for the rest of the run.
+    on for the rest of the run; ``guarded`` tells whether it is on.
 
     Why monotone steps from u0 on cannot trip the guard.  Periodic and
     neumann_zero ghosts copy interior values, and dt <= cfl_safety h^2 /
@@ -209,11 +218,10 @@ class _Stepper:
         h = axes[0].h
         if any(abs(ax.h - h) > 1e-12 * h for ax in axes):
             raise SolverError("graph flows with n > 1 need equal axis spacing")
-        self.bc, self.coeff = bc, flow.coeff
-        self.max_grad_clip, self.cfl_safety, self.t_end = (
-            plan.max_grad_clip, plan.cfl_safety, plan.t_end)
-        self.dt_floor = 1e-14 * plan.t_end
-        self.h2 = h ** 2
+        coeff, value = flow.coeff, bc.value
+        max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
+        dt_floor = 1e-14 * t_end
+        h2 = h ** 2
         shape = u0.shape[1:]
         up = np.empty((u0.shape[0],) + tuple(s + 2 for s in shape))
         batch = (slice(None),)
@@ -227,182 +235,214 @@ class _Stepper:
                                          else slice(1, -1) for d in range(n))]
 
         e = np.eye(n, dtype=int)
-        self.u = shifted((0,) * n)
-        self.u[...] = u0
-        self.grid_axes = tuple(range(1, n + 1))
-        u_max = np.maximum(1.0, np.max(np.abs(u0), axis=self.grid_axes))
-        self.limit = 1e6 * u_max
-        self.limit_min = float(self.limit.min())
+        self.u = u = shifted((0,) * n)
+        u[...] = u0
+        grid_axes = tuple(range(1, n + 1))
+        u_max = np.maximum(1.0, np.max(np.abs(u0), axis=grid_axes))
+        limit = 1e6 * u_max
+        limit_min = float(limit.min())
         # a monotone step with max a < a_cap has no intermediate above
         # max_float (see the class docstring); a NaN or inf in u0 gives 0
-        cap = sys.float_info.max / (8.0 * float(u_max.max()) * max(1.0, 1.0 / self.h2))
-        self.a_cap = cap if cap > 1.0 else 0.0
-        self.Du = np.empty(self.u.shape + (n,))
-        self.grads = [self.Du[..., i] for i in range(n)]
-        self.differences = [(g, shifted(e[i]), shifted(-e[i]), 2 * ax.h)
-                            for i, (g, ax) in enumerate(zip(self.grads, axes))]
-        self.stencils = [(shifted(e[i]), shifted(-e[i]), ax.h ** 2) for i, ax in enumerate(axes)]
-        self.cross = [(i, j, shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
-                       shifted(e[i] - e[j]), shifted(e[j] - e[i]))
-                      for i in range(n) for j in range(i + 1, n)]
+        cap = sys.float_info.max / (8.0 * float(u_max.max()) * max(1.0, 1.0 / h2))
+        self.a_cap = a_cap = cap if cap > 1.0 else 0.0
+        Du = np.empty(u.shape + (n,))
+        grads = [Du[..., i] for i in range(n)]
+        differences = [(g, shifted(e[i]), shifted(-e[i]), np.array(2 * ax.h))
+                       for i, (g, ax) in enumerate(zip(grads, axes))]
+        stencils = [(shifted(e[i]), shifted(-e[i]), np.array(ax.h ** 2))
+                    for i, ax in enumerate(axes)]
         # |Du|^2 and the stability sum are rows of one buffer, so one
         # reduction over its flat view gives every maximum.  With n = 1 the
         # rows are |Du|^2, a and -a, and coeff writes a into the second one
         # (as (B, N, 1, 1)); with cross terms they are |Du|^2 and S, and
         # coeff writes into a buffer of its own
-        rows = np.empty((2 if self.cross else 3,) + self.u.shape)
-        self.reduced = rows.reshape(len(rows), -1)
-        if self.cross:
-            self.gsq, self.stab = rows
-            self.A = np.empty(self.u.shape + (n, n))
-        else:
-            self.gsq, self.a, self.neg_a = rows
-            self.A = self.a[..., None, None]
-        # work buffers: 2u, the rhs sum, one term at a time, and with cross
-        # terms one more term, the diagonal and the split off-diagonal
-        self.two_u, self.rhs, self.work = (np.empty(self.u.shape) for _ in range(3))
-        if self.cross:
-            self.diag = [np.empty(self.u.shape) for _ in range(n)]
-            self.term, self.pos, self.neg, self.off = (np.empty(self.u.shape) for _ in range(4))
+        rows = np.empty((3 if n == 1 else 2,) + u.shape)
+        reduced = rows.reshape(len(rows), -1)
+        gsq = rows[0]
+        # work buffers: 2u, the rhs sum and one term at a time
+        two_u, rhs, work = (np.empty(u.shape) for _ in range(3))
 
-        # ghost <- source, or <- 2 * source - second for linear extrapolation
-        # (Dirichlet: boundary nodes are overwritten after every step)
-        self.ghosts = []
+        # ghost <- source (periodic, neumann_zero), or <- 2 * source - second
+        # for linear extrapolation (Dirichlet: boundary nodes are overwritten
+        # after every step)
+        copies, extrapolations = [], []
         for ax, N in enumerate(shape):
-            rules = {"periodic": [(0, N, None), (N + 1, 1, None)],
-                     "neumann_zero": [(0, 2, None), (N + 1, N - 1, None)],
-                     "dirichlet": [(0, 1, 2), (N + 1, N, N - 1)]}[bc.kind]
-            self.ghosts += [(ghost_layer(ax, d), ghost_layer(ax, a),
-                             None if b is None else ghost_layer(ax, b)) for d, a, b in rules]
+            if bc.kind == "dirichlet":
+                extrapolations += [(ghost_layer(ax, d), ghost_layer(ax, a), ghost_layer(ax, b))
+                                   for d, a, b in [(0, 1, 2), (N + 1, N, N - 1)]]
+            else:
+                src = {"periodic": (N, 1), "neumann_zero": (2, N - 1)}[bc.kind]
+                copies += [(ghost_layer(ax, d), ghost_layer(ax, a))
+                           for d, a in zip((0, N + 1), src)]
 
         # Dirichlet faces: with n = 1 each is one node, kept with its
         # coordinate x; else its grid shape and its rows of the mesh
-        self.node_faces, self.faces = [], []
-        if bc.kind == "dirichlet":
+        node_faces, faces = [], []
+        dirichlet = bc.kind == "dirichlet"
+        if dirichlet:
             mesh = np.stack(np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij"), axis=-1)
             for ax in range(n):
                 for side in (0, -1):
                     idx = tuple(side if d == ax else slice(None) for d in range(n))
                     points = mesh[idx].reshape(-1, n)
-                    face = self.u[batch + idx]
+                    face = u[batch + idx]
                     if n == 1:
-                        self.node_faces.append((face, points[0, 0]))
+                        node_faces.append((face, points[0, 0]))
                     else:
-                        self.faces.append((face, face.shape[1:], list(points)))
-        self.hot = (self.ghosts, self.differences, self.coeff, self.Du, self.A, self.grads,
-                    self.u, self.h2, self.two_u, self.rhs, self.gsq, self.work)
-        # the guard runs on every step unless steps may be monotone
-        self.dirichlet = bc.kind == "dirichlet"
-        self.guarded = n > 1 or self.dirichlet
+                        faces.append((face, face.shape[1:], list(points)))
 
-    def apply_dirichlet(self, t: float) -> None:
-        value = self.bc.value
-        for face, x in self.node_faces:
-            face[...] = value(x, t)
-        for face, shape, points in self.faces:
-            # values come node by node; reshape them to the face's grid shape
-            face[...] = np.array([value(p, t) for p in points]).reshape(shape)
+        def apply_dirichlet(t):
+            for face, x in node_faces:
+                face[...] = value(x, t)
+            for face, face_shape, points in faces:
+                # values come node by node; reshape them to the face's grid shape
+                face[...] = np.array([value(p, t) for p in points]).reshape(face_shape)
 
-    def rhs_and_dt(self, t: float):
-        """a^ij D_ij u on the batch, and the CFL step from its node-wise
-        stability coefficient maximised over all nodes and members.
+        # the step: closures over the buffers, views and numbers above, with
+        # the ufuncs bound once as closure variables
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        negative, absolute, maximum = np.negative, np.abs, np.maximum
+        max_reduce = maximum.reduce
 
-        The rhs is the stepper's own buffer, overwritten by the next call.
-        """
-        (ghosts, differences, coeff, Du, A, grads, u, h2, two_u, rhs, gsq,
-         work) = self.hot
-        for ghost, a, b in ghosts:
-            if b is None:
-                ghost[...] = a
+        def step_size(t, gsq_max, stab_max):
+            # the gradient clip, then the CFL step; a NaN max S raises here
+            # (it would fail stab_max > 0 and give dt = t_end)
+            gmax = math.sqrt(gsq_max)
+            if gmax > max_grad_clip:
+                raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
+            if stab_max > 0:
+                dt = cfl_safety / (2.0 * stab_max)
+            elif stab_max == 0:
+                dt = t_end
             else:
-                np.add(a, a, out=ghost)
-                ghost -= b
-        for g, p, m, two_h in differences:
-            np.subtract(p, m, out=g)
-            np.divide(g, two_h, out=g)
-        A = coeff(Du, A)
-        # |Du|^2, summed over the axes in order
-        g = grads[0]
-        np.multiply(g, g, out=gsq)
-        for g in grads[1:]:
-            gsq += np.multiply(g, g, out=work)
-        np.add(u, u, out=two_u)
+                raise BlowUpError(f"solution blow-up at t = {t:.3g}: NaN stability coefficient")
+            if dt < dt_floor:
+                raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
+            return dt
 
-        if self.cross:
-            # term k of the rhs and of stab goes straight into the sum when
-            # k = 0, else through term/work and is added on
-            stab, diag, term, pos, neg, off = (
-                self.stab, self.diag, self.term, self.pos, self.neg, self.off)
-            for i, d in enumerate(diag):
-                np.copyto(d, A[..., i, i])
-            k = 0
-            for i, j, pp, mm, pm, mp in self.cross:
-                aij = A[..., i, j]
-                np.maximum(aij, 0.0, out=pos)
-                np.maximum(np.negative(aij, out=neg), 0.0, out=neg)
-                np.add(pos, neg, out=off)
-                out = term if k else rhs
-                np.subtract(pp, two_u, out=out)
-                out += mm
-                out /= h2
-                out *= pos
-                np.subtract(pm, two_u, out=work)
-                work += mp
-                work /= h2
-                work *= neg
-                out += work
-                np.divide(off, h2, out=work if k else stab)
-                if k:
-                    rhs += term
-                    stab += work
-                diag[i] -= off
-                diag[j] -= off
-                k += 1
-            for d, (p, m, h2_axis) in zip(diag, self.stencils):
-                np.subtract(p, two_u, out=term)
-                term += m
-                term /= h2_axis
-                term *= d
-                rhs += term
-                np.divide(np.abs(d, out=work), h2, out=work)
-                stab += work
-            gsq_max, stab_max = np.maximum.reduce(self.reduced, axis=1).tolist()
+        # the guard runs on every step unless steps may be monotone
+        guarded = n > 1 or dirichlet
+        if n == 1:
+            a, neg_a = rows[1], rows[2]
+            A = a[..., None, None]
+            (g, p, m, two_h), = differences
+            h2_axis = stencils[0][2]
+
+            def rhs_and_dt(t):
+                """a u_xx on the batch and the CFL step; the rhs is the
+                stepper's own buffer, overwritten by the next call."""
+                nonlocal guarded
+                for ghost, src in copies:
+                    ghost[...] = src
+                for ghost, src, second in extrapolations:
+                    add(src, src, ghost)
+                    subtract(ghost, second, ghost)
+                subtract(p, m, g)
+                divide(g, two_h, g)
+                coeff(Du, A)
+                multiply(g, g, gsq)
+                add(u, u, two_u)
+                subtract(p, two_u, rhs)
+                add(rhs, m, rhs)
+                divide(rhs, h2_axis, rhs)
+                multiply(rhs, a, rhs)
+                negative(a, neg_a)
+                gsq_max, a_max, neg_max = max_reduce(reduced, 1).tolist()
+                # max|a|, NaN when a holds one; a NaN also fails neg_max <= 0
+                if not (neg_max <= 0.0 and a_max < a_cap):
+                    guarded = True
+                return rhs, step_size(t, gsq_max, (a_max if a_max > neg_max else neg_max) / h2)
         else:
-            # n = 1: the rows are |Du|^2, a and -a
-            a = self.a
-            p, m, h2_axis = self.stencils[0]
-            np.subtract(p, two_u, out=rhs)
-            rhs += m
-            rhs /= h2_axis
-            rhs *= a
-            np.negative(a, out=self.neg_a)
-            gsq_max, a_max, neg_max = np.maximum.reduce(self.reduced, axis=1).tolist()
-            # max|a|, NaN when a holds one; a NaN also fails neg_max <= 0
-            stab_max = (a_max if a_max > neg_max else neg_max) / h2
-            if not (neg_max <= 0.0 and a_max < self.a_cap):
-                self.guarded = True
-        gmax = math.sqrt(gsq_max)
-        if gmax > self.max_grad_clip:
-            raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
-        dt = self.cfl_safety / (2.0 * stab_max) if stab_max > 0 else self.t_end
-        if dt < self.dt_floor:
-            raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
-        return rhs, dt
+            stab = rows[1]
+            zero, h2_0d = np.array(0.0), np.array(h2)
+            A = np.empty(u.shape + (n, n))
+            # the diagonal, and one more term with the split off-diagonal
+            diag = [np.empty(u.shape) for _ in range(n)]
+            term, pos, neg, off = (np.empty(u.shape) for _ in range(4))
+            diagonal = [(d, A[..., i, i]) for i, d in enumerate(diag)]
+            # cross term k goes straight into the rhs and S sums when k = 0,
+            # else through term and work and is added on
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            cross = [(A[..., i, j], diag[i], diag[j], shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
+                      shifted(e[i] - e[j]), shifted(e[j] - e[i]), k > 0)
+                     for k, (i, j) in enumerate(pairs)]
+            axis_terms = [(d,) + s for d, s in zip(diag, stencils)]
+            g0, later_grads = grads[0], grads[1:]
 
-    def advance(self, t_new: float, dt: float, rhs: np.ndarray) -> None:
-        """u += dt * rhs (rhs is scaled in place), then the Dirichlet faces
-        and, unless every step so far was monotone, the blow-up guard."""
-        u = self.u
-        rhs *= dt
-        u += rhs
-        if self.dirichlet:
-            self.apply_dirichlet(t_new)
-        if self.guarded:
-            # a NaN fails both comparisons
-            au = np.abs(u, out=self.work)
-            if not np.maximum.reduce(au, axis=None) <= self.limit_min:
-                if not (np.maximum.reduce(au, axis=self.grid_axes) <= self.limit).all():
-                    raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
+            def rhs_and_dt(t):
+                """a^ij D_ij u on the batch and the CFL step from its
+                node-wise stability coefficient maximised over all nodes and
+                members; the rhs is the stepper's own buffer, overwritten by
+                the next call."""
+                for ghost, src in copies:
+                    ghost[...] = src
+                for ghost, src, second in extrapolations:
+                    add(src, src, ghost)
+                    subtract(ghost, second, ghost)
+                for g, p, m, two_h in differences:
+                    subtract(p, m, g)
+                    divide(g, two_h, g)
+                coeff(Du, A)
+                # |Du|^2, summed over the axes in order
+                multiply(g0, g0, gsq)
+                for g in later_grads:
+                    add(gsq, multiply(g, g, work), gsq)
+                add(u, u, two_u)
+                for d, aii in diagonal:
+                    d[...] = aii
+                for aij, di, dj, pp, mm, pm, mp, later in cross:
+                    maximum(aij, zero, out=pos)
+                    maximum(negative(aij, neg), zero, out=neg)
+                    add(pos, neg, off)
+                    out = term if later else rhs
+                    subtract(pp, two_u, out)
+                    add(out, mm, out)
+                    divide(out, h2_0d, out)
+                    multiply(out, pos, out)
+                    subtract(pm, two_u, work)
+                    add(work, mp, work)
+                    divide(work, h2_0d, work)
+                    multiply(work, neg, work)
+                    add(out, work, out)
+                    divide(off, h2_0d, work if later else stab)
+                    if later:
+                        add(rhs, term, rhs)
+                        add(stab, work, stab)
+                    subtract(di, off, di)
+                    subtract(dj, off, dj)
+                for d, p, m, h2_axis in axis_terms:
+                    subtract(p, two_u, term)
+                    add(term, m, term)
+                    divide(term, h2_axis, term)
+                    multiply(term, d, term)
+                    add(rhs, term, rhs)
+                    divide(absolute(d, work), h2_0d, work)
+                    add(stab, work, stab)
+                gsq_max, stab_max = max_reduce(reduced, 1).tolist()
+                return rhs, step_size(t, gsq_max, stab_max)
+
+        def advance(t_new, dt, rhs):
+            """u += dt * rhs (rhs is scaled in place), then the Dirichlet
+            faces and, unless every step so far was monotone, the blow-up
+            guard."""
+            multiply(rhs, dt, rhs)
+            add(u, rhs, u)
+            if dirichlet:
+                apply_dirichlet(t_new)
+            if guarded:
+                # a NaN fails both comparisons
+                au = absolute(u, work)
+                if not max_reduce(au, None) <= limit_min:
+                    if not (max_reduce(au, grid_axes) <= limit).all():
+                        raise BlowUpError(f"solution blow-up at t = {t_new:.3g}")
+
+        self.apply_dirichlet, self.rhs_and_dt, self.advance = apply_dirichlet, rhs_and_dt, advance
+        self._guarded = lambda: guarded
+
+    @property
+    def guarded(self) -> bool:
+        """Whether ``advance`` runs the blow-up guard."""
+        return self._guarded()
 
 
 def prep_output_times(plan: TimeStepPlan, output_times) -> list:
@@ -504,12 +544,23 @@ def solve_auxiliary_phi(profile: DegeneracyProfile, grid: Grid1D, plan: TimeStep
         raise ValueError("auxiliary phi needs a bounded grid on [0, Z_max]")
     z = grid.nodes()
     u0 = np.clip(z / (2 * grid.h), 0.0, 1.0)
+    bc = BoundaryCondition("dirichlet", value=lambda x, t: 0.0 if x <= 0.0 else 1.0)
+    traj = evolve(_auxiliary_phi_flow(profile), Field(grid, u0), bc, plan, output_times)
+    slopes = []
+    for t, f in traj.snapshots:
+        v = f.values
+        slopes.append(float((-3 * v[0] + 4 * v[1] - v[2]) / (2 * grid.h)))
+    return traj, slopes
+
+
+def _auxiliary_phi_flow(profile: DegeneracyProfile) -> GraphFlowND:
+    """The n = 1 flow phi_t = 4 alpha_tilde(|phi'|) phi'' of ``solve_auxiliary_phi``."""
     alpha_tilde = profile.alpha_tilde
 
     def a(p, out=None):
         return np.multiply(4.0, np.asarray(alpha_tilde(np.abs(p)), dtype=float), out=out)
 
-    flow = scalar_flow(
+    return scalar_flow(
         a,
         A0=4.0 * profile.A0,
         P=profile.P,
@@ -517,10 +568,3 @@ def solve_auxiliary_phi(profile: DegeneracyProfile, grid: Grid1D, plan: TimeStep
         Lambda_of_K=lambda K: 4.0 * max(float(alpha_tilde(s)) for s in np.linspace(0, K, 65)),
         name="auxiliary-phi",
     )
-    bc = BoundaryCondition("dirichlet", value=lambda x, t: 0.0 if x <= 0.0 else 1.0)
-    traj = evolve(flow, Field(grid, u0), bc, plan, output_times)
-    slopes = []
-    for t, f in traj.snapshots:
-        v = f.values
-        slopes.append(float((-3 * v[0] + 4 * v[1] - v[2]) / (2 * grid.h)))
-    return traj, slopes

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +359,69 @@ def test_stepper_matches_term_by_term_oracle(flow_id, bc_kind, batch):
     assert not np.array_equal(u, u0)
 
 
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("flow_id, bc_kind", [("csf", "periodic"), ("csf", "neumann_zero"),
+                                              ("csf", "dirichlet"), ("mcf2d", "periodic"),
+                                              ("mcf2d", "dirichlet")])
+def test_whole_runs_match_a_term_by_term_loop(flow_id, bc_kind, batch):
+    # evolve (B = 1) and evolve_pair_ordered (B = 2) against a plain loop over
+    # the term-by-term oracle: the snapshots, the step clipped to each output
+    # time, dt_stats and the gap series agree bit for bit
+    flow = flows.get_flow(flow_id)
+    n = flow.n
+    ax = Grid1D(0.0, 2 * np.pi, {1: 32, 2: 12}[n],
+                "periodic" if bc_kind == "periodic" else "bounded")
+    grid = ax if n == 1 else GridND((ax,) * n)
+    mesh = np.stack(np.meshgrid(*[ax.nodes()] * n, indexing="ij"), axis=-1)
+    rng = np.random.default_rng(5 + n)
+    low = np.sin(mesh @ rng.uniform(-2, 2, n)) + 0.05 * rng.standard_normal(mesh.shape[:-1])
+    u0 = np.stack([low, low + 0.1 + 0.1 * rng.random(low.shape)][:batch])
+
+    def value(p, t):
+        return 0.1 * float(np.sum(p)) + t
+    bc = BoundaryCondition(bc_kind, value=value if bc_kind == "dirichlet" else None)
+    faces = [(slice(None),) + tuple(side if d == a else slice(None) for d in range(n))
+             for a in range(n) for side in (0, -1)] if bc_kind == "dirichlet" else []
+
+    def oracle_dirichlet(u, t):
+        for idx in faces:
+            points = mesh[idx[1:]]
+            u[idx] = np.array([value(p, t) for p in points.reshape(-1, n)]).reshape(points.shape[:-1])
+
+    plan = TimeStepPlan(t_end=0.3)
+    times = [0.0123, 0.1, 0.3]
+    u = u0.copy()
+    oracle_dirichlet(u, 0.0)
+    gaps = [np.min(u[-1] - u[0])]
+    snapshots = [(0.0, u0)]
+    t, dts, clipped, pending = 0.0, [], 0, list(times)
+    while pending:
+        rhs, dt = _oracle_rhs_and_dt(flow, u, bc_kind, [ax.h] * n, plan)
+        if pending[0] - t < dt:
+            dt = pending[0] - t
+            clipped += 1
+        t += dt
+        u += dt * rhs
+        oracle_dirichlet(u, t)
+        dts.append(dt)
+        gaps.append(np.min(u[-1] - u[0]))
+        if t >= pending[0] - 1e-14:
+            t = pending.pop(0)
+            snapshots.append((t, u.copy()))
+    assert clipped == len(times) and len(dts) > 2 * len(times)
+
+    fields = [Field(grid, v) for v in u0]
+    if batch == 1:
+        trajs = [evolve(flow, *fields, bc, plan, times)]
+    else:
+        *trajs, gap_series = evolve_pair_ordered(flow, *fields, bc, plan, times)
+        assert _same_bits(gap_series, np.array(gaps))
+    for k, traj in enumerate(trajs):
+        assert [t for t, _ in traj.snapshots] == [t for t, _ in snapshots]
+        assert all(_same_bits(f.values, v[k]) for (_, f), (_, v) in zip(traj.snapshots, snapshots))
+        assert traj.dt_stats == {"n_steps": len(dts), "dt_min": min(dts), "dt_max": max(dts)}
+
+
 # --- the solution blow-up guard ----------------------------------------------
 
 
@@ -469,6 +533,36 @@ def test_nan_coefficient_raises_at_its_step(k):
         evolve(dataclasses.replace(csf, coeff=coeff), Field(g, np.sin(g.nodes())),
                BoundaryCondition("periodic"), TimeStepPlan(t_end=1.0))
     assert len(calls) == k
+
+
+@pytest.mark.parametrize("flow_id", ["csf", "mcf2d"])
+def test_nan_coefficient_reports_the_time_of_its_step(flow_id):
+    # a NaN at the 3rd coefficient call raises at step 3, with the t that step
+    # starts from, not after a step of t_end clipped to the next output time
+    flow = flows.get_flow(flow_id)
+    ax = Grid1D(0.0, 2 * np.pi, {1: 32, 2: 16}[flow.n], "periodic")
+    grid = ax if flow.n == 1 else GridND((ax,) * flow.n)
+    mesh = np.stack(np.meshgrid(*[ax.nodes()] * flow.n, indexing="ij"), axis=-1)
+    u0 = 0.3 * np.sin(mesh @ np.arange(1.0, flow.n + 1.0))
+    bc, plan = BoundaryCondition("periodic"), TimeStepPlan(t_end=1.0)
+    stepper = _Stepper(flow, grid, u0[None], bc, plan)
+    t = 0.0
+    for _ in range(2):
+        rhs, dt = stepper.rhs_and_dt(t)
+        t += dt
+        stepper.advance(t, dt, rhs)
+    calls = []
+
+    def coeff(Du, out=None):
+        calls.append(1)
+        A = flow.coeff(Du, out)
+        if len(calls) == 3:
+            A.fill(np.nan)
+        return A
+
+    with pytest.raises(BlowUpError, match=re.escape(f"solution blow-up at t = {t:.3g}:")):
+        evolve(dataclasses.replace(flow, coeff=coeff), Field(grid, u0), bc, plan, [0.5, 1.0])
+    assert len(calls) == 3 and f"{t:.3g}" != "0.5"
 
 
 def test_dirichlet_face_above_the_limit_raises_at_step_1():
