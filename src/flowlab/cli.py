@@ -4,7 +4,7 @@ Subcommands:
   run      evolve one configured experiment and emit reports
   sweep    run a config over a grid of parameter overrides
   certify  structural certificate for a flow or norm id
-  list     show catalog ids, initial-data kinds and check types
+  list     show catalog ids and the keys of every config section
 
 Outputs are deterministic: given the same config and seed the emitted
 manifest, field CSVs and report JSONs are byte-identical.
@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import finsler, flows, verify
-from .config import CHECK_TYPES, INITIAL_KINDS, ConfigError, ExperimentConfig, load_config
+from .config import (CHECK_TYPES, REQUIRED, SCHEMA, ConfigError, ExperimentConfig, Select,
+                     load_config)
 from .solver import SolverError, evolve
 
 
@@ -53,11 +54,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
             rep = CHECK_TYPES[params["type"]].build(params, traj)
         except verify.PreconditionError as e:
             lines.append(f"ERROR {name}: {e}")
-            failed_asserted = failed_asserted or params.get("assert", True)
+            failed_asserted = failed_asserted or params["assert"]
             continue
         rep.to_json(os.path.join(reports_dir, f"{name}.json"))
         line = rep.summary_line()
-        if not params.get("assert", True):
+        if not params["assert"]:
             line += "  (report-only)"
         elif not rep.passed:
             failed_asserted = True
@@ -92,7 +93,7 @@ def _parse_overrides(spec: str) -> dict:
 def _apply_override(cfg_path: str, assignments: dict, tmp_path: str) -> None:
     import configparser
 
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     cp.read(cfg_path)
     for path, value in assignments.items():
@@ -177,6 +178,26 @@ def cmd_certify(args) -> int:
     return 0
 
 
+def _key_text(key: str, spec) -> str:
+    _, default, within = spec
+    text = key + (" (required)" if default is REQUIRED else " (optional)" if default is None
+                  else f" = {default}")
+    return text + (f" in {within}" if within else "")
+
+
+def _describe(node, indent: str) -> tuple[str, list]:
+    """A config schema node's own keys as one text, each with its default
+    (or "required") and range, and the lines of its variants below it."""
+    if not isinstance(node, Select):
+        return ", ".join(_key_text(*item) for item in node.items()) or "no keys", []
+    own = [*node.common.items(), (node.key, (str, node.default, ""))]
+    lines = []
+    for value, sub in node.variants.items():
+        text, below = _describe(sub, indent + "  ")
+        lines += [f"{indent}{value}{'<...>' if value.endswith(':') else ''}: {text}", *below]
+    return ", ".join(_key_text(*item) for item in own) + f"; by {node.key}:", lines
+
+
 def cmd_list(args) -> int:
     print("flows:")
     for fid in flows.catalog_ids():
@@ -184,12 +205,10 @@ def cmd_list(args) -> int:
     print("norms:")
     for nf in finsler.builtin_norms(2):
         print(f"  {nf.id}")
-    print("initial data kinds:")
-    for kind in INITIAL_KINDS:
-        print(f"  {kind}")
-    print("check types:")
-    for ctype in CHECK_TYPES:
-        print(f"  {ctype}")
+    print("config sections:")
+    for section, node in SCHEMA.items():
+        text, below = _describe(node, "    ")
+        print(f"  [{section}{'<name>' if section.endswith(':') else ''}] {text}", *below, sep="\n")
     return 0
 
 
@@ -226,7 +245,7 @@ def main(argv=None) -> int:
     p_cert.add_argument("--s-max", type=float, default=1e3)
     p_cert.set_defaults(func=cmd_certify)
 
-    p_list = sub.add_parser("list", help="show catalog and check ids")
+    p_list = sub.add_parser("list", help="show catalog ids and config keys")
     p_list.set_defaults(func=cmd_list)
 
     args = parser.parse_args(argv)

@@ -1,18 +1,20 @@
 """Experiment configuration: INI-style files binding flows, grids, initial
 data, boundary conditions, time plans and checks.
 
-Sections: [flow], [grid], [initial], [bc], [plan], [run], and one
-[check:<name>] per requested check; CHECK_TYPES maps each check type to the
-builder that runs it on a trajectory and the keys its section takes.
-Validation errors carry the offending field path (e.g. "flow.id"), and a
-key that a [flow] or [check:<name>] section does not take is one.
+SCHEMA declares every section once: [flow], [grid], [initial], [bc],
+[plan], [run], and one [check:<name>] per requested check.  Each Key has a
+parser, a default or REQUIRED, and a range; a Select gives the keys per
+value of a selector key (the flow id, the initial or bc kind, the check
+type, the convergence modulus).  ``load_config`` walks the table: an
+unknown, missing, unparsable or out-of-range key is a ConfigError naming
+its field (e.g. "plan.t_end") before anything evolves.
 """
 
 from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,125 +22,212 @@ from . import barriers, flows, verify
 from .fields import Field, Grid1D
 from .solver import BoundaryCondition, TimeStepPlan, prep_output_times, shared_snapshot_name
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "INITIAL_KINDS", "CHECK_TYPES",
-           "CheckType"]
+__all__ = ["ExperimentConfig", "ConfigError", "load_config", "SCHEMA", "INITIAL_KINDS",
+           "CHECK_TYPES", "Kind", "Key", "Select", "REQUIRED"]
 
-INITIAL_KINDS = ("sin", "cos", "abspow", "zigzag", "step", "crenel", "cone")
-
-
-def _t_window(params: dict):
-    if "t_lo" in params or "t_hi" in params:
-        return (params.get("t_lo", 0.0), params.get("t_hi", np.inf))
-    return None
+REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class CheckType:
-    """How a [check:<name>] section runs: ``build(params, trajectory)``
-    returns its VerificationReport; the section must set every key in
-    ``required`` and may set those in ``optional`` (besides type and
-    assert).  MODULI uses it for the modulus of a convergence check, whose
-    ``build(params)`` returns the ModulusOfContinuity and whose keys the
-    section takes as well.  ``bad_value(params)`` returns (key, reason) for
-    a value that ``build`` would reject, or None, so that it is found when
-    the file is loaded rather than after the evolve."""
+class Key(NamedTuple):
+    """One key of a section: ``parse(text)`` raises ValueError on bad text,
+    and the value must lie ``within`` an interval "(lo, hi]" or a tuple of
+    words ("" for any value).  A default of None leaves the key unset."""
+
+    parse: Callable = float
+    default: object = REQUIRED
+    within: object = ""
+
+
+class Select(NamedTuple):
+    """Keys that depend on the value of the selector ``key``: every value
+    takes the ``common`` keys and those of ``variants[value]``, a dict of
+    Keys or a nested Select.  An id "<family>:<spec>" selects the variant
+    "<family>:"."""
+
+    key: str
+    variants: dict
+    default: object = REQUIRED
+    common: dict = {}
+
+
+class Kind(NamedTuple):
+    """The ``keys`` one selector value takes, and ``build``, which reads
+    them with defaults filled in: ``build(params, trajectory)`` of a check
+    type, ``build(params)`` of a modulus, ``build(params, x)`` of an
+    initial kind."""
 
     build: Callable
-    required: tuple = ()
-    optional: tuple = ()
-    bad_value: Callable = lambda params: None
+    keys: dict | Select
 
 
-WINDOW = ("t_lo", "t_hi")
-
-
-def _holder_bad_value(params):
+def _bool(text: str) -> bool:
     try:
-        verify.holder_modulus(params["alpha"])
-    except ValueError as e:
-        return "alpha", str(e)
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a boolean")
 
+
+def _floats(text: str) -> list | None:
+    return [float(v) for v in text.replace(",", " ").split()] or None  # empty: unset
+
+
+def _t_window(p: dict):
+    """(t_lo, t_hi), or None for the default window, which is no window."""
+    return None if (p["t_lo"], p["t_hi"]) == (0.0, np.inf) else (p["t_lo"], p["t_hi"])
+
+
+POSITIVE = "(0, inf)"
+WINDOW = {"t_lo": Key(float, 0.0), "t_hi": Key(float, np.inf)}
+GRID_TOL = {"grid_tol": Key(float, 0.0)}
+WAVE = {"amplitude": Key(float, 1.0), "frequency": Key(float, 1.0), "phase": Key(float, 0.0)}
+STEP = {"height": Key(float, 1.0, POSITIVE), "jump": Key(float, 0.0),
+        "eps": Key(float, 0.0, "[0, inf)")}
+
+
+def _step(p, x, **mode):
+    sd = barriers.StepData(M=p["height"], s=p["jump"], eps=p["eps"], **mode)
+    return barriers.step_eval(sd, x)
+
+
+def _zigzag(p, x):
+    per = p["period"]
+    return p["amplitude"] * (0.5 - np.abs(np.mod(x - p["center"], per) / per - 0.5)) * 2.0
+
+
+INITIAL_KINDS = {
+    "sin": Kind(lambda p, x: p["amplitude"] * np.sin(p["frequency"] * x + p["phase"]), WAVE),
+    "cos": Kind(lambda p, x: p["amplitude"] * np.cos(p["frequency"] * x + p["phase"]), WAVE),
+    "abspow": Kind(lambda p, x: p["amplitude"] * np.abs(x - p["center"]) ** p["exponent"],
+                   {"amplitude": Key(float, 1.0), "center": Key(float, 0.0),
+                    "exponent": Key(float, 1.0)}),
+    "zigzag": Kind(_zigzag, {"amplitude": Key(float, 1.0), "period": Key(float, 1.0, POSITIVE),
+                             "center": Key(float, 0.0)}),
+    "step": Kind(_step, STEP),
+    "crenel": Kind(lambda p, x: _step(p, x, mode="crenellated", R=p["R"]),
+                   {**STEP, "R": Key(float, 1.0, POSITIVE)}),
+    "cone": Kind(lambda p, x: p["slope"] * np.abs(x - p["center"]),
+                 {"slope": Key(float, 1.0), "center": Key(float, 0.0)}),
+}
 
 MODULI = {
-    "lipschitz": CheckType(lambda params: verify.lipschitz_modulus(params["L"]), ("L",)),
-    "holder": CheckType(lambda params: verify.holder_modulus(params["alpha"],
-                                                             params.get("C", 1.0)),
-                        ("alpha",), ("C",), _holder_bad_value),
+    "lipschitz": Kind(lambda p: verify.lipschitz_modulus(p["L"]), {"L": Key()}),
+    "holder": Kind(lambda p: verify.holder_modulus(p["alpha"], p["C"]),
+                   {"alpha": Key(within="(0, 1]"), "C": Key(float, 1.0)}),
 }
-
-
-def _heat_zero_counting(params, traj):
-    return verify.heat_zero_counting_gradient(
-        traj, M=params["M"], c=params["c"],
-        rel_tol=params.get("rel_tol", 0.02),
-        tail_floor=params.get("tail_floor", 0.0))
-
-
-def _double_coordinate(params, traj):
-    return verify.double_coordinate_defect(
-        traj, barriers.PsiBarrier(c=params["c"]), params["M"],
-        region=params.get("region", "full"), t_window=_t_window(params))
-
-
-def _convergence(params, traj):
-    omega = MODULI[params.get("modulus", "lipschitz")].build(params)
-    return verify.convergence_to_initial_data(traj, omega, grid_tol=params.get("grid_tol", 0.0))
-
-
-def _eh_bound(params, traj):
-    return verify.eh_bound_check(
-        traj, params["M"], kind=params.get("kind", "periodic"),
-        c=params["c"], q=params.get("q", 2.0), R=params.get("R"),
-        T_prime=params.get("T_prime", np.inf),
-        t_min=params.get("t_min", 0.0),
-        grid_tol=params.get("grid_tol", 0.0))
-
-
-def _eh_bound_bad_value(params):
-    kind = params.get("kind", "periodic")
-    if kind not in verify.EH_BOUND_KINDS:
-        return "kind", f"unknown kind {kind!r}; choose from {verify.EH_BOUND_KINDS}"
-    if kind == "interior" and "R" not in params:
-        return "R", "missing; kind = interior needs R"
-
-
-def _gradient_bound(params, traj):
-    coeff = params["coeff"]
-    power = params.get("power", -0.5)
-    return verify.gradient_bound_check(
-        traj, lambda t: coeff * t ** power,
-        grid_tol=params.get("grid_tol", 0.0), t_window=_t_window(params))
-
 
 CHECK_TYPES = {
-    "heat_zero_counting": CheckType(_heat_zero_counting, ("M", "c"), ("rel_tol", "tail_floor")),
-    "double_coordinate": CheckType(_double_coordinate, ("M", "c"), ("region",) + WINDOW),
-    # plus the keys of the modulus (MODULI)
-    "convergence": CheckType(_convergence, (), ("modulus", "grid_tol")),
-    "eh_bound": CheckType(_eh_bound, ("M", "c"),
-                          ("kind", "q", "R", "T_prime", "t_min", "grid_tol"), _eh_bound_bad_value),
-    "gradient_bound": CheckType(_gradient_bound, ("coeff",), ("power", "grid_tol") + WINDOW),
+    "heat_zero_counting": Kind(
+        lambda p, traj: verify.heat_zero_counting_gradient(
+            traj, M=p["M"], c=p["c"], rel_tol=p["rel_tol"], tail_floor=p["tail_floor"]),
+        {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
+         "rel_tol": Key(float, 0.02), "tail_floor": Key(float, 0.0)}),
+    "double_coordinate": Kind(
+        lambda p, traj: verify.double_coordinate_defect(
+            traj, barriers.PsiBarrier(c=p["c"]), p["M"], region=p["region"],
+            t_window=_t_window(p)),
+        {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
+         "region": Key(str, "full", ("full", "G")), **WINDOW}),
+    "convergence": Kind(
+        lambda p, traj: verify.convergence_to_initial_data(
+            traj, MODULI[p["modulus"]].build(p), grid_tol=p["grid_tol"]),
+        Select("modulus", {m: k.keys for m, k in MODULI.items()}, "lipschitz", GRID_TOL)),
+    "gradient_bound": Kind(
+        lambda p, traj: verify.gradient_bound_check(
+            traj, lambda t: p["coeff"] * t ** p["power"], grid_tol=p["grid_tol"],
+            t_window=_t_window(p)),
+        {"coeff": Key(), "power": Key(float, -0.5), **GRID_TOL, **WINDOW}),
 }
-# the check keys whose values are words; every other key is a number
-TEXT_KEYS = ("region", "kind", "modulus")
 
-
-def _check_keys(section: str, params: dict, spec: CheckType) -> None:
-    for key in spec.required:
-        if key not in params:
-            raise ConfigError(f"{section}.{key}", "missing")
-    for key in params:
-        if key not in spec.required + spec.optional:
-            raise ConfigError(f"{section}.{key}", "unknown key; it takes "
-                              f"{spec.required + spec.optional + ('type', 'assert')}")
-        if isinstance(params[key], str) and key not in TEXT_KEYS:
-            raise ConfigError(f"{section}.{key}", f"{params[key]!r} is not a number")
+SCHEMA = {
+    "flow": Select("id", flows.FLOW_PARAMS),
+    "grid": {"x_lo": Key(), "x_hi": Key(), "n_cells": Key(int, within="[4, inf)"),
+             "topology": Key(str, "bounded", ("bounded", "periodic"))},
+    "initial": Select("kind", {k: ik.keys for k, ik in INITIAL_KINDS.items()}, "sin"),
+    # kind defaults to the one the grid's topology takes; value None holds
+    # the initial data at the ends
+    "bc": Select("kind", {"periodic": {}, "dirichlet": {"value": Key(float, None)},
+                          "neumann_zero": {}}, None),
+    "plan": {"t_end": Key(within=POSITIVE), "cfl_safety": Key(float, 0.5, "(0, 1)"),
+             "max_grad_clip": Key(float, 100.0, POSITIVE),
+             "output_times": Key(_floats, None)},  # None: [t_end]
+    "run": {"seed": Key(int, 0)},
+    "check:": Select("type", {t: k.keys for t, k in CHECK_TYPES.items()},
+                     common={"assert": Key(_bool, True)}),
+}
 
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _family(name: str) -> str:
+    """The table entry of a name: "<family>:" for "<family>:<spec>"."""
+    head, colon, _ = name.partition(":")
+    return head + colon
+
+
+def _within(v, within) -> bool:
+    if isinstance(within, tuple):
+        return v in within
+    lo, hi = (float(b) for b in within[1:-1].split(","))
+    return ((lo < v if within[0] == "(" else lo <= v)
+            and (v < hi if within[-1] == ")" else v <= hi))
+
+
+def _read(section: str, node, raw: dict, check=None) -> tuple[dict, dict]:
+    """Parse the text values ``raw`` of a section by its schema node.
+    Returns the values the section sets, with each selector's value, and
+    the keys it takes.  ``check(values)`` runs before keys the section does
+    not take are rejected."""
+    values, keys, owner = {}, {}, section
+    while isinstance(node, Select):
+        keys.update(node.common)
+        owner = raw.get(node.key, node.default)
+        if owner is REQUIRED:
+            raise ConfigError(f"{section}.{node.key}", "missing")
+        if _family(owner) not in node.variants:
+            raise ConfigError(f"{section}.{node.key}", f"unknown {node.key} {owner!r}; "
+                              f"choose from {tuple(node.variants)}")
+        values[node.key] = owner
+        node = node.variants[_family(owner)]
+    keys.update(node)
+    for key, (parse, default, within) in keys.items():
+        path = f"{section}.{key}"
+        if key not in raw:
+            if default is REQUIRED:
+                raise ConfigError(path, "missing")
+            continue
+        try:
+            values[key] = parse(raw[key])
+        except ValueError as e:
+            raise ConfigError(path, str(e))
+        if within and not _within(values[key], within):
+            raise ConfigError(path, f"{key} = {values[key]!r} must lie in {within}")
+    if check:
+        check(values)
+    for key in raw:
+        if key not in keys and key not in values:
+            raise ConfigError(f"{section}.{key}", f"{owner!r} takes no parameter {key!r}; "
+                              f"it takes {tuple(keys)}")
+    return values, keys
+
+
+def _one_d_flow(values: dict) -> None:
+    """The [flow] check: its id names a flow, 1-D with these parameters."""
+    params = dict(values)
+    flow_id = params.pop("id")
+    try:
+        flow = flows.get_flow(flow_id, **params)
+    except (KeyError, ValueError) as e:
+        raise ConfigError("flow.id", e.args[0])
+    if flow.n != 1:
+        raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
+
+
+def _defaults(keys: dict) -> dict:
+    return {key: default for key, (_, default, _) in keys.items()}
 
 
 @dataclass
@@ -159,33 +248,9 @@ class ExperimentConfig:
         return flows.get_flow(self.flow_id, **self.flow_params)
 
     def build_initial(self) -> Field:
-        x = self.grid.nodes()
-        p = self.initial_params
-        kind = self.initial_kind
-        A = p.get("amplitude", 1.0)
-        if kind == "sin":
-            vals = A * np.sin(p.get("frequency", 1.0) * x + p.get("phase", 0.0))
-        elif kind == "cos":
-            vals = A * np.cos(p.get("frequency", 1.0) * x + p.get("phase", 0.0))
-        elif kind == "abspow":
-            vals = A * np.abs(x - p.get("center", 0.0)) ** p.get("exponent", 1.0)
-        elif kind == "zigzag":
-            per = p.get("period", 1.0)
-            vals = A * (0.5 - np.abs(np.mod(x - p.get("center", 0.0), per) / per - 0.5)) * 2.0
-        elif kind == "step":
-            sd = barriers.StepData(M=p.get("height", 1.0), s=p.get("jump", 0.0),
-                                   eps=p.get("eps", 0.0))
-            vals = barriers.step_eval(sd, x)
-        elif kind == "crenel":
-            sd = barriers.StepData(M=p.get("height", 1.0), s=p.get("jump", 0.0),
-                                   mode="crenellated", R=p.get("R", 1.0),
-                                   eps=p.get("eps", 0.0))
-            vals = barriers.step_eval(sd, x)
-        elif kind == "cone":
-            vals = p.get("slope", 1.0) * np.abs(x - p.get("center", 0.0))
-        else:
-            raise ConfigError("initial.kind", f"unknown kind {kind!r}")
-        return Field(self.grid, vals)
+        kind = INITIAL_KINDS[self.initial_kind]
+        p = {**_defaults(kind.keys), **self.initial_params}
+        return Field(self.grid, kind.build(p, self.grid.nodes()))
 
     def build_bc(self) -> BoundaryCondition:
         if self.bc_kind == "dirichlet":
@@ -204,87 +269,44 @@ class ExperimentConfig:
         return BoundaryCondition(self.bc_kind)
 
 
-def _floats(text: str) -> list:
-    return [float(v) for v in text.replace(",", " ").split()]
-
-
-def _section_params(cp, section, skip=()) -> dict:
-    out = {}
-    if not cp.has_section(section):
-        return out
-    for key, val in cp.items(section):
-        if key in skip:
-            continue
-        try:
-            out[key] = float(val)
-        except ValueError:
-            out[key] = val
-    return out
-
-
 def load_config(path) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)  # values are literal text
     cp.optionxform = str  # keep key case (M vs m matters for check params)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as e:
+        raise ConfigError("(file)", str(e))
     if not read:
         raise ConfigError("(file)", f"cannot read config {path!r}")
+    for name in cp.sections():
+        if _family(name) not in SCHEMA:
+            raise ConfigError(name, f"unknown section; sections are {tuple(SCHEMA)}")
 
-    for required in ("flow", "grid", "plan"):
-        if not cp.has_section(required):
-            raise ConfigError(required, "missing section")
+    def section(name, check=None, **defaults):
+        raw = {**defaults, **(dict(cp.items(name)) if cp.has_section(name) else {})}
+        values, keys = _read(name, SCHEMA[_family(name)], raw, check)
+        return values, {**_defaults(keys), **values}
 
-    flow_id = cp.get("flow", "id", fallback=None)
-    if flow_id is None:
-        raise ConfigError("flow.id", "missing")
-    flow_params = _section_params(cp, "flow", skip=("id",))
+    flow_params, _ = section("flow", _one_d_flow)
+    flow_id = flow_params.pop("id")
+
+    _, g = section("grid")
+    if not g["x_lo"] < g["x_hi"]:
+        raise ConfigError("grid.x_hi", f"x_hi = {g['x_hi']!r} must exceed x_lo = {g['x_lo']!r}")
+    grid = Grid1D(**g)
+
+    initial_params, _ = section("initial")
+    initial_kind = initial_params.pop("kind")
+
+    _, bc = section("bc", kind="periodic" if grid.topology == "periodic" else "neumann_zero")
+    if (bc["kind"] == "periodic") != (grid.topology == "periodic"):
+        raise ConfigError("bc.kind", f"{bc['kind']} bc on a {grid.topology} grid")
+
+    _, p = section("plan")
+    out_times = p.pop("output_times")
+    plan = TimeStepPlan(**p)
     try:
-        accepted = flows.flow_params(flow_id)
-        flow = flows.get_flow(flow_id, **{k: v for k, v in flow_params.items() if k in accepted})
-    except KeyError:
-        raise ConfigError("flow.id", f"unknown flow id {flow_id!r}")
-    except ValueError as e:
-        raise ConfigError("flow", str(e))
-    if flow.n != 1:
-        raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
-    for key in flow_params:
-        if key not in accepted:
-            raise ConfigError(f"flow.{key}", f"{flow_id!r} takes no parameter {key!r}; "
-                              f"it takes {accepted}")
-
-    try:
-        grid = Grid1D(
-            x_lo=cp.getfloat("grid", "x_lo"),
-            x_hi=cp.getfloat("grid", "x_hi"),
-            n_cells=cp.getint("grid", "n_cells"),
-            topology=cp.get("grid", "topology", fallback="bounded"),
-        )
-    except (configparser.NoOptionError, ValueError) as e:
-        raise ConfigError("grid", str(e))
-
-    initial_kind = cp.get("initial", "kind", fallback="sin")
-    if initial_kind not in INITIAL_KINDS:
-        raise ConfigError("initial.kind",
-                          f"unknown kind {initial_kind!r}; choose from {INITIAL_KINDS}")
-    initial_params = _section_params(cp, "initial", skip=("kind",))
-
-    bc_kind = cp.get("bc", "kind", fallback=None)
-    if bc_kind is None:
-        bc_kind = "periodic" if grid.topology == "periodic" else "neumann_zero"
-    if bc_kind not in ("periodic", "dirichlet", "neumann_zero"):
-        raise ConfigError("bc.kind", f"unknown bc kind {bc_kind!r}")
-    bc_value = cp.getfloat("bc", "value", fallback=None) if cp.has_section("bc") else None
-
-    try:
-        plan = TimeStepPlan(
-            t_end=cp.getfloat("plan", "t_end"),
-            cfl_safety=cp.getfloat("plan", "cfl_safety", fallback=0.5),
-            max_grad_clip=cp.getfloat("plan", "max_grad_clip", fallback=100.0),
-        )
-    except (configparser.NoOptionError, ValueError) as e:
-        raise ConfigError("plan", str(e))
-    out_text = cp.get("plan", "output_times", fallback=None)
-    try:
-        output_times = prep_output_times(plan, _floats(out_text) if out_text else None)
+        output_times = prep_output_times(plan, out_times)
     except ValueError as e:
         raise ConfigError("plan.output_times", str(e))
     # the snapshots at t = 0 and at each output time need distinct file names
@@ -292,33 +314,8 @@ def load_config(path) -> ExperimentConfig:
     if clash:
         raise ConfigError("plan.output_times", clash)
 
-    checks = {}
-    for section in cp.sections():
-        if not section.startswith("check:"):
-            continue
-        name = section.split(":", 1)[1]
-        ctype = cp.get(section, "type", fallback=None)
-        if ctype not in CHECK_TYPES:
-            raise ConfigError(f"{section}.type",
-                              f"unknown check type {ctype!r}; choose from {tuple(CHECK_TYPES)}")
-        params = _section_params(cp, section, skip=("type", "assert"))
-        spec = CHECK_TYPES[ctype]
-        if ctype == "convergence":
-            modulus = MODULI.get(params.get("modulus", "lipschitz"))
-            if modulus is None:
-                raise ConfigError(f"{section}.modulus", f"unknown modulus "
-                                  f"{params['modulus']!r}; choose from {tuple(MODULI)}")
-            spec = CheckType(spec.build, spec.required + modulus.required,
-                             spec.optional + modulus.optional, modulus.bad_value)
-        _check_keys(section, params, spec)
-        bad = spec.bad_value(params)
-        if bad:
-            raise ConfigError(f"{section}.{bad[0]}", bad[1])
-        params["assert"] = cp.getboolean(section, "assert", fallback=True)
-        params["type"] = ctype
-        checks[name] = params
-
-    seed = cp.getint("run", "seed", fallback=0) if cp.has_section("run") else 0
+    checks = {name.split(":", 1)[1]: section(name)[1]
+              for name in cp.sections() if name.startswith("check:")}
 
     return ExperimentConfig(
         flow_id=flow_id,
@@ -326,10 +323,10 @@ def load_config(path) -> ExperimentConfig:
         grid=grid,
         initial_kind=initial_kind,
         initial_params=initial_params,
-        bc_kind=bc_kind,
-        bc_value=bc_value,
+        bc_kind=bc["kind"],
+        bc_value=bc.get("value"),
         plan=plan,
         output_times=output_times,
         checks=checks,
-        seed=seed,
+        seed=section("run")[1]["seed"],
     )

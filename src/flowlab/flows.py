@@ -204,22 +204,28 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     )
 
 
-# catalog id, or "aniso:" for every aniso:<norm-id>, -> its parameters
-FLOW_PARAMS = {"heat": ("c",), "csf": (), "mcf2d": (), "mcf3d": (),
-               "plaplace-reg": ("q", "eps"), "aniso:": ("dim",)}
+# catalog id, or "aniso:" for every aniso:<norm-id>, -> its parameters, each
+# with its (parser, default, range); this is the [flow] schema of a config
+FLOW_PARAMS = {"heat": {"c": (float, 0.25, "(0, inf)")}, "csf": {}, "mcf2d": {}, "mcf3d": {},
+               "plaplace-reg": {"q": (float, -1.0, ""), "eps": (float, 0.1, "")},
+               "aniso:": {"dim": (int, 3, "[2, inf)")}}
 
 
 def catalog_ids() -> list[str]:
     return [fid + "<norm-id>" if fid.endswith(":") else fid for fid in FLOW_PARAMS]
 
 
-def flow_params(flow_id: str) -> tuple:
-    """The parameters ``get_flow`` takes for a flow id; KeyError for an id
-    outside the catalog (an aniso id's norm is resolved by ``get_flow``)."""
+def _entry(flow_id: str) -> dict:
     key = "aniso:" if flow_id.startswith("aniso:") else flow_id
     if key not in FLOW_PARAMS:
         raise KeyError(f"unknown flow id {flow_id!r}")
     return FLOW_PARAMS[key]
+
+
+def flow_params(flow_id: str) -> tuple:
+    """The parameters ``get_flow`` takes for a flow id; KeyError for an id
+    outside the catalog (an aniso id's norm is resolved by ``get_flow``)."""
+    return tuple(_entry(flow_id))
 
 
 def get_flow(flow_id: str, **params):
@@ -227,14 +233,16 @@ def get_flow(flow_id: str, **params):
 
     Known ids: "heat" (param c), "csf", "mcf2d", "mcf3d",
     "plaplace-reg" (params q, eps), "aniso:<norm-id>" (param dim, the
-    dimension of the norm).  A parameter the entry does not take is a
-    TypeError.
+    dimension of the norm); FLOW_PARAMS gives the defaults.  A parameter
+    the entry does not take is a TypeError.
     """
-    unknown = sorted(set(params) - set(flow_params(flow_id)))
+    entry = _entry(flow_id)
+    unknown = sorted(set(params) - set(entry))
     if unknown:
         raise TypeError(f"flow {flow_id!r} takes no parameter {unknown[0]!r}")
+    p = {name: default for name, (_, default, _) in entry.items()} | params
     if flow_id == "heat":
-        return heat_1d(float(params.get("c", 0.25)))
+        return heat_1d(float(p["c"]))
     if flow_id == "csf":
         return csf()
     if flow_id == "mcf2d":
@@ -242,11 +250,11 @@ def get_flow(flow_id: str, **params):
     if flow_id == "mcf3d":
         return mcf_graph(3)
     if flow_id == "plaplace-reg":
-        return plaplace_reg(float(params.get("q", -1.0)), float(params.get("eps", 0.1)))
+        return plaplace_reg(float(p["q"]), float(p["eps"]))
     if flow_id.startswith("aniso:"):
         from . import finsler
 
-        dim = float(params.get("dim", 3))
+        dim = float(p["dim"])
         if not dim.is_integer():
             raise ValueError(f"dim must be an integer, not {dim!r}")
         norm = finsler.norm_by_id(flow_id.split(":", 1)[1], dim=int(dim))

@@ -33,8 +33,6 @@ __all__ = [
     "count_intersections",
     "intersection_monotonicity",
     "heat_zero_counting_gradient",
-    "gradient_function",
-    "eh_bound_check",
     "convergence_to_initial_data",
     "fit_exponent",
 ]
@@ -457,66 +455,6 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         tolerance=rel_tol,
         witness=witness,
         metadata={"M": M, "c": c, "relative": True, **skipped},
-    )
-
-
-# --- gradient function and graph-flow bounds --------------------------------
-
-
-def gradient_function(f: Field) -> Field:
-    """v = sqrt(1 + |Du|^2), pointwise from the discrete gradient."""
-    g = gradient(f)
-    return f.with_values(np.sqrt(1.0 + np.sum(g ** 2, axis=-1)))
-
-
-EH_BOUND_KINDS = ("periodic", "interior")
-
-
-def eh_bound_check(traj, M: float, kind: str = "periodic", *, c: float,
-                   q: float = 2.0, R: float = None, T_prime: float = np.inf,
-                   t_min: float = 0.0, grid_tol: float = 0.0) -> VerificationReport:
-    """Gradient-function bounds for graph mean curvature flow.
-
-    kind "periodic": v <= t^(1/2) exp(c (|u| - 2M)^2 / (4t)).
-    kind "interior": v <= t^(q/2) exp(c q (u + 2M)^2 / (4t)) / eta with the
-    localizer eta = R^2 - 2nt - |x|^2 + u^2 required positive at probes.
-    The snapshots checked are those with t > 0 in [t_min, T_prime]; a node
-    where the bound is infinite tests nothing.
-    """
-    if kind not in EH_BOUND_KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind == "interior" and R is None:
-        raise ValueError("interior kind needs R")
-    grid = traj.fields[0].grid
-    n = traj.fields[0].ndim
-    xx2 = sum(m ** 2 for m in np.meshgrid(*[ax.nodes() for ax in grid.axes], indexing="ij"))
-
-    def sample(t, f):
-        v = gradient_function(f).values
-        u = f.values
-        if kind == "periodic":
-            bound = np.sqrt(t) * np.exp(c * (np.abs(u) - 2.0 * M) ** 2 / (4.0 * t))
-        else:
-            eta = R ** 2 - 2.0 * n * t - xx2 + u ** 2
-            mask = eta > 0
-            bound = np.full_like(u, np.inf)
-            bound[mask] = (t ** (q / 2.0)
-                           * np.exp(c * q * (u[mask] + 2.0 * M) ** 2 / (4.0 * t))
-                           / eta[mask])
-        darr = v - bound
-        i = np.unravel_index(int(np.argmax(darr)), darr.shape)
-        return float(darr[i]), {"t": float(t), "v": float(v[i]), "bound": float(bound[i])}
-
-    worst, witness = _worst(
-        (sample(t, f) for t, f in _scan(traj, (t_min, T_prime))),
-        f"no snapshot with t > 0 in [t_min, T_prime] = [{t_min:g}, {T_prime:g}]"
-        " where the bound is finite")
-    return VerificationReport(
-        check_id=f"eh-bound:{kind}",
-        max_defect=worst,
-        tolerance=grid_tol,
-        witness=witness,
-        metadata={"M": M, "c": c, "q": q, "R": R, "T_prime": T_prime},
     )
 
 

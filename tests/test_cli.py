@@ -84,7 +84,7 @@ def test_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match=r"plan.output_times: .*fields/t=0\.01\.csv"):
         load_config(_write(tmp_path, MINIMAL.replace(
             "output_times = 0.05", "output_times = 0.01000001 0.01000002")))
-    with pytest.raises(ConfigError, match="flow: c must be positive"):
+    with pytest.raises(ConfigError, match=r"flow\.c: c = -1\.0 must lie in \(0, inf\)"):
         load_config(_write(tmp_path, MINIMAL.replace("c = 0.25", "c = -1.0")))
     bad_check = MINIMAL + "\n[check:x]\ntype = telepathy\n"
     with pytest.raises(ConfigError, match="check:x.type"):
@@ -97,6 +97,13 @@ def test_config_error_paths(tmp_path):
 def _without_line(text, line):
     assert line + "\n" in text
     return text.replace(line + "\n", "", 1)
+
+
+def _edit(path, old, new):
+    """The text of a bundled config with its first ``old`` replaced by ``new``."""
+    text = Path(path).read_text()
+    assert old in text
+    return text.replace(old, new, 1)
 
 
 @pytest.mark.parametrize("text, path", [
@@ -115,13 +122,35 @@ def _without_line(text, line):
     (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\nalpha = half\n",
      "check:conv.alpha"),
     (Path(HEAT_STEP).read_text().replace("M = 1.0", "M = one"), "check:zero-counting.M"),
-    (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = interior\n",
-     "check:eh.R"),
-    (MINIMAL + "\n[check:eh]\ntype = eh_bound\nM = 1.0\nc = 0.25\nkind = exterior\n",
-     "check:eh.kind"),
+    # misspelt keys in every section, and keys the selected kind does not take
+    (_edit(HEAT_STEP, "kind = step", "kind = step\namplitud = 7"), "initial.amplitud"),
+    (_edit(HEAT_STEP, "t_end = 0.05", "t_end = 0.05\ncfl_safty = 0.9"), "plan.cfl_safty"),
+    (_edit(HEAT_STEP, "kind = dirichlet", "kind = dirichlet\nvaleu = 0"), "bc.valeu"),
+    (_edit(HEAT_STEP, "n_cells = 256", "n_cells = 256\nn_cell = 64"), "grid.n_cell"),
+    (_edit(HEAT_STEP, "seed = 0", "seed = 0\nsed = 1"), "run.sed"),
+    (_edit(HEAT_STEP, "kind = step", "kind = step\nfrequency = 3"), "initial.frequency"),
+    (_edit(HEAT_STEP, "kind = dirichlet", "kind = neumann_zero\nvalue = 3"), "bc.value"),
+    (_edit(HEAT_STEP, "[initial]", "[intial]"), "intial"),
+    # values that are not numbers, not integers, not booleans or not a choice
+    (_edit(HEAT_STEP, "height = 1.0", "height = one"), "initial.height"),
+    (_edit(HEAT_STEP, "kind = dirichlet", "kind = dirichlet\nvalue = zero"), "bc.value"),
+    (_edit(HEAT_STEP, "seed = 0", "seed = abc"), "run.seed"),
+    (_edit(HEAT_STEP, "seed = 0", "seed = 5%"), "run.seed"),
+    (_edit(HEAT_STEP, "tail_floor = 1e-4", "tail_floor = 1e-4\nassert = maybe"),
+     "check:zero-counting.assert"),
+    (_edit(CSF_CREN, "region = G", "region = H"), "check:double-coordinate.region"),
+    (_edit(HEAT_STEP, "c = 0.25", "c = abc"), "flow.c"),
+    (_edit(HEAT_STEP, "n_cells = 256", "n_cells = 256.5"), "grid.n_cells"),
+    # a bc the grid's topology does not take
+    (_edit(HEAT_STEP, "kind = dirichlet", "kind = periodic"), "bc.kind"),
+    (_edit(CSF_CREN, "kind = periodic", "kind = neumann_zero"), "bc.kind"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
         "holder-alpha", "holder-alpha-text", "not-a-number",
-        "interior-without-R", "kind-unknown"])
+        "initial-misspelt", "plan-misspelt", "bc-misspelt", "grid-misspelt", "run-misspelt",
+        "step-frequency", "neumann-value", "section-misspelt",
+        "height-text", "bc-value-text", "seed-text", "seed-percent", "assert-text", "region-unknown",
+        "flow-c-text", "n_cells-fraction", "periodic-bc-bounded-grid",
+        "neumann-bc-periodic-grid"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
@@ -264,11 +293,10 @@ def test_double_coordinate_empty_window_is_error(tmp_path):
     # the window excludes the only output time 0.05
     (MINIMAL + "\n[check:w]\ntype = gradient_bound\ncoeff = 0.0\nt_lo = 0.0\nt_hi = 0.01\n",
      "w"),
-    (MINIMAL + "\n[check:w]\ntype = eh_bound\nM = 1.0\nc = 1.0\nt_min = 0.1\n", "w"),
     # no node's bound reaches twice the peak bound, so the tail floor skips all of them
     (Path(HEAT_STEP).read_text().replace("tail_floor = 1e-4", "tail_floor = 2"),
      "zero-counting"),
-], ids=["gradient_bound", "eh_bound", "heat_zero_counting"])
+], ids=["gradient_bound", "heat_zero_counting"])
 def test_empty_window_is_error(tmp_path, text, name):
     # no snapshot to check, so no PASS
     out = str(tmp_path / "o")
@@ -307,6 +335,10 @@ def test_sweep(tmp_path):
     assert rows[0] == "label,exit_code"
     assert len(rows) == 3
     assert os.path.exists(os.path.join(out, "n_cells=32", "manifest.json"))
+    # a misspelt key is a config error in its row, not a run with the default
+    out = str(tmp_path / "misspelt")
+    assert main(["sweep", cfg, "--grid", "grid.n_cell=32", "--out", out]) == 2
+    assert open(os.path.join(out, "sweep.csv")).read() == "label,exit_code\nn_cell=32,2\n"
 
 
 # --- certify / list -------------------------------------------------------------
@@ -354,3 +386,6 @@ def test_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "csf" in out and "euclid" in out and "double_coordinate" in out
+    # the keys of the config schema, with their defaults
+    assert "cfl_safety = 0.5" in out and "rel_tol = 0.02" in out and "tail_floor = 0.0" in out
+    assert "eh_bound" not in out

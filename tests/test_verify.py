@@ -15,7 +15,6 @@ from flowlab.verify import (
     count_intersections,
     displacement_check,
     fit_exponent,
-    gradient_function,
     heat_zero_counting_gradient,
     holder_modulus,
     intersection_monotonicity,
@@ -90,10 +89,9 @@ def _initial_only():
     lambda traj: displacement_check(traj, "modulus", omega=lipschitz_modulus(1.0),
                                     Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
     lambda traj: verify.gradient_bound_check(traj, lambda t: 1.0),
-    lambda traj: verify.eh_bound_check(traj, 1.0, c=1.0),
     lambda traj: displacement_check(traj, "holder", alpha=0.5),
 ], ids=["heat_zero_counting", "convergence", "lipschitz", "step", "modulus",
-        "gradient_bound", "eh_bound", "holder"])
+        "gradient_bound", "holder"])
 def test_check_without_positive_time_is_precondition_error(check):
     # the only snapshot is the initial data at t = 0, so there is nothing to test
     with pytest.raises(PreconditionError, match="snapshot.* with t > 0"):
@@ -289,14 +287,7 @@ def test_heat_zero_counting_precondition():
         heat_zero_counting_gradient(traj, M=1.0, c=0.25)
 
 
-# --- gradient function and bounds -------------------------------------------------
-
-
-def test_gradient_function_values():
-    g = Grid1D(0.0, 1.0, 64, "bounded")
-    x = g.nodes()
-    v = gradient_function(Field(g, 2.0 * x))
-    assert np.allclose(v.values, np.sqrt(5.0), atol=1e-10)
+# --- gradient bounds ----------------------------------------------------------------
 
 
 def test_convergence_to_initial_data_bound():
