@@ -28,21 +28,15 @@ from .solver import SolverError, evolve
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
                    assert_checks: bool = True) -> int:
-    """Evolve, check, and write manifest/fields/reports/summary.
+    """Evolve the built experiment, check, and write
+    manifest/fields/reports/summary.
 
     Returns a process exit code: 0 on success, 1 if an asserted check failed.
     """
     os.makedirs(out_dir, exist_ok=True)
-
-    flow = cfg.build_flow()
-    u0 = cfg.build_initial()
-    bc = cfg.build_bc()
-    traj = evolve(flow, u0, bc, cfg.plan, cfg.output_times)
-
-    traj.export(out_dir, flow_id=cfg.flow_id, bc=cfg.bc_kind,
-                extra={"seed": cfg.seed,
-                       "initial": {"kind": cfg.initial_kind, **cfg.initial_params},
-                       "checks": sorted(cfg.checks)})
+    traj = evolve(cfg.flow, cfg.u0, cfg.bc, cfg.plan, cfg.output_times)
+    traj.export(out_dir, flow_id=cfg.flow_id, bc=cfg.bc.kind,
+                extra={"seed": cfg.seed, "initial": cfg.initial, "checks": sorted(cfg.checks)})
 
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
@@ -65,7 +59,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         lines.append(f"{name}: {line}")
 
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write(f"flow={cfg.flow_id} bc={cfg.bc_kind} seed={cfg.seed}\n")
+        fh.write(f"flow={cfg.flow_id} bc={cfg.bc.kind} seed={cfg.seed}\n")
         fh.write(f"steps={traj.dt_stats.get('n_steps')} "
                  f"snapshots={len(traj.snapshots)}\n")
         for line in lines:
@@ -156,8 +150,11 @@ def cmd_certify(args) -> int:
     target = args.id
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
-    if target in flows.catalog_ids() and target != "aniso:<norm-id>":
-        profile = flows.get_flow(target).degeneracy
+    try:
+        profile = flows.get_flow(target).degeneracy  # None for an aniso flow
+    except (KeyError, ValueError):
+        profile = None  # not a flow id: a norm id
+    if profile is not None:
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))
         rep.to_json(path)
         print(rep.summary_line())

@@ -3,11 +3,13 @@ data, boundary conditions, time plans and checks.
 
 SCHEMA declares every section once: [flow], [grid], [initial], [bc],
 [plan], [run], and one [check:<name>] per requested check.  Each Key has a
-parser, a default or REQUIRED, and a range; a Select gives the keys per
-value of a selector key (the flow id, the initial or bc kind, the check
-type, the convergence modulus).  ``load_config`` walks the table: an
-unknown, missing, unparsable or out-of-range key is a ConfigError naming
-its field (e.g. "plan.t_end") before anything evolves.
+parser, a default or REQUIRED, and a range (a float key with none must be
+finite); a Select gives the keys per value of a selector key (the flow id,
+the initial or bc kind, the check type, the convergence modulus).
+``load_config`` walks the table and builds the flow, the initial data and
+the bc once: an unknown, missing, unparsable or out-of-range key, or data
+that cannot be built, is a ConfigError naming its field (e.g.
+"plan.t_end") before anything evolves or is written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import barriers, flows, verify
 from .fields import Field, Grid1D
+from .flows import GraphFlowND
 from .solver import BoundaryCondition, TimeStepPlan, prep_output_times, shared_snapshot_name
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "SCHEMA", "INITIAL_KINDS",
@@ -77,7 +80,7 @@ def _t_window(p: dict):
 
 
 POSITIVE = "(0, inf)"
-WINDOW = {"t_lo": Key(float, 0.0), "t_hi": Key(float, np.inf)}
+WINDOW = {"t_lo": Key(float, 0.0), "t_hi": Key(float, np.inf, "(-inf, inf]")}
 GRID_TOL = {"grid_tol": Key(float, 0.0)}
 WAVE = {"amplitude": Key(float, 1.0), "frequency": Key(float, 1.0), "phase": Key(float, 0.0)}
 STEP = {"height": Key(float, 1.0, POSITIVE), "jump": Key(float, 0.0),
@@ -139,7 +142,7 @@ CHECK_TYPES = {
 }
 
 SCHEMA = {
-    "flow": Select("id", flows.FLOW_PARAMS),
+    "flow": Select("id", {fid: e.params for fid, e in flows.FLOW_PARAMS.items()}),
     "grid": {"x_lo": Key(), "x_hi": Key(), "n_cells": Key(int, within="[4, inf)"),
              "topology": Key(str, "bounded", ("bounded", "periodic"))},
     "initial": Select("kind", {k: ik.keys for k, ik in INITIAL_KINDS.items()}, "sin"),
@@ -171,6 +174,8 @@ def _family(name: str) -> str:
 def _within(v, within) -> bool:
     if isinstance(within, tuple):
         return v in within
+    if not within:  # any value, but a float must be finite
+        return not isinstance(v, float) or np.isfinite(v)
     lo, hi = (float(b) for b in within[1:-1].split(","))
     return ((lo < v if within[0] == "(" else lo <= v)
             and (v < hi if within[-1] == ")" else v <= hi))
@@ -203,8 +208,9 @@ def _read(section: str, node, raw: dict, check=None) -> tuple[dict, dict]:
             values[key] = parse(raw[key])
         except ValueError as e:
             raise ConfigError(path, str(e))
-        if within and not _within(values[key], within):
-            raise ConfigError(path, f"{key} = {values[key]!r} must lie in {within}")
+        if not _within(values[key], within):
+            raise ConfigError(path, f"{key} = {values[key]!r} must lie in "
+                                    f"{within or '(-inf, inf)'}")
     if check:
         check(values)
     for key in raw:
@@ -214,8 +220,9 @@ def _read(section: str, node, raw: dict, check=None) -> tuple[dict, dict]:
     return values, keys
 
 
-def _one_d_flow(values: dict) -> None:
-    """The [flow] check: its id names a flow, 1-D with these parameters."""
+def _one_d_flow(values: dict) -> GraphFlowND:
+    """The flow of a [flow] section: its id names a flow, 1-D with these
+    parameters."""
     params = dict(values)
     flow_id = params.pop("id")
     try:
@@ -224,49 +231,43 @@ def _one_d_flow(values: dict) -> None:
         raise ConfigError("flow.id", e.args[0])
     if flow.n != 1:
         raise ConfigError("flow.id", f"{flow_id!r} is a {flow.n}-D flow; config grids are 1-D")
+    return flow
 
 
-def _defaults(keys: dict) -> dict:
-    return {key: default for key, (_, default, _) in keys.items()}
+def _initial(p: dict, grid: Grid1D) -> Field:
+    try:
+        with np.errstate(all="ignore"):  # a non-finite value is reported below
+            return Field(grid, INITIAL_KINDS[p["kind"]].build(p, grid.nodes()))
+    except ValueError as e:
+        raise ConfigError("initial", f"{p['kind']!r} initial data on this grid: {e}")
+
+
+def _bc(kind: str, value: float | None, u0: Field) -> BoundaryCondition:
+    if kind != "dirichlet":
+        return BoundaryCondition(kind)
+    if value is not None:
+        return BoundaryCondition("dirichlet", value=lambda x, t: value)
+    # hold the initial data at the endpoints
+    lo, hi, g = float(u0.values[0]), float(u0.values[-1]), u0.grid
+    return BoundaryCondition(
+        "dirichlet", value=lambda x, t: lo if abs(x - g.x_lo) < abs(x - g.x_hi) else hi)
 
 
 @dataclass
 class ExperimentConfig:
+    """A built experiment, and the values its manifest and summary print:
+    ``initial`` holds the [initial] keys the config sets."""
+
     flow_id: str
-    flow_params: dict
+    flow: GraphFlowND
     grid: Grid1D
-    initial_kind: str
-    initial_params: dict
-    bc_kind: str
-    bc_value: float | None
+    initial: dict
+    u0: Field
+    bc: BoundaryCondition
     plan: TimeStepPlan
     output_times: list
     checks: dict = field(default_factory=dict)
     seed: int = 0
-
-    def build_flow(self):
-        return flows.get_flow(self.flow_id, **self.flow_params)
-
-    def build_initial(self) -> Field:
-        kind = INITIAL_KINDS[self.initial_kind]
-        p = {**_defaults(kind.keys), **self.initial_params}
-        return Field(self.grid, kind.build(p, self.grid.nodes()))
-
-    def build_bc(self) -> BoundaryCondition:
-        if self.bc_kind == "dirichlet":
-            if self.bc_value is not None:
-                v = float(self.bc_value)
-                return BoundaryCondition("dirichlet", value=lambda x, t: v)
-            # hold the initial data at the endpoints
-            u0 = self.build_initial().values
-            lo, hi = float(u0[0]), float(u0[-1])
-            g = self.grid
-
-            def held(x, t):
-                return lo if abs(x - g.x_lo) < abs(x - g.x_hi) else hi
-
-            return BoundaryCondition("dirichlet", value=held)
-        return BoundaryCondition(self.bc_kind)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -285,18 +286,18 @@ def load_config(path) -> ExperimentConfig:
     def section(name, check=None, **defaults):
         raw = {**defaults, **(dict(cp.items(name)) if cp.has_section(name) else {})}
         values, keys = _read(name, SCHEMA[_family(name)], raw, check)
-        return values, {**_defaults(keys), **values}
+        return values, {**{key: default for key, (_, default, _) in keys.items()}, **values}
 
-    flow_params, _ = section("flow", _one_d_flow)
-    flow_id = flow_params.pop("id")
+    built = {}  # the flow, which the [flow] check builds
+    flow_values, _ = section("flow", lambda values: built.update(flow=_one_d_flow(values)))
 
     _, g = section("grid")
     if not g["x_lo"] < g["x_hi"]:
         raise ConfigError("grid.x_hi", f"x_hi = {g['x_hi']!r} must exceed x_lo = {g['x_lo']!r}")
     grid = Grid1D(**g)
 
-    initial_params, _ = section("initial")
-    initial_kind = initial_params.pop("kind")
+    initial, ip = section("initial")
+    u0 = _initial(ip, grid)
 
     _, bc = section("bc", kind="periodic" if grid.topology == "periodic" else "neumann_zero")
     if (bc["kind"] == "periodic") != (grid.topology == "periodic"):
@@ -318,13 +319,12 @@ def load_config(path) -> ExperimentConfig:
               for name in cp.sections() if name.startswith("check:")}
 
     return ExperimentConfig(
-        flow_id=flow_id,
-        flow_params=flow_params,
+        flow_id=flow_values["id"],
+        flow=built["flow"],
         grid=grid,
-        initial_kind=initial_kind,
-        initial_params=initial_params,
-        bc_kind=bc["kind"],
-        bc_value=bc.get("value"),
+        initial=initial,
+        u0=u0,
+        bc=_bc(bc["kind"], bc.get("value"), u0),
         plan=plan,
         output_times=output_times,
         checks=checks,

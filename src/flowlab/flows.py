@@ -10,7 +10,7 @@ checks guard against wrong metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "csf",
     "plaplace_reg",
     "get_flow",
-    "flow_params",
     "catalog_ids",
     "alpha",
     "alpha_closed_form",
@@ -204,28 +203,38 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     )
 
 
-# catalog id, or "aniso:" for every aniso:<norm-id>, -> its parameters, each
-# with its (parser, default, range); this is the [flow] schema of a config
-FLOW_PARAMS = {"heat": {"c": (float, 0.25, "(0, inf)")}, "csf": {}, "mcf2d": {}, "mcf3d": {},
-               "plaplace-reg": {"q": (float, -1.0, ""), "eps": (float, 0.1, "")},
-               "aniso:": {"dim": (int, 3, "[2, inf)")}}
+def _aniso(norm_id: str, dim) -> GraphFlowND:
+    from . import finsler
+
+    dim = float(dim)
+    if not dim.is_integer():
+        raise ValueError(f"dim must be an integer, not {dim!r}")
+    return finsler.aniso_flow(finsler.norm_by_id(norm_id, dim=int(dim)))
+
+
+class FlowEntry(NamedTuple):
+    """``build(spec, **params)``, spec the text after "aniso:" (else ""),
+    and each parameter's (parser, default, range)."""
+
+    build: Callable
+    params: dict
+
+
+# catalog id, or "aniso:" for every aniso:<norm-id>, -> its entry; the
+# params are the [flow] schema of a config
+FLOW_PARAMS = {
+    "heat": FlowEntry(lambda _, c: heat_1d(float(c)), {"c": (float, 0.25, "(0, inf)")}),
+    "csf": FlowEntry(lambda _: csf(), {}),
+    "mcf2d": FlowEntry(lambda _: mcf_graph(2), {}),
+    "mcf3d": FlowEntry(lambda _: mcf_graph(3), {}),
+    "plaplace-reg": FlowEntry(lambda _, q, eps: plaplace_reg(float(q), float(eps)),
+                              {"q": (float, -1.0, ""), "eps": (float, 0.1, "")}),
+    "aniso:": FlowEntry(_aniso, {"dim": (int, 3, "[2, inf)")}),
+}
 
 
 def catalog_ids() -> list[str]:
     return [fid + "<norm-id>" if fid.endswith(":") else fid for fid in FLOW_PARAMS]
-
-
-def _entry(flow_id: str) -> dict:
-    key = "aniso:" if flow_id.startswith("aniso:") else flow_id
-    if key not in FLOW_PARAMS:
-        raise KeyError(f"unknown flow id {flow_id!r}")
-    return FLOW_PARAMS[key]
-
-
-def flow_params(flow_id: str) -> tuple:
-    """The parameters ``get_flow`` takes for a flow id; KeyError for an id
-    outside the catalog (an aniso id's norm is resolved by ``get_flow``)."""
-    return tuple(_entry(flow_id))
 
 
 def get_flow(flow_id: str, **params):
@@ -233,32 +242,18 @@ def get_flow(flow_id: str, **params):
 
     Known ids: "heat" (param c), "csf", "mcf2d", "mcf3d",
     "plaplace-reg" (params q, eps), "aniso:<norm-id>" (param dim, the
-    dimension of the norm); FLOW_PARAMS gives the defaults.  A parameter
-    the entry does not take is a TypeError.
+    dimension of the norm); FLOW_PARAMS gives the defaults.  An unknown id
+    is a KeyError, and a parameter the entry does not take a TypeError.
     """
-    entry = _entry(flow_id)
-    unknown = sorted(set(params) - set(entry))
+    family, colon, spec = flow_id.partition(":")
+    entry = FLOW_PARAMS.get(family + colon)
+    if entry is None:
+        raise KeyError(f"unknown flow id {flow_id!r}")
+    unknown = sorted(set(params) - set(entry.params))
     if unknown:
         raise TypeError(f"flow {flow_id!r} takes no parameter {unknown[0]!r}")
-    p = {name: default for name, (_, default, _) in entry.items()} | params
-    if flow_id == "heat":
-        return heat_1d(float(p["c"]))
-    if flow_id == "csf":
-        return csf()
-    if flow_id == "mcf2d":
-        return mcf_graph(2)
-    if flow_id == "mcf3d":
-        return mcf_graph(3)
-    if flow_id == "plaplace-reg":
-        return plaplace_reg(float(p["q"]), float(p["eps"]))
-    if flow_id.startswith("aniso:"):
-        from . import finsler
-
-        dim = float(p["dim"])
-        if not dim.is_integer():
-            raise ValueError(f"dim must be an integer, not {dim!r}")
-        norm = finsler.norm_by_id(flow_id.split(":", 1)[1], dim=int(dim))
-        return finsler.aniso_flow(norm)
+    defaults = {name: default for name, (_, default, _) in entry.params.items()}
+    return entry.build(spec, **defaults | params)
 
 
 # --- directional degeneracy functional -------------------------------------

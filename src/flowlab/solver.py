@@ -74,11 +74,12 @@ class TimeStepPlan:
     max_grad_clip: float = 100.0
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        # written so that NaN fails each test
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if not 0.0 < self.cfl_safety < 1.0:
             raise ValueError("cfl_safety must lie in (0, 1)")
-        if self.max_grad_clip <= 0:
+        if not self.max_grad_clip > 0:
             raise ValueError("max_grad_clip must be positive")
 
 
@@ -452,7 +453,7 @@ def prep_output_times(plan: TimeStepPlan, output_times) -> list:
         out = [plan.t_end]
     else:
         out = sorted(float(t) for t in output_times)
-    if any(t <= 0 or t > plan.t_end + 1e-12 for t in out):
+    if not all(0 < t <= plan.t_end + 1e-12 for t in out):  # NaN lies in no range
         raise ValueError("output times must lie in (0, t_end]")
     if any(a == b for a, b in zip(out, out[1:])):
         raise ValueError("output times must not repeat")

@@ -62,7 +62,7 @@ def test_load_bundled_configs():
     assert cfg.grid.n_cells == 256
     assert "zero-counting" in cfg.checks
     cfg2 = load_config(CSF_CREN)
-    assert cfg2.bc_kind == "periodic"
+    assert cfg2.bc.kind == "periodic"
     assert cfg2.checks["double-coordinate"]["region"] == "G"
 
 
@@ -144,13 +144,23 @@ def _edit(path, old, new):
     # a bc the grid's topology does not take
     (_edit(HEAT_STEP, "kind = dirichlet", "kind = periodic"), "bc.kind"),
     (_edit(CSF_CREN, "kind = periodic", "kind = neumann_zero"), "bc.kind"),
+    # NaN lies in no range, and a float key with no range must be finite
+    (_edit(HEAT_STEP, "output_times = 0.005 0.01 0.02 0.03 0.05", "output_times = nan"),
+     "plan.output_times"),
+    (_edit(HEAT_STEP, "kind = dirichlet", "kind = dirichlet\nvalue = nan"), "bc.value"),
+    (_edit(HEAT_STEP, "x_hi = 2.0", "x_hi = inf"), "grid.x_hi"),
+    (_edit(HEAT_STEP, "jump = 0.0", "jump = -inf"), "initial.jump"),
+    (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = plaplace-reg\neps = nan"), "flow.eps"),
+    # initial data that is not finite on the grid: |x|^-1 at the node x = 0
+    (MINIMAL.replace("kind = sin", "kind = abspow\nexponent = -1"), "initial: 'abspow'"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
         "holder-alpha", "holder-alpha-text", "not-a-number",
         "initial-misspelt", "plan-misspelt", "bc-misspelt", "grid-misspelt", "run-misspelt",
         "step-frequency", "neumann-value", "section-misspelt",
         "height-text", "bc-value-text", "seed-text", "seed-percent", "assert-text", "region-unknown",
         "flow-c-text", "n_cells-fraction", "periodic-bc-bounded-grid",
-        "neumann-bc-periodic-grid"])
+        "neumann-bc-periodic-grid", "output-times-nan", "bc-value-nan", "x_hi-inf",
+        "jump-minus-inf", "plaplace-eps-nan", "abspow-not-finite"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
@@ -158,6 +168,30 @@ def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_explicit_infinite_window_end_loads(tmp_path):
+    # t_hi is the one float key whose range admits inf
+    cfg = load_config(_write(tmp_path, _edit(CSF_CREN, "t_hi = 0.1667", "t_hi = inf")))
+    assert cfg.checks["double-coordinate"]["t_hi"] == np.inf
+
+
+def test_run_builds_flow_and_initial_data_once(tmp_path, monkeypatch):
+    from flowlab import barriers, cli, flows
+
+    calls = {"get_flow": 0, "step_eval": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flows, "get_flow", counted("get_flow", flows.get_flow))
+    monkeypatch.setattr(barriers, "step_eval", counted("step_eval", barriers.step_eval))
+    # a dirichlet bc without value holds the initial data at the ends
+    assert cli.run_experiment(load_config(HEAT_STEP), str(tmp_path / "o")) == 0
+    assert calls == {"get_flow": 1, "step_eval": 1}
 
 
 def test_unknown_flow_param_is_config_error(tmp_path):
@@ -180,8 +214,7 @@ def test_build_initial_kinds(tmp_path):
         text = MINIMAL.replace("kind = sin\namplitude = 1.0",
                                f"kind = {kind}\n{extra}")
         cfg = load_config(_write(tmp_path, text, f"{kind}.cfg"))
-        u0 = cfg.build_initial()
-        assert np.all(np.isfinite(u0.values))
+        assert np.all(np.isfinite(cfg.u0.values))
 
 
 # --- run --------------------------------------------------------------------
@@ -339,6 +372,12 @@ def test_sweep(tmp_path):
     out = str(tmp_path / "misspelt")
     assert main(["sweep", cfg, "--grid", "grid.n_cell=32", "--out", out]) == 2
     assert open(os.path.join(out, "sweep.csv")).read() == "label,exit_code\nn_cell=32,2\n"
+    # initial data that is not finite on the grid fails its row only
+    out = str(tmp_path / "abspow")
+    cfg = _write(tmp_path, MINIMAL.replace("kind = sin", "kind = abspow"), "abspow.cfg")
+    assert main(["sweep", cfg, "--grid", "initial.exponent=1,-1", "--out", out]) == 2
+    assert (open(os.path.join(out, "sweep.csv")).read()
+            == "label,exit_code\nexponent=1,0\nexponent=-1,2\n")
 
 
 # --- certify / list -------------------------------------------------------------

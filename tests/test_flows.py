@@ -217,9 +217,9 @@ def test_csf_envelopes():
 
 
 def test_get_flow_takes_only_its_parameters():
-    assert flows.flow_params("heat") == ("c",)
-    assert flows.flow_params("plaplace-reg") == ("q", "eps")
-    assert flows.flow_params("aniso:quartic:0.001") == ("dim",)
+    assert tuple(flows.FLOW_PARAMS["heat"].params) == ("c",)
+    assert tuple(flows.FLOW_PARAMS["plaplace-reg"].params) == ("q", "eps")
+    assert tuple(flows.FLOW_PARAMS["aniso:"].params) == ("dim",)
     assert get_flow("aniso:euclid", dim=2).n == 1
     with pytest.raises(TypeError, match="'c'"):
         get_flow("csf", c=0.3)
@@ -227,8 +227,9 @@ def test_get_flow_takes_only_its_parameters():
         get_flow("heat", c=0.25, q=1.0)
     with pytest.raises(ValueError, match="integer"):
         get_flow("aniso:euclid", dim=2.5)
-    with pytest.raises(KeyError):
-        flows.flow_params("wave")
+    for flow_id in ("wave", "csf:foo", "heat:0.5"):
+        with pytest.raises(KeyError):
+            get_flow(flow_id)
 
 
 @pytest.mark.parametrize("flow", [

@@ -19,6 +19,7 @@ from flowlab.solver import (
     _Stepper,
     evolve,
     evolve_pair_ordered,
+    prep_output_times,
     solve_auxiliary_phi,
 )
 
@@ -28,6 +29,10 @@ def test_plan_validation():
         TimeStepPlan(t_end=-1.0)
     with pytest.raises(ValueError):
         TimeStepPlan(t_end=1.0, cfl_safety=1.5)
+    # NaN fails every range; an infinite t_end would never be reached
+    for kwargs in ({"t_end": np.nan}, {"t_end": np.inf}, {"t_end": 1.0, "max_grad_clip": np.nan}):
+        with pytest.raises(ValueError):
+            TimeStepPlan(**kwargs)
     with pytest.raises(ValueError):
         BoundaryCondition("dirichlet")
     with pytest.raises(ValueError):
@@ -107,6 +112,20 @@ def test_output_times_validation():
     with pytest.raises(ValueError, match="repeat"):
         evolve(counted, f0, BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.05])
     assert calls == []
+
+
+@pytest.mark.parametrize("times", [[np.nan], [0.05, np.nan]])
+def test_prep_output_times_rejects_times_outside_the_plan(times):
+    # NaN compares False with every bound, so it must fail the range test, not
+    # slip past it: an evolve would never reach such an output time
+    plan = TimeStepPlan(t_end=0.1)
+    assert prep_output_times(plan, [0.1, 0.05]) == [0.05, 0.1]
+    with pytest.raises(ValueError, match=r"\(0, t_end\]"):
+        prep_output_times(plan, times)
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    with pytest.raises(ValueError, match=r"\(0, t_end\]"):
+        evolve(flows.heat_1d(0.25), Field(g, np.sin(g.nodes())), BoundaryCondition("periodic"),
+               plan, times)
 
 
 def test_bc_grid_compatibility():
