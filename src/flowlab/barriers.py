@@ -193,16 +193,14 @@ def psi_eval_clamped(b: PsiBarrier, z, t):
     hi = np.full(z.shape, _BRACKET)
     mid = np.empty(z.shape)
     less = np.empty(z.shape, dtype=bool)
-    more = np.empty(z.shape, dtype=bool)
-    # strictly increasing map: plain bisection
+    # strictly increasing map: plain bisection; np.where selects faster
+    # than a masked copy with a data-dependent mask
     for _ in range(_PSI_BISECTIONS):
         np.add(lo, hi, out=mid)
         mid *= 0.5
         _psi_map_into(neg_c, mid, t, sqrt_t, val, work)
         np.less(val, z, out=less)
-        np.logical_not(less, out=more)
-        np.copyto(lo, mid, where=less)
-        np.copyto(hi, mid, where=more)
+        lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
     psi = 0.5 * (lo + hi)
     psi = np.where(clamped, np.sign(z), psi)
     if scalar:

@@ -9,6 +9,7 @@ checks guard against wrong metadata.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -28,7 +29,6 @@ __all__ = [
     "catalog_ids",
     "alpha",
     "alpha_closed_form",
-    "bernstein_E",
     "check_degeneracy",
 ]
 
@@ -228,7 +228,7 @@ FLOW_PARAMS = {
     "mcf2d": FlowEntry(lambda _: mcf_graph(2), {}),
     "mcf3d": FlowEntry(lambda _: mcf_graph(3), {}),
     "plaplace-reg": FlowEntry(lambda _, q, eps: plaplace_reg(float(q), float(eps)),
-                              {"q": (float, -1.0, ""), "eps": (float, 0.1, "")}),
+                              {"q": (float, -1.0, ""), "eps": (float, 0.1, "(0, inf)")}),
     "aniso:": FlowEntry(_aniso, {"dim": (int, 3, "[2, inf)")}),
 }
 
@@ -259,18 +259,23 @@ def get_flow(flow_id: str, **params):
 # --- directional degeneracy functional -------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
 def _unit_directions(n: int, n_dirs: int) -> np.ndarray:
+    """Quasi-uniform unit directions, cached per (n, n_dirs) and read-only."""
     if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
+        dirs = np.array([[1.0]])
+    elif n == 2:
         theta = np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # Fibonacci lattice on the half sphere (v and -v give the same value)
-    k = np.arange(n_dirs)
-    z = (k + 0.5) / n_dirs  # (0, 1): upper hemisphere
-    phi = k * np.pi * (3.0 - np.sqrt(5.0))
-    rho = np.sqrt(1.0 - z ** 2)
-    return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    else:
+        # Fibonacci lattice on the half sphere (v and -v give the same value)
+        k = np.arange(n_dirs)
+        z = (k + 0.5) / n_dirs  # (0, 1): upper hemisphere
+        phi = k * np.pi * (3.0 - np.sqrt(5.0))
+        rho = np.sqrt(1.0 - z ** 2)
+        dirs = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _angles_to_dir(theta: np.ndarray, n: int) -> np.ndarray:
@@ -372,12 +377,6 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
             f"closed-form alpha {closed} differs from the objective {at_minimiser} at A^-1 p"
         )
     return closed
-
-
-def bernstein_E(A: np.ndarray, p: np.ndarray) -> float:
-    """Bernstein functional p^T A p."""
-    p = np.asarray(p, dtype=float)
-    return float(p @ np.asarray(A, dtype=float) @ p)
 
 
 def check_degeneracy(profile: DegeneracyProfile, s_samples) -> VerificationReport:

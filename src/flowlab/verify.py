@@ -162,6 +162,16 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     10 h (1 + max |phi'|) over the probed region.  The witness is the first
     maximiser in (snapshot, lag) order.  Raises PreconditionError when no
     snapshot with t > 0 in ``t_window`` has a pair in the region.
+
+    The lag scan is pruned without changing the result.  The floor is the
+    largest lag-1 defect over the snapshots, computed with the scan's own
+    subtraction, so the scan produces it and max_defect >= floor.  Rounding
+    is monotone, so every rounded pair difference of a snapshot is at most
+    osc = max u - min u, and the defect at distance k h at most
+    osc - phi(k h, t), again rounded.  Each snapshot scans lags 1..K (and
+    their mirrors), K the last lag whose bound is >= floor; a skipped lag's
+    defect lies strictly below the floor, so it is neither the maximum nor
+    a first-maximiser tie.
     """
     if region not in ("full", "G"):
         raise ValueError("region must be 'full' or 'G'")
@@ -194,11 +204,22 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     phi = barriers.phi_double_coordinate(b, np.concatenate(z_parts), np.concatenate(t_parts), M)
     phi = np.split(phi, np.cumsum([z.size for z in z_parts])[:-1])
 
+    # lags 1 and n - 1 (distance h) are the scan's lag-1 row and its negation
+    floor = -np.inf
+    for (_, u, _, _), phi_k in zip(snaps, phi):
+        lag1 = float(np.max(np.abs(np.roll(u, -1) - u)) - phi_k[0])
+        if lag1 > floor:
+            floor = lag1
+
     def sample(snap, phi_k):
-        t, u, k_max, _ = snap
-        pair_max = _pair_max(u, k_max)
+        t, u, _, _ = snap
+        reach = np.flatnonzero((np.max(u) - np.min(u)) - phi_k >= floor)
+        if not reach.size:
+            return -np.inf, None
+        K = int(reach[-1]) + 1
+        pair_max = _pair_max(u, K)
         # index k - 1 of each lag's distance k h, in increasing lag order
-        ks = np.concatenate([np.arange(k_max), np.arange(pair_max.size - k_max)[::-1]])
+        ks = np.concatenate([np.arange(K), np.arange(pair_max.size - K)[::-1]])
         Z = pair_max - phi_k[ks]
         i = int(np.argmax(Z))
         return float(Z[i]), {"t": float(t), "distance": float(dists[ks[i]]),

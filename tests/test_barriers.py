@@ -135,6 +135,34 @@ def test_psi_bisection_bits_match_phi_eval(c):
     assert mapped.tobytes() == (phi_eval(k, y - 1.0, tt) - phi_eval(k, y + 1.0, tt)).tobytes()
 
 
+# (c, z, t, psi as float.hex, clamped): the bisection's roots must not move by a bit
+_PSI_PINS = [
+    (0.25, 0.0, 0.1, "-0x1.ffffffffffff7p-42", False),
+    (0.25, 0.3, 0.1, "0x1.cfa5261557ff8p-4", False),
+    (0.25, -0.7, 0.05, "-0x1.906db9186dff8p-2", False),
+    (1.0, 0.05, 1e-6, "0x1.fe6384d996ff8p-1", False),
+    (0.25, 5.0, 0.2, "0x1.0000000000000p+0", True),
+    (4.0, 1e-3, 2.0, "0x1.566a5d89ffffap-10", False),
+]
+
+
+@pytest.mark.parametrize("c, z, t, pinned, pinned_clamped", _PSI_PINS)
+def test_psi_eval_clamped_pinned_bits(c, z, t, pinned, pinned_clamped):
+    psi, clamped = psi_eval_clamped(PsiBarrier(c=c), z, t)
+    assert (psi.hex(), clamped) == (pinned, pinned_clamped)
+
+
+@given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5), st.floats(1e-4, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_psi_nondecreasing_in_z(f1, f2, t):
+    # fractions of the representable range: beyond +-1 the value is clamped
+    b = PsiBarrier(c=0.25)
+    z = np.sort([f1, f2]) * psi_range(b, t)
+    psi, _ = psi_eval_clamped(b, z, t)
+    assert psi[0] <= psi[1]
+    assert psi_eval_clamped(b, z[0], t)[0] <= psi_eval_clamped(b, z[1], t)[0]
+
+
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_psi_derivs_fd_crosscheck(c):
     b = PsiBarrier(c=c)

@@ -9,7 +9,6 @@ from flowlab import finsler, flows
 from flowlab.flows import (
     alpha,
     alpha_closed_form,
-    bernstein_E,
     catalog_ids,
     check_degeneracy,
     csf,
@@ -173,16 +172,25 @@ def test_alpha_rejects_zero_p():
         alpha(np.eye(2), np.zeros(2))
 
 
-@given(st.floats(0.1, 10), st.floats(-1, 1), st.floats(-1, 1))
-@settings(max_examples=30, deadline=None)
-def test_bernstein_E_mcf(scale, a, b):
-    v = np.array([a, b])
-    if np.linalg.norm(v) < 1e-3:
-        return
-    p = scale * v / np.linalg.norm(v)
-    A = mcf_graph(2).coeff(p)
-    # p^T A p = |p|^2 / (1 + |p|^2) for the MCF matrix
-    assert bernstein_E(A, p) == pytest.approx(scale ** 2 / (1 + scale ** 2), rel=1e-10)
+def test_unit_directions_are_cached_and_read_only():
+    dirs = flows._unit_directions(3, 512)
+    assert flows._unit_directions(3, 512) is dirs
+    with pytest.raises(ValueError, match="read-only"):
+        dirs[0, 0] = 2.0
+    for n in (2, 3):
+        assert not flows._unit_directions(n, 64).flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_alpha_is_unchanged_by_the_direction_cache(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    cases = [(mcf_graph(n).coeff(p), p) for p in rng.normal(size=(3, n))]
+    # singular A: the sampled minimum is refined by descent from the directions
+    cases.append((np.diag([1.0, 0.0, 2.0][:n]), rng.normal(size=n)))
+    cached = [alpha(A, p, n_dirs=512) for A, p in cases]
+    assert [alpha(A, p, n_dirs=512) for A, p in cases] == cached
+    monkeypatch.setattr(flows, "_unit_directions", flows._unit_directions.__wrapped__)
+    assert [alpha(A, p, n_dirs=512) for A, p in cases] == cached
 
 
 def test_degeneracy_certificates():

@@ -366,6 +366,90 @@ def test_double_coordinate_matches_pair_oracle(monkeypatch, n, region, chunk):
         assert rep.witness == witness
 
 
+def _crenellated_noise(n, M, times=(0.0, 0.005, 0.02, 0.08, 0.3)):
+    """Crenellated data of height M, smoothed over sqrt(t), plus 1% noise."""
+    g = Grid1D(0.0, 2.0, n, "periodic")
+    x = g.nodes()
+    rng = np.random.default_rng(n)
+    traj = Trajectory()
+    for t in times:
+        width = max(np.sqrt(t), 0.01)
+        traj.append(t, Field(g, 0.5 * M * np.tanh(np.sin(np.pi * x) / width)
+                             + 0.01 * M * rng.normal(size=n)))
+    return g, traj
+
+
+def _recording_pair_max(monkeypatch):
+    """Wrap verify._pair_max; the returned list collects each call's k_max."""
+    asked = []
+    pair_max = verify._pair_max
+
+    def wrapper(u, k_max):
+        asked.append(k_max)
+        return pair_max(u, k_max)
+
+    monkeypatch.setattr(verify, "_pair_max", wrapper)
+    return asked
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("region", ["G", "full"])
+@pytest.mark.parametrize("c", [0.0625, 0.25, 4.0])
+@pytest.mark.parametrize("M", [0.1, 1.0])  # M = 0.1 clamps phi to 2M at the later times
+def test_double_coordinate_pruned_scan_matches_oracle(monkeypatch, n, region, c, M):
+    g, traj = _crenellated_noise(n, M)
+    b = barriers.PsiBarrier(c=c)
+    asked = _recording_pair_max(monkeypatch)
+    worst, tol, witness = _double_coordinate_oracle(traj, b, M, region)
+    if not witness:  # z_M below one cell at every time: region G holds no pair
+        with pytest.raises(PreconditionError):
+            verify.double_coordinate_defect(traj, b, M, region=region)
+        return
+    rep = verify.double_coordinate_defect(traj, b, M, region=region)
+    assert (rep.max_defect, rep.tolerance, rep.witness) == (worst, tol, witness)
+    assert asked and max(asked) <= n // 2
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_double_coordinate_full_scan_prunes_lags(monkeypatch, n):
+    g, traj = _crenellated_noise(n, 1.0)
+    asked = _recording_pair_max(monkeypatch)
+    verify.double_coordinate_defect(traj, barriers.PsiBarrier(c=0.25), 1.0)
+    assert min(asked) < n // 2
+
+
+def test_double_coordinate_constant_field_scans_lag_one(monkeypatch):
+    # osc = 0: the bound -phi(k h) reaches the floor -phi(h) at lag 1 only
+    g = Grid1D(0.0, 2.0, 32, "periodic")
+    traj = Trajectory()
+    traj.append(0.1, Field(g, np.full(32, 0.25)))
+    b = barriers.PsiBarrier(c=0.25)
+    asked = _recording_pair_max(monkeypatch)
+    rep = verify.double_coordinate_defect(traj, b, 1.0)
+    assert asked == [1]
+    assert (rep.max_defect, rep.tolerance, rep.witness) == \
+        _double_coordinate_oracle(traj, b, 1.0, "full")
+    assert rep.witness["distance"] == g.h
+
+
+def test_double_coordinate_skips_a_snapshot_with_every_lag_pruned(monkeypatch):
+    # the step at t = 0.2 sets a lag-1 floor (1 - phi(h, 0.2), about 0.9)
+    # above -phi(h, 0.01), the largest bound of the constant snapshot at
+    # t = 0.01: no lag of that snapshot is scanned
+    g = Grid1D(0.0, 2.0, 32, "periodic")
+    x = g.nodes()
+    traj = Trajectory()
+    traj.append(0.01, Field(g, np.full(32, 0.25)))
+    traj.append(0.2, Field(g, 0.5 * np.sign(np.sin(np.pi * x))))
+    b = barriers.PsiBarrier(c=0.25)
+    asked = _recording_pair_max(monkeypatch)
+    rep = verify.double_coordinate_defect(traj, b, 1.0)
+    assert len(asked) == 1
+    assert (rep.max_defect, rep.tolerance, rep.witness) == \
+        _double_coordinate_oracle(traj, b, 1.0, "full")
+    assert rep.witness["t"] == 0.2
+
+
 def test_double_coordinate_vacuous_window_is_precondition_error():
     g = Grid1D(0.0, 2.0, 32, "periodic")
     traj = Trajectory()
