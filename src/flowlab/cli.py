@@ -3,11 +3,12 @@
 Subcommands:
   run      evolve one configured experiment and emit reports
   sweep    run a config over a grid of parameter overrides
-  certify  structural certificate for a flow or norm id
+  certify  structural certificate for a flow or norm id, or for every
+           listed norm (id "norms")
   list     show catalog ids and the keys of every config section
 
-Outputs are deterministic: given the same config and seed the emitted
-manifest, field CSVs and report JSONs are byte-identical.
+Outputs are deterministic: given the same config the emitted manifest,
+field CSVs and report JSONs are byte-identical.
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ def cmd_run(args) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
         return run_experiment(cfg, args.out, assert_checks=not args.report_only)
     except SolverError as e:
@@ -129,8 +128,6 @@ def cmd_sweep(args) -> int:
         try:
             _apply_override(args.config, dict(zip(keys, combo)), tmp)
             cfg = load_config(tmp)
-            if args.seed is not None:
-                cfg.seed = args.seed
             code = run_experiment(cfg, sub, assert_checks=not args.report_only)
         except (ConfigError, SolverError) as e:
             print(f"{label}: error: {e}", file=sys.stderr)
@@ -147,7 +144,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    target = args.id
+    if args.id == "norms":  # every norm that `flowlab list` prints
+        return max([_certify(nf.id, args) for nf in finsler.builtin_norms(2)])
+    return _certify(args.id, args)
+
+
+def _certify(target: str, args) -> int:
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
     try:
@@ -172,6 +174,7 @@ def cmd_certify(args) -> int:
         return 1
     print(f"certified {consts.norm_id}: A={consts.A:.6g} P={consts.P:.6g} "
           f"k={consts.k:.6g} C1={consts.C1:.6g}")
+    print(finsler.check_symmetry(nf).summary_line())
     return 0
 
 
@@ -218,26 +221,22 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one configured experiment")
     p_run.add_argument("config")
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--seed", type=int, default=None)
-    g = p_run.add_mutually_exclusive_group()
-    g.add_argument("--assert", dest="report_only", action="store_false",
-                   help="exit nonzero when an asserted check fails (default)")
-    g.add_argument("--report-only", dest="report_only", action="store_true",
-                   help="never fail the process on check defects")
-    p_run.set_defaults(report_only=False, func=cmd_run)
+    p_run.add_argument("--report-only", action="store_true",
+                       help="never fail the process on check defects")
+    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a config over parameter overrides")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--grid", required=True,
                          help='overrides, e.g. "flow.c=0.25,0.5;grid.n_cells=128,256"')
     p_sweep.add_argument("--out", default="sweep-out")
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--report-only", dest="report_only", action="store_true")
-    p_sweep.set_defaults(report_only=False, func=cmd_sweep)
+    p_sweep.add_argument("--report-only", action="store_true")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="structural certificate for a flow or norm")
-    p_cert.add_argument("id", help="flow id (heat, csf, ...) or norm id "
-                                   "(euclid, elliptic:<spec>, quartic:<delta>)")
+    p_cert.add_argument("id", help="flow id (heat, csf, ...), norm id "
+                                   "(euclid, elliptic:<spec>, quartic:<delta>), or norms "
+                                   "for every listed norm")
     p_cert.add_argument("--out", default="out")
     p_cert.add_argument("--s-max", type=float, default=1e3)
     p_cert.set_defaults(func=cmd_certify)

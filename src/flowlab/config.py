@@ -79,6 +79,14 @@ def _t_window(p: dict):
     return None if (p["t_lo"], p["t_hi"]) == (0.0, np.inf) else (p["t_lo"], p["t_hi"])
 
 
+def _region_window(p: dict):
+    """The double-coordinate window: an unset t_hi is region G's time limit
+    2cM^2/3, past which the barrier is not claimed, and inf for region full."""
+    if p["t_hi"] is None:
+        p = {**p, "t_hi": 2.0 * p["c"] * p["M"] ** 2 / 3.0 if p["region"] == "G" else np.inf}
+    return _t_window(p)
+
+
 POSITIVE = "(0, inf)"
 WINDOW = {"t_lo": Key(float, 0.0), "t_hi": Key(float, np.inf, "(-inf, inf]")}
 GRID_TOL = {"grid_tol": Key(float, 0.0)}
@@ -127,9 +135,10 @@ CHECK_TYPES = {
     "double_coordinate": Kind(
         lambda p, traj: verify.double_coordinate_defect(
             traj, barriers.PsiBarrier(c=p["c"]), p["M"], region=p["region"],
-            t_window=_t_window(p)),
+            t_window=_region_window(p)),
         {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
-         "region": Key(str, "full", ("full", "G")), **WINDOW}),
+         "region": Key(str, "full", ("full", "G")),
+         **WINDOW, "t_hi": Key(float, None, "(-inf, inf]")}),
     "convergence": Kind(
         lambda p, traj: verify.convergence_to_initial_data(
             traj, MODULI[p["modulus"]].build(p), grid_tol=p["grid_tol"]),

@@ -316,10 +316,10 @@ def aniso_flow(nf: FinslerNorm):
 
     n = nf.dim - 1
 
-    def _envelope(K, reducer):
+    def Lambda_of_K(K):
         scales = np.linspace(0.0, max(K, 1e-9), 17)
         p = scales[:, None, None] * _spatial_directions(n, 16)
-        return float(reducer(np.linalg.eigvalsh(flow_coefficients(nf, p))))
+        return float(np.max(np.linalg.eigvalsh(flow_coefficients(nf, p))))
 
     def coeff(p, out=None):
         return flow_coefficients(nf, p, out)
@@ -327,8 +327,7 @@ def aniso_flow(nf: FinslerNorm):
     return GraphFlowND(
         n=n,
         coeff=coeff,
-        Lambda_of_K=lambda K: _envelope(K, np.max),
-        lambda_of_K=lambda K: _envelope(K, np.min),
+        Lambda_of_K=Lambda_of_K,
         name=f"aniso:{nf.id}",
     )
 

@@ -1,8 +1,8 @@
 """Catalog of parabolic operators with structural metadata.
 
 Every entry is one GraphFlowND, u_t = a^ij(Du) D_ij u, packaging the
-coefficient together with the degeneracy profile (A, P) and parabolicity
-envelopes (lambda(K), Lambda(K)) that the verification checks consume.
+coefficient together with the degeneracy profile (A, P) and the upper
+parabolicity envelope Lambda(K) that the verification checks consume.
 Metadata is supplied by the catalog, not inferred; sampled consistency
 checks guard against wrong metadata.
 """
@@ -61,13 +61,11 @@ class GraphFlowND:
     n: int
     coeff: Callable[..., np.ndarray]
     Lambda_of_K: Callable[[float], float] = lambda K: 1.0
-    lambda_of_K: Callable[[float], float] = lambda K: 1.0
     degeneracy: Optional[DegeneracyProfile] = None
     name: str = "graphflow"
 
 
 def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
-                lambda_of_K: Callable[[float], float],
                 Lambda_of_K: Callable[[float], float], name: str) -> GraphFlowND:
     """The n = 1 flow u_t = a(u_x) u_xx for an even, vectorised a.
 
@@ -85,7 +83,6 @@ def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
         n=1,
         coeff=coeff,
         Lambda_of_K=Lambda_of_K,
-        lambda_of_K=lambda_of_K,
         degeneracy=DegeneracyProfile(a, A0=A0, P=P),
         name=name,
     )
@@ -119,7 +116,6 @@ def mcf_graph(n: int) -> GraphFlowND:
         n=n,
         coeff=coeff,
         Lambda_of_K=lambda K: 1.0,
-        lambda_of_K=lambda K: 1.0 / (1.0 + K ** 2),
         degeneracy=profile,
         name=f"mcf{n}d",
     )
@@ -144,7 +140,6 @@ def csf() -> GraphFlowND:
         a,
         A0=0.5,
         P=1.0,
-        lambda_of_K=lambda K: 1.0 / (1.0 + K ** 2),
         Lambda_of_K=lambda K: 1.0,
         name="csf",
     )
@@ -170,7 +165,6 @@ def heat_1d(c: float) -> GraphFlowND:
         a,
         A0=a_val,  # = P^2/(4c) with P = 1
         P=1.0,
-        lambda_of_K=lambda K: a_val,
         Lambda_of_K=lambda K: a_val,
         name="heat",
     )
@@ -197,7 +191,6 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
         a,
         A0=min((eps ** 2 + 1.0) ** expo, 1.0),
         P=1.0,
-        lambda_of_K=lambda K: (eps ** 2 + K ** 2) ** expo if expo < 0 else eps ** (2 * expo),
         Lambda_of_K=lambda K: eps ** (2 * expo) if expo < 0 else (eps ** 2 + K ** 2) ** expo,
         name="plaplace-reg",
     )

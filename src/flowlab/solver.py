@@ -565,7 +565,6 @@ def _auxiliary_phi_flow(profile: DegeneracyProfile) -> GraphFlowND:
         a,
         A0=4.0 * profile.A0,
         P=profile.P,
-        lambda_of_K=lambda K: 0.0,
         Lambda_of_K=lambda K: 4.0 * max(float(alpha_tilde(s)) for s in np.linspace(0, K, 65)),
         name="auxiliary-phi",
     )

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flowlab import barriers, finsler, verify
 from flowlab.cli import main
-from flowlab.config import ConfigError, load_config
+from flowlab.config import CHECK_TYPES, ConfigError, load_config
+from flowlab.solver import evolve
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 HEAT_STEP = os.path.join(CONFIG_DIR, "heat-step.cfg")
@@ -174,12 +176,60 @@ def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
 
 def test_explicit_infinite_window_end_loads(tmp_path):
     # t_hi is the one float key whose range admits inf
-    cfg = load_config(_write(tmp_path, _edit(CSF_CREN, "t_hi = 0.1667", "t_hi = inf")))
+    cfg = load_config(_write(tmp_path, _edit(CSF_CREN, "region = G", "region = G\nt_hi = inf")))
     assert cfg.checks["double-coordinate"]["t_hi"] == np.inf
 
 
+@pytest.fixture(scope="module")
+def csf_run():
+    """The bundled csf config and its trajectory, evolved once."""
+    cfg = load_config(CSF_CREN)
+    return cfg, evolve(cfg.flow, cfg.u0, cfg.bc, cfg.plan, cfg.output_times)
+
+
+def _report_bytes(rep, path):
+    rep.to_json(str(path))
+    return path.read_bytes()
+
+
+def test_calibration_sweep_follows_region_g_limit(tmp_path, csf_run):
+    # each member scans the snapshots with t <= 2cM^2/3 of its own c; only
+    # c = 1/4 and above give a nonpositive defect, so c = 1/4 is the constant
+    _, traj = csf_run
+    out = tmp_path / "sweep"
+    cs = {"0.0625": 0.3865, "0.125": 0.1994, "0.25": -0.0195, "0.5": -0.4509}
+    assert main(["sweep", CSF_CREN, "--grid", "check:double-coordinate.c=" + ",".join(cs),
+                 "--out", str(out)]) == 0
+    for text, defect in cs.items():
+        c = float(text)
+        rep = verify.double_coordinate_defect(traj, barriers.PsiBarrier(c=c), 1.0, region="G",
+                                              t_window=(0.0, 2.0 * c / 3.0))
+        member = out / f"c={text}" / "reports" / "double-coordinate.json"
+        assert member.read_bytes() == _report_bytes(rep, tmp_path / "expected.json")
+        assert rep.max_defect == pytest.approx(defect, abs=5e-5)
+
+
+def test_explicit_t_hi_overrides_region_g_limit(tmp_path, csf_run):
+    cfg, traj = csf_run
+    params = {**cfg.checks["double-coordinate"], "c": 0.0625}
+    build = CHECK_TYPES["double_coordinate"].build
+    b = barriers.PsiBarrier(c=0.0625)
+    derived = build(params, traj)
+    assert derived.max_defect == pytest.approx(0.3865, abs=5e-5)
+    for t_hi in (np.inf, 0.01):
+        rep = verify.double_coordinate_defect(traj, b, 1.0, region="G", t_window=(0.0, t_hi))
+        assert (_report_bytes(build({**params, "t_hi": t_hi}, traj), tmp_path / "a.json")
+                == _report_bytes(rep, tmp_path / "b.json"))
+    # t_hi = inf scans the snapshots past 2cM^2/3 = 1/24 too
+    assert build({**params, "t_hi": np.inf}, traj).max_defect == pytest.approx(0.683, abs=5e-4)
+    # region full has no time limit of its own
+    full = {**params, "region": "full"}
+    assert (_report_bytes(build(full, traj), tmp_path / "a.json")
+            == _report_bytes(verify.double_coordinate_defect(traj, b, 1.0), tmp_path / "b.json"))
+
+
 def test_run_builds_flow_and_initial_data_once(tmp_path, monkeypatch):
-    from flowlab import barriers, cli, flows
+    from flowlab import cli, flows
 
     calls = {"get_flow": 0, "step_eval": 0}
 
@@ -391,6 +441,22 @@ def test_certify_norm(tmp_path):
     with open(os.path.join(out, "certificate-euclid.json")) as fh:
         cert = json.load(fh)
     assert cert["A"] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_certify_norms(tmp_path, capsys):
+    # one certificate per norm that `flowlab list` prints, each with its symmetry probe
+    out = tmp_path / "norms"
+    assert main(["certify", "norms", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ids = [nf.id for nf in finsler.builtin_norms(2)]
+    assert len(ids) == 3 and len(list(out.glob("*.json"))) == 3
+    for norm_id in ids:
+        one = tmp_path / "one"
+        assert main(["certify", norm_id, "--out", str(one)]) == 0
+        name = f"certificate-{norm_id.replace(':', '_')}.json"
+        assert (out / name).read_bytes() == (one / name).read_bytes()
+    assert [line.split()[:2] for line in lines if "symmetry:" in line] == [
+        ["PASS", f"symmetry:{norm_id}:"] for norm_id in ids]
 
 
 def test_certify_flow(tmp_path):

@@ -452,8 +452,7 @@ def _constant_flow(value, name):
         out.fill(value)
         return out
 
-    return flows.scalar_flow(a, A0=1.0, P=1.0, lambda_of_K=lambda K: 1.0,
-                             Lambda_of_K=lambda K: 1.0, name=name)
+    return flows.scalar_flow(a, A0=1.0, P=1.0, Lambda_of_K=lambda K: 1.0, name=name)
 
 
 def _antidiffusion():
