@@ -199,16 +199,16 @@ def _describe(node, indent: str) -> tuple[str, list]:
 
 
 def cmd_list(args) -> int:
-    print("flows:")
-    for fid in flows.catalog_ids():
-        print(f"  {fid}")
-    print("norms:")
-    for nf in finsler.builtin_norms(2):
-        print(f"  {nf.id}")
-    print("config sections:")
+    lines = ["flows:", *(f"  {fid}" for fid in flows.catalog_ids()),
+             "norms:", *(f"  {nf.id}" for nf in finsler.builtin_norms(2)), "config sections:"]
     for section, node in SCHEMA.items():
         text, below = _describe(node, "    ")
-        print(f"  [{section}{'<name>' if section.endswith(':') else ''}] {text}", *below, sep="\n")
+        lines += [f"  [{section}{'<name>' if section.endswith(':') else ''}] {text}", *below]
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:  # the reader stopped early, as `flowlab list | head -1` does
+        # point stdout at devnull so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

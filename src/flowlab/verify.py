@@ -158,10 +158,18 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     Z = u(y,t) - u(x,t) - phi(|y-x|, t) with phi(z,t) = 2M psi(z/2M, t/4M^2).
 
     Out-of-range barrier arguments clamp phi to 2M (conservative).  Region
-    "G" restricts pair distances to |y-x| <= z_M(t).  Tolerance is
-    10 h (1 + max |phi'|) over the probed region.  The witness is the first
-    maximiser in (snapshot, lag) order.  Raises PreconditionError when no
-    snapshot with t > 0 in ``t_window`` has a pair in the region.
+    "G" restricts pair distances to |y-x| <= z_M(t).  The witness is the
+    first maximiser in (snapshot, lag) order.  Raises PreconditionError when
+    no snapshot with t > 0 in ``t_window`` has a pair in the region.
+
+    Tolerance: a node pair at distance d = k h stands for the continuous
+    pairs within one cell of its distance, d' in [d, d + h).  If the bound
+    holds at such a d', then, phi being nondecreasing in z, the node
+    difference is at most phi(d', t) <= phi(d + h, t), so its defect is at
+    most phi(d + h, t) - phi(d, t).  The tolerance is the largest such
+    one-cell change over the checked pairs: the max over the snapshots and
+    k <= k_max of phi((k+1) h, t) - phi(k h, t), from the one psi solve at
+    the distances k h, k = 1..k_max + 1.
 
     The lag scan is pruned without changing the result.  The floor is the
     largest lag-1 defect over the snapshots, computed with the scan's own
@@ -180,40 +188,36 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
         raise PreconditionError("double-coordinate check needs a periodic 1-D grid")
     h = grid.h
     n = grid.n_nodes
-    period = grid.x_hi - grid.x_lo
     empty = (f"no snapshot with t > 0 in t_window {t_window} has a node pair "
              f"in region {region}")
 
-    # pair distance min(lag, n - lag) h takes the values k h, k = 1..n // 2
-    dists = np.arange(1, n // 2 + 1) * h
-    # per snapshot: t, u, the largest k in the region, slope probe points
+    # pair distances min(lag, n - lag) h = k h, k = 1..n // 2, and one cell more
+    dists = np.arange(1, n // 2 + 2) * h
+    # per snapshot: t, u and the largest k in the region
     snaps = []
     for t, f in _scan(traj, t_window):
-        k_max = dists.size
+        k_max = n // 2
         if region == "G":
-            k_max = int(np.count_nonzero(dists <= float(barriers.z_M(t, M, b.c))))
+            k_max = int(np.count_nonzero(dists[:-1] <= float(barriers.z_M(t, M, b.c))))
         if k_max:
-            zs = np.linspace(0.5 * h, max(float(dists[k_max - 1]), 2.0 * h), 256)
-            snaps.append((t, f.values, k_max, zs))
+            snaps.append((t, f.values, k_max))
     if not snaps:  # nothing for the one psi solve below
         raise PreconditionError(empty)
 
-    # one psi solve for every snapshot: pair distances, then slope probes
-    z_parts = [dists[:k] for _, _, k, _ in snaps] + [zs for *_, zs in snaps]
-    t_parts = [np.full(z.size, t) for z, (t, *_) in zip(z_parts, snaps + snaps)]
-    phi = barriers.phi_double_coordinate(b, np.concatenate(z_parts), np.concatenate(t_parts), M)
-    phi = np.split(phi, np.cumsum([z.size for z in z_parts])[:-1])
+    # one psi solve for every snapshot at the distances k h, k = 1..k_max + 1
+    phi = barriers.phi_double_coordinate(
+        b, np.concatenate([dists[:k + 1] for *_, k in snaps]),
+        np.concatenate([np.full(k + 1, t) for t, _, k in snaps]), M)
+    phi = np.split(phi, np.cumsum([k + 1 for *_, k in snaps])[:-1])
+    tolerance = max(float(np.max(np.diff(phi_k))) for phi_k in phi)
 
     # lags 1 and n - 1 (distance h) are the scan's lag-1 row and its negation
-    floor = -np.inf
-    for (_, u, _, _), phi_k in zip(snaps, phi):
-        lag1 = float(np.max(np.abs(np.roll(u, -1) - u)) - phi_k[0])
-        if lag1 > floor:
-            floor = lag1
+    floor = max(float(np.max(np.abs(np.roll(u, -1) - u)) - phi_k[0])
+                for (_, u, _), phi_k in zip(snaps, phi))
 
     def sample(snap, phi_k):
-        t, u, _, _ = snap
-        reach = np.flatnonzero((np.max(u) - np.min(u)) - phi_k >= floor)
+        t, u, k_max = snap
+        reach = np.flatnonzero((np.max(u) - np.min(u)) - phi_k[:k_max] >= floor)
         if not reach.size:
             return -np.inf, None
         K = int(reach[-1]) + 1
@@ -226,16 +230,12 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
                              "max_pair_diff": float(pair_max[i]), "phi": float(phi_k[ks[i]])}
 
     worst, witness = _worst(map(sample, snaps, phi), empty)
-    # slope of phi sampled at the probed distances, for the tolerance
-    max_slope = max([0.0] + [float(np.max(np.abs(np.gradient(pv, zs))))
-                             for (*_, zs), pv in zip(snaps, phi[len(snaps):])])
     return VerificationReport(
         check_id=f"double-coordinate:{region}",
         max_defect=worst,
-        tolerance=10.0 * h * (1.0 + max_slope),
+        tolerance=tolerance,
         witness=witness,
-        metadata={"M": M, "c": b.c, "h": h, "period": period,
-                  "max_phi_slope": max_slope},
+        metadata={"M": M, "c": b.c, "h": h, "period": grid.x_hi - grid.x_lo},
     )
 
 

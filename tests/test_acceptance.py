@@ -215,8 +215,11 @@ def test_criterion_8_double_coordinate():
     t_prime = 2.0 * c * M ** 2 / 3.0
     times = np.geomspace(1e-3 * t_prime, t_prime, 16)
     b = barriers.PsiBarrier(c=c)
+    # negative control: c = 1/8 on the same data, in its own window 2cM^2/3
+    c_neg = 0.125
+    b_neg = barriers.PsiBarrier(c=c_neg)
 
-    defects, tols = [], []
+    defects, tols, negatives = [], [], []
     for eps in (4 * h, 8 * h, 16 * h):
         # oscillation M means crenellation heights +-M/2
         sd = barriers.StepData(M=M / 2.0, mode="crenellated", R=R, eps=eps)
@@ -227,11 +230,16 @@ def test_criterion_8_double_coordinate():
                                               t_window=(0.0, t_prime))
         defects.append(rep.max_defect)
         tols.append(rep.tolerance)
+        negatives.append(verify.double_coordinate_defect(
+            traj, b_neg, M, region="G", t_window=(0.0, 2.0 * c_neg * M ** 2 / 3.0)))
     tol_grid = tols[0]
     spread = max(defects) - min(defects)
-    ok = defects[0] <= tol_grid and spread <= 2.0 * tol_grid
+    ok = (defects[0] <= tol_grid and spread <= 2.0 * tol_grid
+          and not any(r.passed for r in negatives))
     _report(8, ok, f"defects {[f'{d:+.4f}' for d in defects]} for eps in "
-                   f"{{4h,8h,16h}}, tol_grid {tol_grid:.3f}, spread {spread:.4f}")
+                   f"{{4h,8h,16h}}, tol_grid {tol_grid:.3f}, spread {spread:.4f}; "
+                   f"c = 1/8 must FAIL: defects {[f'{r.max_defect:+.4f}' for r in negatives]}, "
+                   f"tol {negatives[0].tolerance:.3f}")
 
 
 # 9. shrinking sphere exactness -----------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from flowlab.solver import evolve
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 HEAT_STEP = os.path.join(CONFIG_DIR, "heat-step.cfg")
 CSF_CREN = os.path.join(CONFIG_DIR, "csf-crenellated.cfg")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
 
 
@@ -194,12 +197,15 @@ def _report_bytes(rep, path):
 
 def test_calibration_sweep_follows_region_g_limit(tmp_path, csf_run):
     # each member scans the snapshots with t <= 2cM^2/3 of its own c; only
-    # c = 1/4 and above give a nonpositive defect, so c = 1/4 is the constant
+    # c = 1/4 and above give a nonpositive defect, so c = 1/4 is the constant;
+    # the defects of c = 1/16 and 1/8 exceed their one-cell tolerances
     _, traj = csf_run
     out = tmp_path / "sweep"
     cs = {"0.0625": 0.3865, "0.125": 0.1994, "0.25": -0.0195, "0.5": -0.4509}
     assert main(["sweep", CSF_CREN, "--grid", "check:double-coordinate.c=" + ",".join(cs),
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == 1
+    assert (out / "sweep.csv").read_text() == \
+        "label,exit_code\nc=0.0625,1\nc=0.125,1\nc=0.25,0\nc=0.5,0\n"
     for text, defect in cs.items():
         c = float(text)
         rep = verify.double_coordinate_defect(traj, barriers.PsiBarrier(c=c), 1.0, region="G",
@@ -226,6 +232,29 @@ def test_explicit_t_hi_overrides_region_g_limit(tmp_path, csf_run):
     full = {**params, "region": "full"}
     assert (_report_bytes(build(full, traj), tmp_path / "a.json")
             == _report_bytes(verify.double_coordinate_defect(traj, b, 1.0), tmp_path / "b.json"))
+
+
+def test_full_tolerance_covers_region_g(csf_run):
+    # region full checks every pair of region G, so its one-cell tolerance
+    # is at least G's
+    cfg, traj = csf_run
+    params = cfg.checks["double-coordinate"]
+    build = CHECK_TYPES["double_coordinate"].build
+    g, full = build(params, traj), build({**params, "region": "full"}, traj)
+    assert full.tolerance >= g.tolerance
+    assert (g.max_defect, g.witness) == (full.max_defect, full.witness)
+
+
+@pytest.mark.parametrize("c, code", [("0.125", 1), ("0.25", 0)])
+def test_run_csf_double_coordinate_controls(tmp_path, c, code):
+    # c = 1/8 is below the calibrated constant: its defect, about +0.20,
+    # exceeds the one-cell tolerance, about 0.07
+    cfg = _write(tmp_path, open(CSF_CREN).read().replace("c = 0.25", f"c = {c}"))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == code
+    rep = json.loads((out / "reports" / "double-coordinate.json").read_text())
+    assert rep["passed"] is (code == 0)
+    assert rep["tolerance"] < 0.1
 
 
 def test_run_builds_flow_and_initial_data_once(tmp_path, monkeypatch):
@@ -487,6 +516,17 @@ def test_certify_unknown_id(tmp_path):
     # a flow id with a suffix is no flow id; it is not a norm id either
     for target in ("octagon", "csf:foo", "heat:0.5"):
         assert main(["certify", target, "--out", str(tmp_path / "c")]) == 2
+
+
+def test_list_into_a_closed_pipe_exits_quietly():
+    # as `flowlab list | head -1`: the reader is gone before the listing is written
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "flowlab", "list"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
 
 
 def test_list(capsys):

@@ -318,7 +318,7 @@ def _double_coordinate_oracle(traj, b, M, region, t_window=None):
     """
     grid = traj.fields[0].grid
     h, n = grid.h, grid.n_nodes
-    worst, witness, max_slope = -np.inf, {}, 0.0
+    worst, witness, tol = -np.inf, {}, 0.0
     for t, f in traj.snapshots:
         if t <= 0 or (t_window is not None and not t_window[0] <= t <= t_window[1]):
             continue
@@ -328,18 +328,19 @@ def _double_coordinate_oracle(traj, b, M, region, t_window=None):
                 if region == "full" or min(lag, n - lag) * h <= zm]
         if not lags:
             continue
-        dists = np.array([min(lag, n - lag) for lag in lags]) * h
+        ks = np.array([min(lag, n - lag) for lag in lags])
+        dists = ks * h
         phi = barriers.phi_double_coordinate(b, dists, t, M)
-        zs = np.linspace(0.5 * h, max(float(np.max(dists)), 2.0 * h), 256)
-        pv = barriers.phi_double_coordinate(b, zs, t, M)
-        max_slope = max(max_slope, float(np.max(np.abs(np.gradient(pv, zs)))))
+        # each pair's allowance: phi one cell further out, phi(d + h) - phi(d)
+        phi_next = barriers.phi_double_coordinate(b, (ks + 1) * h, t, M)
+        tol = max(tol, float(np.max(phi_next - phi)))
         for lag, d, pval in zip(lags, dists, phi):
             pair_max = max(u[(i + lag) % n] - u[i] for i in range(n))
             if pair_max - pval > worst:
                 worst = float(pair_max - pval)
                 witness = {"t": float(t), "distance": float(d),
                            "max_pair_diff": float(pair_max), "phi": float(pval)}
-    return worst, 10.0 * h * (1.0 + max_slope), witness
+    return worst, tol, witness
 
 
 @pytest.mark.parametrize("n", [31, 32, 33])
@@ -408,6 +409,28 @@ def test_double_coordinate_pruned_scan_matches_oracle(monkeypatch, n, region, c,
     rep = verify.double_coordinate_defect(traj, b, M, region=region)
     assert (rep.max_defect, rep.tolerance, rep.witness) == (worst, tol, witness)
     assert asked and max(asked) <= n // 2
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("region", ["G", "full"])
+def test_double_coordinate_one_psi_solve_at_pair_distances(monkeypatch, n, region):
+    # one call, at the distances k h for k = 1..k_max + 1 of each checked
+    # snapshot: no slope probes
+    g, traj = _crenellated_noise(n, 1.0)
+    b = barriers.PsiBarrier(c=0.25)
+    sizes = []
+    phi = barriers.phi_double_coordinate
+
+    def wrapper(b, z, t, M):
+        sizes.append(np.size(z))
+        return phi(b, z, t, M)
+
+    monkeypatch.setattr(barriers, "phi_double_coordinate", wrapper)
+    verify.double_coordinate_defect(traj, b, 1.0, region=region)
+    k_max = [n // 2 if region == "full" else
+             int(np.count_nonzero(np.arange(1, n // 2 + 1) * g.h <= barriers.z_M(t, 1.0, 0.25)))
+             for t in traj.times if t > 0]
+    assert sizes == [sum(k + 1 for k in k_max if k)]
 
 
 @pytest.mark.parametrize("n", [64, 65])
