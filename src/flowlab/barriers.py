@@ -92,8 +92,9 @@ class HeatKernel:
             raise ValueError("c must be positive")
 
 
-def phi_eval(k: HeatKernel, y, t, deriv=0):
-    """Evaluate Phi or its derivatives Phi_y, Phi_yy, Phi_yyy, Phi_t.
+def phi_eval(k: HeatKernel, y, t, deriv=0, log_scale=0.0):
+    """Evaluate Phi or its derivatives Phi_y, Phi_yy, Phi_yyy, Phi_t, times
+    exp(log_scale).
 
     ``deriv`` is 0..3 for spatial derivatives or "t" for the time derivative.
     """
@@ -102,7 +103,7 @@ def phi_eval(k: HeatKernel, y, t, deriv=0):
     if np.any(t <= 0):
         raise ValueError("Phi requires t > 0")
     c = k.c
-    e = np.exp(-c * y ** 2 / t)
+    e = np.exp(log_scale - c * y ** 2 / t)
     if deriv == 0:
         return e / np.sqrt(t)
     if deriv == 1:
@@ -219,20 +220,29 @@ def psi_eval(b: PsiBarrier, z, t):
 def psi_derivs(b: PsiBarrier, z, t):
     """Closed-form (psi', psi'', psi''', psi_t) at psi = psi_eval(z, t).
 
-    The returned derivatives satisfy psi_t = psi'' / (4 c psi'^2).
+    The returned derivatives satisfy psi_t = psi'' / (4 c psi'^2).  Every
+    derivative of the defining map carries the factor exp(-L), L = c (1 -
+    |psi|)^2 / t, which underflows as t -> 0.  With D_k the k-th derivative
+    times exp(L), psi' = e^L / D_1, psi'' = -D_2 e^2L / D_1^3 and psi''' =
+    (3 D_2^2 - D_1 D_3) e^3L / D_1^5 are formed as sign * exp(log), so that
+    no finite value passes through inf or NaN and one past the float range
+    is +-inf.  psi is odd in z, so psi(0) = psi''(0) = 0 exactly.
     """
-    psi = psi_eval(b, z, t)
-    k = b.kernel
+    z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    dy = phi_eval(k, psi - 1.0, t, 1) - phi_eval(k, psi + 1.0, t, 1)
-    dyy = phi_eval(k, psi - 1.0, t, 2) - phi_eval(k, psi + 1.0, t, 2)
-    dyyy = phi_eval(k, psi - 1.0, t, 3) - phi_eval(k, psi + 1.0, t, 3)
-    dt = phi_eval(k, psi - 1.0, t, "t") - phi_eval(k, psi + 1.0, t, "t")
-    p1 = 1.0 / dy
-    p2 = -(p1 ** 3) * dyy
-    p3 = 3.0 * p2 ** 2 / p1 - p1 ** 4 * dyyy
-    pt = -dt * p1
-    return p1, p2, p3, pt
+    psi = np.where(z == 0.0, 0.0, psi_eval(b, z, t))
+    k = b.kernel
+    L = b.c * (1.0 - np.abs(psi)) ** 2 / t
+    D1, D2, D3, Dt = (phi_eval(k, psi - 1.0, t, d, L) - phi_eval(k, psi + 1.0, t, d, L)
+                      for d in (1, 2, 3, "t"))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_D1 = np.log(D1)
+        r2 = D2 / D1
+        n3 = 3.0 * r2 ** 2 - D3 / D1
+        p1 = np.exp(L - log_D1)
+        p2 = np.sign(-r2) * np.exp(2.0 * L + np.log(np.abs(r2)) - 2.0 * log_D1)
+        p3 = np.sign(n3) * np.exp(3.0 * L + np.log(np.abs(n3)) - 3.0 * log_D1)
+    return p1, p2, p3, -Dt / D1
 
 
 def z_M(t, M: float, c: float):
@@ -258,18 +268,17 @@ def phi_double_coordinate(b: PsiBarrier, z, t, M: float):
 class ConeBarrier:
     """Exact heat solution lying above the cone L |x - h|.
 
-    Solves v_t = v_xx / (4 c) with c = 1 / (4 Lambda); eps is the usual
-    small time offset (the barrier tends to the cone as t + eps -> 0).
+    Solves v_t = v_xx / (4 c) with c = 1 / (4 Lambda); the barrier tends
+    to the cone as t -> 0.
     """
 
     L: float
     h: float
     Lambda: float
-    eps: float = 0.0
 
     def __post_init__(self):
-        if self.L <= 0 or self.Lambda <= 0 or self.eps < 0:
-            raise ValueError("require L > 0, Lambda > 0, eps >= 0")
+        if self.L <= 0 or self.Lambda <= 0:
+            raise ValueError("require L > 0, Lambda > 0")
 
     @property
     def c(self) -> float:
@@ -279,14 +288,13 @@ class ConeBarrier:
 def cone_barrier_eval(cb: ConeBarrier, x, t):
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    tau = t + cb.eps
-    if np.any(tau <= 0):
-        raise ValueError("require t + eps > 0")
+    if np.any(t <= 0):
+        raise ValueError("require t > 0")
     c = cb.c
     xi = x - cb.h
-    return cb.L * xi * erf(np.sqrt(c / tau) * xi) + cb.L * np.sqrt(
-        tau / (c * np.pi)
-    ) * np.exp(-c * xi ** 2 / tau)
+    return cb.L * xi * erf(np.sqrt(c / t) * xi) + cb.L * np.sqrt(
+        t / (c * np.pi)
+    ) * np.exp(-c * xi ** 2 / t)
 
 
 # --- shrinking sphere -------------------------------------------------------

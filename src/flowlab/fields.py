@@ -9,7 +9,6 @@ periodic axes.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -20,10 +19,7 @@ __all__ = [
     "Field",
     "gradient",
     "hessian",
-    "sup_norm_defect",
     "field_to_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 
@@ -86,10 +82,6 @@ class GridND:
             raise GridError("GridND needs at least one axis")
         if len(self.axes) > 3:
             raise GridError("GridND supports dimension <= 3")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.axes)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -181,15 +173,6 @@ def hessian(f: Field) -> np.ndarray:
     return H
 
 
-def sup_norm_defect(a: Field, b: Field) -> float:
-    """Signed max over nodes of (a - b); one-sided comparison defect."""
-    if a.grid.shape != b.grid.shape:
-        raise GridError("fields live on different grids")
-    if a.time != b.time:
-        raise GridError("fields are at different times")
-    return float(np.max(a.values - b.values))
-
-
 def _coordinate_cells(grid) -> list:
     """The coordinate cells "x0,...," of every row, in the C order of the
     grid's values (meshgrid "ij"); each node coordinate is formatted once."""
@@ -212,37 +195,7 @@ def field_to_csv(f: Field, path) -> None:
     _write_csv(f, path, _coordinate_cells(f.grid))
 
 
-def _grid_to_jsonable(grid) -> dict:
-    return {
-        "axes": [
-            {"x_lo": ax.x_lo, "x_hi": ax.x_hi, "n_cells": ax.n_cells, "topology": ax.topology}
-            for ax in grid.axes
-        ]
-    }
-
-
-def _grid_from_jsonable(d: dict):
-    axes = tuple(Grid1D(**a) for a in d["axes"])
-    return axes[0] if len(axes) == 1 else GridND(axes)
-
-
-def field_to_json(f: Field, path=None) -> str:
-    doc = {
-        "grid": _grid_to_jsonable(f.grid),
-        "time": f.time,
-        "values": f.values.tolist(),
-    }
-    text = json.dumps(doc)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def field_from_json(text_or_path) -> Field:
-    try:
-        doc = json.loads(text_or_path)
-    except (json.JSONDecodeError, TypeError):
-        with open(text_or_path) as fh:
-            doc = json.load(fh)
-    return Field(_grid_from_jsonable(doc["grid"]), np.array(doc["values"]), doc["time"])
+def _grid_to_jsonable(grid) -> list:
+    """The fields of each axis of the grid, one dict per axis."""
+    return [{"x_lo": ax.x_lo, "x_hi": ax.x_hi, "n_cells": ax.n_cells, "topology": ax.topology}
+            for ax in grid.axes]

@@ -14,7 +14,7 @@ derivatives of one stack calls it once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ __all__ = [
     "norm_by_id",
     "flow_coefficients",
     "aniso_flow",
+    "SAMPLING",
     "estimate_A_P",
     "cartan_Q",
     "check_smallness",
@@ -87,16 +88,7 @@ class AnisoConstants:
     sample_spec: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "norm_id": self.norm_id,
-            "A": self.A,
-            "P": self.P,
-            "k": self.k,
-            "C1": self.C1,
-            "C2": self.C2,
-            "S_eps": {str(k): v for k, v in self.S_eps.items()},
-            "sample_spec": self.sample_spec,
-        }
+        return {**asdict(self), "S_eps": {str(k): v for k, v in self.S_eps.items()}}
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
@@ -232,9 +224,11 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     return nf
 
 
-def _check_convexity(nf: FinslerNorm, n_samples: int = 500, min_eig: float = 1e-6):
-    rng = np.random.default_rng(0)
-    w = rng.normal(size=(n_samples, nf.dim))
+def _check_convexity(nf: FinslerNorm):
+    spec = SAMPLING["convexity"]
+    min_eig = spec["min_eig"]
+    rng = np.random.default_rng(spec["seed"])
+    w = rng.normal(size=(spec["n_samples"], nf.dim))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     # drop the homogeneity null direction, keep tangent eigenvalues
     tangent = np.linalg.eigvalsh(nf.hess(w))[:, 1]
@@ -334,6 +328,23 @@ def aniso_flow(nf: FinslerNorm):
 
 # --- sampled structural constants -------------------------------------------
 
+# Every sampling parameter of the sampled constants, one entry per stage.
+# Each stage reads its entry, and certify records the table, with s_max, as
+# the certificate's sample_spec.  A/P, k and C2 take n_scales scales in
+# geomspace(0.05, s_max), S_eps the scales geomspace(*s_grid) whatever s_max
+# is.  The convexity probe runs when a quartic norm is built, and `flowlab
+# certify` runs check_symmetry next to certify.
+SAMPLING = {
+    "estimate_A_P": {"n_dirs": 64, "n_scales": 120, "plateau_rtol": 1e-2},
+    "trace_lower_bound": {"n_dirs": 64, "n_scales": 120},
+    "check_smallness": {"n_z": 200, "n_triples": 20, "seed": 7},
+    "cross_term_bound": {"n_dirs": 32, "n_scales": 60, "n_q": 16, "seed": 3},
+    "estimate_S_eps": {"s_grid": (1.0, 1e4, 40), "n_dirs": 24, "n_q": 12, "seed": 5},
+    "certify": {"eps_values": (0.5, 0.1)},
+    "check_symmetry": {"n_samples": 200, "seed": 11, "tolerance": 1e-10},
+    "convexity": {"n_samples": 500, "seed": 0, "min_eig": 1e-6},
+}
+
 
 def _spatial_directions(n: int, n_dirs: int) -> np.ndarray:
     """Quasi-uniform unit vectors in R^n."""
@@ -352,8 +363,7 @@ def _sphere_points(dim: int, count: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
-                 n_scales: int = 120, plateau_rtol: float = 1e-2):
+def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
     """Sampled constants (A, P) with B(p) = F D^2 F|_{p - phi^0}(p, p) >= A
     whenever F(p) >= P.
 
@@ -362,9 +372,9 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
     min_dirs F D^2 F|_p(phi^0, phi^0).  Raises if the plateau is not reached
     at s_max.
     """
-    n = nf.dim - 1
-    dirs = _spatial_directions(n, n_dirs)
-    scales = np.unique(np.concatenate([np.geomspace(0.05, s_max, n_scales), [1.0]]))
+    spec = SAMPLING["estimate_A_P"]
+    dirs = _spatial_directions(nf.dim - 1, spec["n_dirs"])
+    scales = np.unique(np.concatenate([np.geomspace(0.05, s_max, spec["n_scales"]), [1.0]]))
 
     # normalize so that F(p) equals the scale exactly; B is (dirs, scales)
     v_unit = dirs / nf.value(_embed(dirs))[:, None]
@@ -376,7 +386,7 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
     limits = F * H[:, 0, 0]
 
     rel = np.abs(B[:, -1] - limits) / np.maximum(np.abs(limits), 1e-300)
-    if np.max(rel) > plateau_rtol:
+    if np.max(rel) > spec["plateau_rtol"]:
         raise RuntimeError(
             f"plateau not reached at s_max={s_max:g} "
             f"(relative gap {np.max(rel):.3g})"
@@ -411,12 +421,13 @@ def cartan_Q(nf: FinslerNorm, z: np.ndarray, p: np.ndarray, q: np.ndarray,
     return float(F ** 2 * np.einsum("ijk,i,j,k->", T, ph, qh, rh))
 
 
-def check_smallness(nf: FinslerNorm, n_z: int = 200, n_triples: int = 20,
-                    seed: int = 7):
+def check_smallness(nf: FinslerNorm):
     """Empirical C1: max of |Q(p,q,r)| over the normalizing bracket
     [F^3 D^2F(p,p) D^2F(q,q) D^2F(r,r)]^(1/2), with threshold checks
     C1^2 < 4/sqrt(n) and the interior variant C1^2 < 2/sqrt(n)."""
-    rng = np.random.default_rng(seed)
+    spec = SAMPLING["check_smallness"]
+    n_z, n_triples = spec["n_z"], spec["n_triples"]
+    rng = np.random.default_rng(spec["seed"])
     n = nf.dim - 1
     # z is (n_z, 1, dim) against the (n_z, n_triples) samples; one (3, dim)
     # draw per triple, in order, is the same stream as one draw
@@ -433,15 +444,15 @@ def check_smallness(nf: FinslerNorm, n_z: int = 200, n_triples: int = 20,
     return C1, bool(C1 ** 2 < 4.0 / np.sqrt(n)), bool(C1 ** 2 < 2.0 / np.sqrt(n))
 
 
-def check_symmetry(nf: FinslerNorm, n_samples: int = 200, seed: int = 11,
-                   tolerance: float = 1e-10) -> VerificationReport:
+def check_symmetry(nf: FinslerNorm) -> VerificationReport:
     """Probe F(p + phi^0) = F(p - phi^0) for spatial p, together with its
     derivative consequences DF|_p(phi^0) = 0 and the vanishing of
     D^3 F|_p(phi^0, ., .) entries."""
-    rng = np.random.default_rng(seed)
+    spec = SAMPLING["check_symmetry"]
+    rng = np.random.default_rng(spec["seed"])
     n = nf.dim - 1
     p_sp = np.array([rng.normal(size=n) * 10.0 ** rng.uniform(-1, 1)
-                     for _ in range(n_samples)])
+                     for _ in range(spec["n_samples"])])
     p = _embed(p_sp)
     e0 = np.zeros(nf.dim)
     e0[0] = 1.0
@@ -460,60 +471,58 @@ def check_symmetry(nf: FinslerNorm, n_samples: int = 200, seed: int = 11,
             "grad_defect": float(d_grad[i]),
             "third_defect": float(d_third[i]),
         }
-    report = VerificationReport(
+    return VerificationReport(
         check_id=f"symmetry:{nf.id}",
         max_defect=worst,
-        tolerance=tolerance,
+        tolerance=spec["tolerance"],
         witness=witness,
-        metadata={"n_samples": n_samples, "claimed_symmetric": nf.symmetric_flag},
+        metadata={"n_samples": spec["n_samples"], "claimed_symmetric": nf.symmetric_flag},
     )
-    return report
 
 
-def trace_lower_bound(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 64,
-                      n_scales: int = 120) -> float:
+def trace_lower_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
     """Empirical min over sampled p of trace of the spatial flow-coefficient
     block; requires n > 1."""
     n = nf.dim - 1
     if n <= 1:
         raise ValueError("trace lower bound needs n > 1")
-    scales = np.concatenate([[0.0], np.geomspace(0.05, s_max, n_scales)])
-    p = scales[:, None] * _spatial_directions(n, n_dirs)[:, None, :]
+    spec = SAMPLING["trace_lower_bound"]
+    scales = np.concatenate([[0.0], np.geomspace(0.05, s_max, spec["n_scales"])])
+    p = scales[:, None] * _spatial_directions(n, spec["n_dirs"])[:, None, :]
     return float(np.min(np.trace(flow_coefficients(nf, p), axis1=-2, axis2=-1)))
 
 
-def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3, n_dirs: int = 32,
-                     n_scales: int = 60, n_q: int = 16, seed: int = 3) -> float:
+def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
     """Empirical C2 with F D^2 F|_{p-phi^0}(p, q) <= C2 F(q)/F(p - phi^0)
     for spatial p, q; requires the symmetry condition."""
     if not nf.symmetric_flag:
         raise ValueError("cross_term_bound assumes the symmetry condition")
-    rng = np.random.default_rng(seed)
+    spec = SAMPLING["cross_term_bound"]
+    rng = np.random.default_rng(spec["seed"])
     n = nf.dim - 1
-    qe = _embed(_sphere_points(n, n_q, rng))
+    qe = _embed(_sphere_points(n, spec["n_q"], rng))
     # p is (dirs, scales, 1, n) against the q samples
-    scales = np.geomspace(0.05, s_max, n_scales)[:, None, None]
-    p = scales * _spatial_directions(n, n_dirs)[:, None, None, :]
+    scales = np.geomspace(0.05, s_max, spec["n_scales"])[:, None, None]
+    p = scales * _spatial_directions(n, spec["n_dirs"])[:, None, None, :]
     F, _, H = nf.jet(_z_of(p), 2)
     G = F[..., None, None] * H
     val = F * np.abs(_quad(_embed(p), G, qe)) / nf.value(qe)
     return float(np.max(val, initial=0.0))
 
 
-def estimate_S_eps(nf: FinslerNorm, eps_values, s_grid=None, n_dirs: int = 24,
-                   n_q: int = 12, seed: int = 5) -> dict:
+def estimate_S_eps(nf: FinslerNorm, eps_values) -> dict:
     """For each eps, the smallest sampled scale S with
     |F D(F D^2 F)|_{p-phi^0}(p, q^, q^)| <= eps G(p,p)^(1/2) G(q,q) for all
     sampled F(p) >= S; None if the grid never satisfies the bound
     (non-convergence flag).  The samples are evaluated once for every eps."""
-    if s_grid is None:
-        s_grid = np.geomspace(1.0, 1e4, 40)
-    rng = np.random.default_rng(seed)
+    spec = SAMPLING["estimate_S_eps"]
+    s_grid = np.geomspace(*spec["s_grid"])
+    rng = np.random.default_rng(spec["seed"])
     n = nf.dim - 1
-    qe = _embed(_sphere_points(n, n_q, rng))
+    qe = _embed(_sphere_points(n, spec["n_q"], rng))
     # p is (scales, dirs, 1, n) against the q samples
-    scales = np.asarray(s_grid, dtype=float)[:, None, None, None]
-    p = scales * _spatial_directions(n, n_dirs)[:, None, :]
+    scales = s_grid[:, None, None, None]
+    p = scales * _spatial_directions(n, spec["n_dirs"])[:, None, :]
     z = _z_of(p)
     pe = _embed(p)
     F, DF, H, T = nf.jet(z, 3)
@@ -533,15 +542,16 @@ def estimate_S_eps(nf: FinslerNorm, eps_values, s_grid=None, n_dirs: int = 24,
     return S_eps
 
 
-def certify(nf: FinslerNorm, s_max: float = 1e3, eps_values=(0.5, 0.1),
-            path=None) -> AnisoConstants:
-    """Assemble the sampled structural certificate for one norm."""
+def certify(nf: FinslerNorm, s_max: float = 1e3, path=None) -> AnisoConstants:
+    """Assemble the sampled structural certificate for one norm; its
+    sample_spec is s_max and the SAMPLING table."""
     A, P = estimate_A_P(nf, s_max=s_max)
     n = nf.dim - 1
     k = trace_lower_bound(nf, s_max=s_max) if n > 1 else float("nan")
     C1, _, _ = check_smallness(nf)
     C2 = cross_term_bound(nf, s_max=s_max) if nf.symmetric_flag else None
-    S_eps = estimate_S_eps(nf, eps_values) if nf.symmetric_flag else {}
+    S_eps = (estimate_S_eps(nf, SAMPLING["certify"]["eps_values"])
+             if nf.symmetric_flag else {})
     consts = AnisoConstants(
         norm_id=nf.id,
         A=A,
@@ -550,7 +560,7 @@ def certify(nf: FinslerNorm, s_max: float = 1e3, eps_values=(0.5, 0.1),
         C1=C1,
         C2=C2,
         S_eps=S_eps,
-        sample_spec={"s_max": s_max, "n_dirs": 64, "n_scales": 120},
+        sample_spec={"s_max": s_max, **{stage: dict(spec) for stage, spec in SAMPLING.items()}},
     )
     if path is not None:
         consts.to_json(path)

@@ -251,89 +251,68 @@ def get_flow(flow_id: str, **params):
 
 # --- directional degeneracy functional -------------------------------------
 
+_EPS = np.finfo(float).eps
+
 
 @functools.lru_cache(maxsize=8)
 def _unit_directions(n: int, n_dirs: int) -> np.ndarray:
-    """Quasi-uniform unit directions, cached per (n, n_dirs) and read-only."""
-    if n == 1:
-        dirs = np.array([[1.0]])
-    elif n == 2:
+    """Quasi-uniform unit directions in R^2 or R^3, cached per (n, n_dirs)
+    and read-only."""
+    if n == 2:
         theta = np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
+    elif n == 3:
         # Fibonacci lattice on the half sphere (v and -v give the same value)
         k = np.arange(n_dirs)
         z = (k + 0.5) / n_dirs  # (0, 1): upper hemisphere
         phi = k * np.pi * (3.0 - np.sqrt(5.0))
         rho = np.sqrt(1.0 - z ** 2)
         dirs = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
+    else:
+        raise ValueError(f"alpha samples directions for n <= 3 only, not n = {n}")
     dirs.flags.writeable = False
     return dirs
 
 
-def _angles_to_dir(theta: np.ndarray, n: int) -> np.ndarray:
-    if n == 2:
-        return np.array([np.cos(theta[0]), np.sin(theta[0])])
-    return np.array(
-        [
-            np.sin(theta[0]) * np.cos(theta[1]),
-            np.sin(theta[0]) * np.sin(theta[1]),
-            np.cos(theta[0]),
-        ]
-    )
-
-
-def _dir_to_angles(v: np.ndarray) -> np.ndarray:
-    if v.shape[0] == 2:
-        return np.array([np.arctan2(v[1], v[0])])
-    return np.array([np.arccos(np.clip(v[2], -1, 1)), np.arctan2(v[1], v[0])])
+def _spectrum(A: np.ndarray, p: np.ndarray):
+    """(w, V, q, kernel) for symmetric PSD A = V diag(w) V^T and q = V^T p;
+    ``kernel`` marks the eigenvalues within rounding of zero, w <= n eps max(w)."""
+    w, V = np.linalg.eigh(A)
+    tol = len(w) * _EPS * w[-1]
+    if w[0] < -tol:
+        raise ValueError(f"A is not positive semidefinite (eigenvalue {w[0]:.3g})")
+    return w, V, p @ V, w <= tol
 
 
 def alpha_closed_form(A: np.ndarray, p: np.ndarray) -> float:
-    """|p|^2 / (p^T A^{-1} p), valid for strictly positive-definite A."""
+    """|p|^2 / (p^T A^+ p) for symmetric PSD A, and 0 when p has a component
+    in the kernel of A; for positive-definite A this is |p|^2 / (p^T A^-1 p).
+
+    A kernel component counts when it exceeds sqrt(eps) |p|, far above the
+    rounding of V^T p.
+    """
     p = np.asarray(p, dtype=float)
-    return float(p @ p / (p @ np.linalg.solve(A, p)))
-
-
-def _alpha_descent(A: np.ndarray, p: np.ndarray, pp: float, dirs: np.ndarray,
-                   vals: np.ndarray) -> float:
-    """Sampled minimum refined by Nelder-Mead from the 8 best directions."""
-    from scipy.optimize import minimize
-
-    n = p.shape[0]
-
-    def objective(theta):
-        v = _angles_to_dir(np.atleast_1d(theta), n)
-        d = v @ p
-        if abs(d) < 1e-14 * np.sqrt(pp):
-            return np.inf
-        return pp * (v @ A @ v) / d ** 2
-
-    best = np.argsort(vals)[:8]
-    result = float(np.min(vals[best]))
-    for idx in best:
-        theta0 = _dir_to_angles(dirs[idx])
-        res = minimize(
-            objective,
-            theta0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400},
-        )
-        result = min(result, float(res.fun))
-    return result
+    w, _, q, kernel = _spectrum(np.asarray(A, dtype=float), p)
+    q_ker = q * kernel
+    pp = p @ p
+    if q_ker @ q_ker > _EPS * pp:
+        return 0.0
+    return float(pp / (q @ (q / np.where(kernel, np.inf, w))))
 
 
 def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
-    """Directional degeneracy |p|^2 inf_v (v^T A v)/(v . p)^2 over unit v.
+    """Directional degeneracy |p|^2 inf_v (v^T A v)/(v . p)^2 over unit v,
+    for symmetric PSD A and n <= 3.
 
-    For positive-definite A (least eigenvalue above 1e-10) this is the closed
-    form |p|^2/(p^T A^{-1} p), cross-checked at run time: it may not exceed
-    the minimum over ``n_dirs`` quasi-uniform directions by more than
-    1e-4 max(1, |alpha|), and the objective at the minimiser v = A^{-1} p
-    must equal it to max(1e-12, 4 eps cond(A)) max(1, |alpha|), which is
-    1e-12 for cond(A) below about 1e3; otherwise ArithmeticError.  For
-    singular A the sampled minimum is refined by Nelder-Mead descent from
-    the best directions.
+    This is ``alpha_closed_form``, cross-checked at run time for every A: it
+    may not exceed the minimum over ``n_dirs`` quasi-uniform directions by
+    more than 1e-4 max(1, |alpha|), and the objective at the minimiser v (A^+ p,
+    or the kernel part of p when alpha = 0) must equal it to
+    max(1e-12 max(1, |alpha|), 4 eps max(w) |p|^2 |v|^2 / (v . p)^2), the
+    rounding of v^T A v, with v . p above its own rounding 4 n eps |v| |p|;
+    otherwise ArithmeticError.  For v = A^+ p the second term is at most
+    4 eps cond |alpha|, cond the ratio of the largest to the least eigenvalue
+    of A outside its kernel.
     """
     A = np.asarray(A, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -347,27 +326,26 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
 
     dirs = _unit_directions(n, n_dirs)
     vp = dirs @ p
-    quad = np.einsum("ki,ij,kj->k", dirs, A, dirs)
+    quad = np.sum((dirs @ A) * dirs, axis=1)
     mask = np.abs(vp) > 1e-12 * np.sqrt(pp)
-    vals = np.full(n_dirs, np.inf)
-    vals[mask] = pp * quad[mask] / vp[mask] ** 2
-
-    eig = np.linalg.eigvalsh(A)
-    if float(eig[0]) <= 1e-10:
-        return _alpha_descent(A, p, pp, dirs, vals)
+    sampled = float(np.min(pp * quad[mask] / vp[mask] ** 2, initial=np.inf))
 
     closed = alpha_closed_form(A, p)
     scale = max(1.0, abs(closed))
-    sampled = float(np.min(vals))
     if closed - sampled > 1e-4 * scale:
         raise ArithmeticError(f"closed-form alpha {closed} exceeds sampled minimum {sampled}")
-    v = np.linalg.solve(A, p)
-    at_minimiser = pp * float(v @ A @ v) / float(v @ p) ** 2
-    # solving with A loses about eps cond(A); 1e-12 below cond ~ 1e3
-    cond = float(eig[-1] / eig[0])
-    if abs(at_minimiser - closed) > max(1e-12, 4 * np.finfo(float).eps * cond) * scale:
+    w, V, q, kernel = _spectrum(A, p)
+    v = V @ (q * kernel if closed == 0.0 else q / np.where(kernel, np.inf, w))
+    d, vv = float(v @ p), float(v @ v)
+    # the objective at v is unknown (inf) when v . p is within its rounding;
+    # v^T A v rounds by about eps max(w) |v|^2
+    at_minimiser, rounding = np.inf, 0.0
+    if abs(d) > 4 * n * _EPS * np.sqrt(pp * vv):
+        at_minimiser = pp * float(v @ A @ v) / d ** 2
+        rounding = 4 * _EPS * float(w[-1]) * pp * vv / d ** 2
+    if not abs(at_minimiser - closed) <= max(1e-12 * scale, rounding):
         raise ArithmeticError(
-            f"closed-form alpha {closed} differs from the objective {at_minimiser} at A^-1 p"
+            f"closed-form alpha {closed} differs from the objective {at_minimiser} at its minimiser"
         )
     return closed
 

@@ -124,7 +124,7 @@ class Trajectory:
             "dt_stats": self.dt_stats,
         }
         if self.snapshots:
-            manifest["grid"] = _grid_to_jsonable(self.snapshots[0][1].grid)["axes"]
+            manifest["grid"] = _grid_to_jsonable(self.snapshots[0][1].grid)
         if extra:
             manifest.update(extra)
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

@@ -181,6 +181,25 @@ def test_psi_derivs_fd_crosscheck(c):
     assert np.allclose(pt, fdt, rtol=2e-3, atol=1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c, t", [(0.125, 5e-4), (0.25, 5e-4), (0.5, 2.5e-3), (0.5, 5e-4),
+                                  (0.25, 1e-5)])
+def test_psi_derivs_small_t_without_overflow(c, t):
+    # at z = 0, psi' = t^{3/2} e^{c/t} / (4c) while psi'^3 is past the float
+    # range; psi'' = 0 there, and a derivative past the float range is +-inf
+    b = PsiBarrier(c=c)
+    p1, p2, p3, pt = psi_derivs(b, np.array([0.0, 0.3 * psi_range(b, t)]), t)
+    log_p1 = 1.5 * np.log(t) + c / t - np.log(4 * c)
+    if log_p1 < np.log(np.finfo(float).max):
+        assert p1[0] == pytest.approx(np.exp(log_p1), rel=1e-12)
+    else:
+        assert p1[0] == np.inf
+    assert p2[0] == 0.0 and pt[0] == 0.0
+    assert p3[0] < 0.0  # psi' is largest at z = 0
+    assert np.all(np.isfinite([p1[1], p2[1], p3[1], pt[1]]))
+    assert p1[1] > 0.0 and p2[1] < 0.0
+
+
 def test_z_M_is_barrier_half_crossing():
     # phi(z_M(t), t) = M: at distance z_M the doubled barrier reaches height M
     b = PsiBarrier(c=1.0)

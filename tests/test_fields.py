@@ -10,12 +10,9 @@ from flowlab.fields import (
     Field,
     Grid1D,
     GridND,
-    field_from_json,
     field_to_csv,
-    field_to_json,
     gradient,
     hessian,
-    sup_norm_defect,
 )
 
 
@@ -92,26 +89,6 @@ def test_gradient_exact_on_linear(a, b):
     x = g.nodes()
     f = Field(g, a * x + b)
     assert np.allclose(gradient(f)[..., 0], a, atol=1e-10 * (1 + abs(a) + abs(b)))
-
-
-def test_sup_norm_defect_signed():
-    g = Grid1D(0, 1, 8)
-    x = g.nodes()
-    lo = Field(g, x)
-    hi = Field(g, x + 0.5)
-    assert sup_norm_defect(lo, hi) == pytest.approx(-0.5)
-    assert sup_norm_defect(hi, lo) == pytest.approx(0.5)
-
-
-def test_json_roundtrip(tmp_path):
-    g = GridND((Grid1D(0, 1, 4, "periodic"), Grid1D(-1, 1, 5)))
-    f = Field(g, np.arange(4 * 6, dtype=float).reshape(4, 6), time=0.25)
-    path = tmp_path / "field.json"
-    field_to_json(f, path)
-    f2 = field_from_json(path)
-    assert f2.time == f.time
-    assert np.array_equal(f2.values, f.values)
-    assert f2.grid == f.grid
 
 
 def test_csv_export(tmp_path):

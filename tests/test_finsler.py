@@ -338,6 +338,14 @@ def test_certify_writes_json(tmp_path):
     assert '"norm_id": "euclid"' in data
 
 
+def test_sample_spec_is_the_sampling_table():
+    consts = certify(quartic_norm(1e-3, 3), s_max=500.0)
+    assert consts.sample_spec == {"s_max": 500.0, **finsler.SAMPLING}
+    assert consts.sample_spec["cross_term_bound"] is not finsler.SAMPLING["cross_term_bound"]
+    jsonable = json.loads(consts.to_json())["sample_spec"]
+    assert jsonable["estimate_S_eps"]["s_grid"] == [1.0, 1e4, 40]
+
+
 def test_builtin_norms_catalog():
     norms = builtin_norms(2)
     assert [nf.dim for nf in norms] == [3, 3, 3]

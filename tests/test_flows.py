@@ -112,14 +112,12 @@ def test_alpha_closed_form_diag():
     assert alpha(A, p, n_dirs=256) == pytest.approx(2.0, abs=1e-6)
 
 
-def test_alpha_positive_definite_uses_closed_form(monkeypatch):
-    def no_descent(*args, **kwargs):
-        raise AssertionError("Nelder-Mead reached for positive-definite A")
-
-    monkeypatch.setattr("scipy.optimize.minimize", no_descent)
+def test_alpha_positive_definite_uses_closed_form():
+    # |p|^2 / (p^T A^+ p) is |p|^2 / (p^T A^-1 p) = 1 / (1 + |p|^2) for mcf
     p = np.array([0.3, -2.0, 1.1])
     A = mcf_graph(3).coeff(p)
     assert alpha(A, p, n_dirs=512) == alpha_closed_form(A, p)
+    assert alpha_closed_form(A, p) == pytest.approx(1.0 / (1.0 + p @ p), rel=1e-14)
 
 
 def _rank2_3d():
@@ -135,19 +133,39 @@ def _rank2_3d():
     (*_rank2_3d(), 2.4),
 ])
 def test_alpha_singular_descent(A, p, expected):
+    # singular A takes the one closed form, with its exact value
     assert np.linalg.eigvalsh(A)[0] <= 1e-10
-    assert alpha(A, p, n_dirs=512) == pytest.approx(expected, abs=1e-6)
+    assert alpha(A, p, n_dirs=512) == alpha_closed_form(A, p)
+    assert alpha(A, p, n_dirs=512) == pytest.approx(expected, abs=1e-12)
 
 
-# 1 % off fails against the sampled minimum; 1e-9 only at the minimiser A^-1 p
+# 1 % off fails against the sampled minimum; 1e-9 only at the minimiser A^+ p
 @pytest.mark.parametrize("factor, match", [(1.01, "sampled minimum"), (1.0 + 1e-9, "objective")])
 def test_alpha_cross_check_can_fail(monkeypatch, factor, match):
     closed_form = flows.alpha_closed_form
     monkeypatch.setattr(flows, "alpha_closed_form", lambda A, p: factor * closed_form(A, p))
-    for n in (2, 3):
-        p = np.linspace(0.5, 2.0, n)
+    # mcf in 2-D and 3-D, then singular A with alpha = 1 and 2.4
+    ps = [np.linspace(0.5, 2.0, n) for n in (2, 3)]
+    cases = [(mcf_graph(len(p)).coeff(p), p) for p in ps]
+    cases += [(np.diag([1.0, 0.0]), np.array([1.0, 0.0])), _rank2_3d()]
+    for A, p in cases:
         with pytest.raises(ArithmeticError, match=match):
-            alpha(mcf_graph(n).coeff(p), p, n_dirs=512)
+            alpha(A, p, n_dirs=512)
+
+
+def test_alpha_zero_is_checked_at_the_kernel_part_of_p(monkeypatch):
+    # a wrong alpha = 0 for p in the range of A fails at the kernel part of p
+    monkeypatch.setattr(flows, "alpha_closed_form", lambda A, p: 0.0)
+    with pytest.raises(ArithmeticError, match="objective"):
+        alpha(*_rank2_3d(), n_dirs=512)
+
+
+def test_alpha_rejects_what_it_cannot_sample_or_is_not_psd():
+    p = np.ones(4)
+    with pytest.raises(ValueError, match="n <= 3"):
+        alpha(mcf_graph(4).coeff(p), p)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        alpha(np.diag([1.0, -1.0]), np.ones(2))
 
 
 @pytest.mark.parametrize("seed", [7249, 8375])
@@ -185,7 +203,7 @@ def test_unit_directions_are_cached_and_read_only():
 def test_alpha_is_unchanged_by_the_direction_cache(monkeypatch, n):
     rng = np.random.default_rng(n)
     cases = [(mcf_graph(n).coeff(p), p) for p in rng.normal(size=(3, n))]
-    # singular A: the sampled minimum is refined by descent from the directions
+    # singular A: the directions feed the sampled cross-check
     cases.append((np.diag([1.0, 0.0, 2.0][:n]), rng.normal(size=n)))
     cached = [alpha(A, p, n_dirs=512) for A, p in cases]
     assert [alpha(A, p, n_dirs=512) for A, p in cases] == cached
