@@ -203,6 +203,9 @@ def psi_eval_clamped(b: PsiBarrier, z, t):
         np.less(val, z, out=less)
         lo, hi = np.where(less, mid, lo), np.where(less, hi, mid)
     psi = 0.5 * (lo + hi)
+    # psi is odd in z: at z = 0 the first midpoint is the root, but ``less``
+    # is false there and the bracket goes on shrinking from below
+    psi[z == 0.0] = 0.0
     psi = np.where(clamped, np.sign(z), psi)
     if scalar:
         return float(psi[0]), bool(clamped[0])
@@ -230,7 +233,7 @@ def psi_derivs(b: PsiBarrier, z, t):
     """
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
-    psi = np.where(z == 0.0, 0.0, psi_eval(b, z, t))
+    psi = psi_eval(b, z, t)
     k = b.kernel
     L = b.c * (1.0 - np.abs(psi)) ** 2 / t
     D1, D2, D3, Dt = (phi_eval(k, psi - 1.0, t, d, L) - phi_eval(k, psi + 1.0, t, d, L)

@@ -14,6 +14,7 @@ field CSVs and report JSONs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import os
@@ -24,18 +25,21 @@ import numpy as np
 from . import finsler, flows, verify
 from .config import (CHECK_TYPES, REQUIRED, SCHEMA, ConfigError, ExperimentConfig, Select,
                      load_config)
-from .solver import SolverError, evolve
+from .solver import SolverError, Trajectory, evolve
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
-                   assert_checks: bool = True) -> int:
+                   assert_checks: bool = True, traj: Trajectory | None = None) -> int:
     """Evolve the built experiment, check, and write
-    manifest/fields/reports/summary.
+    manifest/fields/reports/summary.  ``traj``, when given, is the evolution
+    of an experiment that differs from cfg at most in its checks, and is
+    used in place of evolving cfg.
 
     Returns a process exit code: 0 on success, 1 if an asserted check failed.
     """
     os.makedirs(out_dir, exist_ok=True)
-    traj = evolve(cfg.flow, cfg.u0, cfg.bc, cfg.plan, cfg.output_times)
+    if traj is None:
+        traj = evolve(cfg.flow, cfg.u0, cfg.bc, cfg.plan, cfg.output_times)
     traj.export(out_dir, flow_id=cfg.flow_id, bc=cfg.bc.kind,
                 extra={"seed": cfg.seed, "initial": cfg.initial, "checks": sorted(cfg.checks)})
 
@@ -85,7 +89,9 @@ def _parse_overrides(spec: str) -> dict:
     return out
 
 
-def _apply_override(cfg_path: str, assignments: dict, tmp_path: str) -> None:
+def _apply_override(cfg_path: str, assignments: dict, tmp_path: str) -> tuple:
+    """Write the config with the assignments to tmp_path; returns every
+    section but the [check:*] ones, as the key of what the config evolves."""
     import configparser
 
     cp = configparser.ConfigParser(interpolation=None)
@@ -100,6 +106,8 @@ def _apply_override(cfg_path: str, assignments: dict, tmp_path: str) -> None:
         cp.set(section, key, value)
     with open(tmp_path, "w") as fh:
         cp.write(fh)
+    return tuple((name, tuple(cp.items(name))) for name in cp.sections()
+                 if not name.startswith("check:"))
 
 
 def cmd_run(args) -> int:
@@ -116,22 +124,47 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run every member of the override grid.  Members whose configs differ
+    only in their [check:*] sections form a group, which evolves once."""
     overrides = _parse_overrides(args.grid)
     keys = sorted(overrides)
-    worst = 0
-    rows = []
+    members = []
     for combo in itertools.product(*(overrides[k] for k in keys)):
         label = "_".join(f"{k.split('.')[-1]}={v}" for k, v in zip(keys, combo))
         sub = os.path.join(args.out, label)
         os.makedirs(sub, exist_ok=True)
         tmp = os.path.join(sub, "config.cfg")
         try:
-            _apply_override(args.config, dict(zip(keys, combo)), tmp)
+            group = _apply_override(args.config, dict(zip(keys, combo)), tmp)
+        except ConfigError as e:
+            group = e
+        members.append((label, sub, tmp, group))
+    # each group's evolution (or its SolverError), kept until its last member
+    left = collections.Counter(group for *_, group in members)
+    evolved = {}
+    worst = 0
+    rows = []
+    for label, sub, tmp, group in members:
+        left[group] -= 1
+        try:
+            if isinstance(group, ConfigError):
+                raise group
             cfg = load_config(tmp)
-            code = run_experiment(cfg, sub, assert_checks=not args.report_only)
+            if group not in evolved:
+                try:
+                    evolved[group] = evolve(cfg.flow, cfg.u0, cfg.bc, cfg.plan, cfg.output_times)
+                except SolverError as e:
+                    evolved[group] = e
+            traj = evolved[group]
+            if isinstance(traj, SolverError):
+                raise traj
+            code = run_experiment(cfg, sub, assert_checks=not args.report_only, traj=traj)
         except (ConfigError, SolverError) as e:
             print(f"{label}: error: {e}", file=sys.stderr)
             code = 2
+        finally:
+            if not left[group]:
+                evolved.pop(group, None)
         rows.append((label, code))
         worst = max(worst, code)
         print(f"{label}: exit={code}")

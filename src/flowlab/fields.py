@@ -119,6 +119,14 @@ class Field:
         return Field(self.grid, values, self.time if time is None else time)
 
 
+def _unchecked_field(grid, values: np.ndarray, time: float) -> Field:
+    """A Field without ``__post_init__``'s checks, for float64 values that
+    the caller knows to be finite and of the grid's shape."""
+    f = object.__new__(Field)
+    f.__dict__.update(grid=grid, values=values, time=time)
+    return f
+
+
 def _diff1(values: np.ndarray, axis: int, ax: Grid1D) -> np.ndarray:
     """Second-order first derivative along one axis."""
     h = ax.h

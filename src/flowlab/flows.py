@@ -292,7 +292,12 @@ def alpha_closed_form(A: np.ndarray, p: np.ndarray) -> float:
     rounding of V^T p.
     """
     p = np.asarray(p, dtype=float)
-    w, _, q, kernel = _spectrum(np.asarray(A, dtype=float), p)
+    return _alpha_of_spectrum(p, _spectrum(np.asarray(A, dtype=float), p))
+
+
+def _alpha_of_spectrum(p: np.ndarray, spectrum) -> float:
+    """``alpha_closed_form`` from ``_spectrum(A, p)``."""
+    w, _, q, kernel = spectrum
     q_ker = q * kernel
     pp = p @ p
     if q_ker @ q_ker > _EPS * pp:
@@ -330,11 +335,13 @@ def alpha(A: np.ndarray, p: np.ndarray, n_dirs: int = 4096) -> float:
     mask = np.abs(vp) > 1e-12 * np.sqrt(pp)
     sampled = float(np.min(pp * quad[mask] / vp[mask] ** 2, initial=np.inf))
 
-    closed = alpha_closed_form(A, p)
+    # one eigendecomposition gives the closed form and its minimiser
+    spectrum = _spectrum(A, p)
+    closed = _alpha_of_spectrum(p, spectrum)
     scale = max(1.0, abs(closed))
     if closed - sampled > 1e-4 * scale:
         raise ArithmeticError(f"closed-form alpha {closed} exceeds sampled minimum {sampled}")
-    w, V, q, kernel = _spectrum(A, p)
+    w, V, q, kernel = spectrum
     v = V @ (q * kernel if closed == 0.0 else q / np.where(kernel, np.inf, w))
     d, vv = float(v @ p), float(v @ v)
     # the objective at v is unknown (inf) when v . p is within its rounding;

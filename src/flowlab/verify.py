@@ -362,8 +362,51 @@ def displacement_check(traj, kind: str, *, Lambda_of_K=None, L=None, h=0.0,
 
 
 def _strict_signs(w: np.ndarray, eps_tie: float) -> np.ndarray:
-    s = np.where(w > eps_tie, 1, np.where(w < -eps_tie, -1, 0))
-    return s
+    return np.where(w > eps_tie, 1, np.where(w < -eps_tie, -1, 0))
+
+
+def _sign_changes(s: np.ndarray, periodic: np.ndarray) -> np.ndarray:
+    """Sign changes along each row of strict signs s (rows, nodes), where a 0
+    (a tie) takes the previous strict sign; a row with ``periodic`` set also
+    compares its last strict sign with its first.  Trailing 0s change
+    nothing."""
+    rows = np.arange(len(s))
+    strict = s != 0
+    # each node's last strict sign at or before it, 0 before the first one;
+    # two strict signs differ where their product is negative
+    last = np.maximum.accumulate(np.where(strict, np.arange(s.shape[1]), 0), axis=1)
+    filled = s[rows[:, None], last]
+    changes = (filled[:, 1:] * filled[:, :-1] < 0).sum(axis=1)
+    first = s[rows, strict.argmax(axis=1)]
+    return changes + (periodic & (filled[:, -1] * first < 0))
+
+
+def _intersection_counts(pairs, eps_tie: float) -> list:
+    """``count_intersections`` of each (u, phi) pair from one (pairs, nodes)
+    array of the differences, which shorter grids pad with ties.  Raises the
+    PreconditionError of the first pair that has one."""
+    n_nodes, periodic, bad = [], [], None
+    for u, phi in pairs:
+        if u.values.shape != phi.values.shape:
+            bad = "fields live on different grids"
+            break
+        if not isinstance(u.grid, Grid1D):
+            bad = "intersection counting is one-dimensional"
+            break
+        n_nodes.append(u.values.size)
+        periodic.append(u.grid.topology == "periodic")
+    w = np.zeros((len(n_nodes), max(n_nodes, default=1)))
+    for row, (u, phi), n in zip(w, pairs, n_nodes):
+        np.subtract(u.values, phi.values, out=row[:n])
+    s = _strict_signs(w, eps_tie)
+    periodic = np.array(periodic, dtype=bool)
+    ends = s[:, 0] * s[np.arange(len(s)), np.array(n_nodes, dtype=int) - 1]
+    if (~periodic & (ends == 0)).any():
+        raise PreconditionError(
+            "intersection on the boundary: |u - phi| <= eps_tie at an endpoint")
+    if bad:
+        raise PreconditionError(bad)
+    return _sign_changes(s, periodic).tolist()
 
 
 def count_intersections(u: Field, phi: Field, eps_tie: float = 1e-9) -> int:
@@ -372,23 +415,7 @@ def count_intersections(u: Field, phi: Field, eps_tie: float = 1e-9) -> int:
     Samples with |w| <= eps_tie inherit the previous strict sign (tie rule);
     bounded grids require strict signs at both boundary nodes.
     """
-    if u.values.shape != phi.values.shape:
-        raise PreconditionError("fields live on different grids")
-    grid = u.grid
-    if not isinstance(grid, Grid1D):
-        raise PreconditionError("intersection counting is one-dimensional")
-    w = u.values - phi.values
-    s = _strict_signs(w, eps_tie)
-    if grid.topology == "bounded" and (s[0] == 0 or s[-1] == 0):
-        raise PreconditionError(
-            "intersection on the boundary: |u - phi| <= eps_tie at an endpoint")
-    strict = s[s != 0]
-    if strict.size == 0:
-        return 0
-    changes = int(np.sum(strict[1:] != strict[:-1]))
-    if grid.topology == "periodic":
-        changes += int(strict[-1] != strict[0])
-    return changes
+    return _intersection_counts([(u, phi)], eps_tie)[0]
 
 
 def intersection_monotonicity(traj_u, traj_phi,
@@ -398,8 +425,8 @@ def intersection_monotonicity(traj_u, traj_phi,
     times_p = [t for t, _ in traj_phi.snapshots]
     if times_u != times_p:
         raise PreconditionError("trajectories have different snapshot times")
-    counts = [count_intersections(fu, fp, eps_tie)
-              for (_, fu), (_, fp) in zip(traj_u.snapshots, traj_phi.snapshots)]
+    counts = _intersection_counts([(fu, fp) for (_, fu), (_, fp)
+                                   in zip(traj_u.snapshots, traj_phi.snapshots)], eps_tie)
     rises = np.diff(counts)
     worst = int(np.max(rises)) if rises.size else 0
     i = int(np.argmax(rises)) if rises.size else 0

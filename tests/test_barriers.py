@@ -113,7 +113,8 @@ def _psi_bisection_reference(b, z, t):
         less = phi_eval(k, mid - 1.0, t) - phi_eval(k, mid + 1.0, t) < z
         lo = np.where(less, mid, lo)
         hi = np.where(less, hi, mid)
-    return np.where(clamped, np.sign(z), 0.5 * (lo + hi)), clamped
+    # and psi = 0 exactly at z = 0, where psi is odd
+    return np.where(clamped, np.sign(z), np.where(z == 0.0, 0.0, 0.5 * (lo + hi))), clamped
 
 
 # c = 0.3 and 1.7 are not powers of two, so a reordered product rounds differently
@@ -137,7 +138,7 @@ def test_psi_bisection_bits_match_phi_eval(c):
 
 # (c, z, t, psi as float.hex, clamped): the bisection's roots must not move by a bit
 _PSI_PINS = [
-    (0.25, 0.0, 0.1, "-0x1.ffffffffffff7p-42", False),
+    (0.25, 0.0, 0.1, "0x0.0p+0", False),
     (0.25, 0.3, 0.1, "0x1.cfa5261557ff8p-4", False),
     (0.25, -0.7, 0.05, "-0x1.906db9186dff8p-2", False),
     (1.0, 0.05, 1e-6, "0x1.fe6384d996ff8p-1", False),

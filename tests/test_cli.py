@@ -461,6 +461,63 @@ def test_sweep(tmp_path):
             == "label,exit_code\nexponent=1,0\nexponent=-1,2\n")
 
 
+def _tree(root, skip=()):
+    """{relative path: bytes} of every file under root."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root)
+            if rel not in skip:
+                out[rel] = Path(path).read_bytes()
+    return out
+
+
+def _counted_evolve(monkeypatch):
+    import flowlab.cli as cli_module
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "evolve", counted)
+    return calls
+
+
+def test_sweep_evolves_once_per_group(tmp_path, monkeypatch):
+    # members that differ only in a [check:*] key share one evolution, and
+    # each member's tree is the one a solo run of its config writes
+    calls = _counted_evolve(monkeypatch)
+    out = tmp_path / "calibration"
+    cs = ["0.0625", "0.125", "0.25", "0.5"]
+    assert main(["sweep", CSF_CREN, "--grid", "check:double-coordinate.c=" + ",".join(cs),
+                 "--out", str(out)]) == 1
+    assert len(calls) == 1
+    for c in cs:
+        member = out / f"c={c}"
+        solo = tmp_path / f"solo-{c}"
+        assert main(["run", str(member / "config.cfg"), "--out", str(solo)]) in (0, 1)
+        assert _tree(member, skip={"config.cfg"}) == _tree(solo)
+    # members that differ in the grid evolve one by one
+    calls.clear()
+    assert main(["sweep", HEAT_STEP, "--grid", "grid.n_cells=128,256", "--report-only",
+                 "--out", str(tmp_path / "grids")]) == 0
+    assert len(calls) == 2
+
+
+def test_sweep_group_shares_its_solver_error(tmp_path, monkeypatch):
+    # a group whose evolution fails reports the error in each member's row
+    calls = _counted_evolve(monkeypatch)
+    cfg = _write(tmp_path, MINIMAL.replace("t_end = 0.05", "t_end = 0.05\nmax_grad_clip = 0.5")
+                 + "\n[check:cmp]\ntype = gradient_bound\ncoeff = 1.0\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", cfg, "--grid", "check:cmp.coeff=1,2", "--out", str(out)]) == 2
+    assert len(calls) == 1
+    assert (out / "sweep.csv").read_text() == "label,exit_code\ncoeff=1,2\ncoeff=2,2\n"
+
+
 # --- certify / list -------------------------------------------------------------
 
 

@@ -142,8 +142,8 @@ def test_alpha_singular_descent(A, p, expected):
 # 1 % off fails against the sampled minimum; 1e-9 only at the minimiser A^+ p
 @pytest.mark.parametrize("factor, match", [(1.01, "sampled minimum"), (1.0 + 1e-9, "objective")])
 def test_alpha_cross_check_can_fail(monkeypatch, factor, match):
-    closed_form = flows.alpha_closed_form
-    monkeypatch.setattr(flows, "alpha_closed_form", lambda A, p: factor * closed_form(A, p))
+    closed_form = flows._alpha_of_spectrum
+    monkeypatch.setattr(flows, "_alpha_of_spectrum", lambda p, s: factor * closed_form(p, s))
     # mcf in 2-D and 3-D, then singular A with alpha = 1 and 2.4
     ps = [np.linspace(0.5, 2.0, n) for n in (2, 3)]
     cases = [(mcf_graph(len(p)).coeff(p), p) for p in ps]
@@ -153,9 +153,22 @@ def test_alpha_cross_check_can_fail(monkeypatch, factor, match):
             alpha(A, p, n_dirs=512)
 
 
+def test_alpha_takes_one_eigendecomposition(monkeypatch):
+    # the closed form and the minimiser of its cross-check share one eigh
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+    ps = [np.linspace(0.5, 2.0, n) for n in (2, 3)]
+    cases = [(mcf_graph(len(p)).coeff(p), p) for p in ps]
+    cases += [(np.diag([1.0, 0.0]), np.array([1.0, 1.0])), _rank2_3d()]
+    for A, p in cases:
+        calls.clear()
+        alpha(A, p, n_dirs=512)
+        assert len(calls) == 1
+
+
 def test_alpha_zero_is_checked_at_the_kernel_part_of_p(monkeypatch):
     # a wrong alpha = 0 for p in the range of A fails at the kernel part of p
-    monkeypatch.setattr(flows, "alpha_closed_form", lambda A, p: 0.0)
+    monkeypatch.setattr(flows, "_alpha_of_spectrum", lambda p, s: 0.0)
     with pytest.raises(ArithmeticError, match="objective"):
         alpha(*_rank2_3d(), n_dirs=512)
 

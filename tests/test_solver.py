@@ -2,13 +2,15 @@ import dataclasses
 import functools
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlab import flows
+from flowlab import flows, solver
 from flowlab.fields import Field, Grid1D, GridND
 from flowlab.solver import (
     BlowUpError,
@@ -361,17 +363,14 @@ def test_stepper_matches_term_by_term_oracle(flow_id, bc_kind, batch):
     plan = TimeStepPlan(t_end=1.0)
     stepper = _Stepper(flow, grid, u0, bc, plan)
     u = u0.copy()
-    stepper.apply_dirichlet(0.0)
     oracle_dirichlet(u, 0.0)
     assert _same_bits(stepper.u, u)
     t = 0.0
     for _ in range(20):
-        rhs, dt = stepper.rhs_and_dt(t)
         rhs_ref, dt_ref = _oracle_rhs_and_dt(flow, u, bc_kind, [ax.h] * n, plan)
+        t, dt = stepper.step(t, math.inf)
         assert dt == dt_ref
-        assert _same_bits(rhs, rhs_ref)
-        t += dt
-        stepper.advance(t, dt, rhs)
+        assert _same_bits(stepper.rhs, rhs_ref)
         u += dt * rhs_ref
         oracle_dirichlet(u, t)
         assert _same_bits(stepper.u, u)
@@ -525,9 +524,7 @@ def test_monotone_steps_keep_the_maximum(flow_id, bc_kind, values, scale):
     bound = np.max(np.abs(u0)) * (1 + 1e-12)
     t = 0.0
     for _ in range(60):
-        rhs, dt = stepper.rhs_and_dt(t)
-        t += dt
-        stepper.advance(t, dt, rhs)
+        t, _ = stepper.step(t, math.inf)
         assert np.max(np.abs(stepper.u)) <= bound
     assert not stepper.guarded
 
@@ -566,9 +563,7 @@ def test_nan_coefficient_reports_the_time_of_its_step(flow_id):
     stepper = _Stepper(flow, grid, u0[None], bc, plan)
     t = 0.0
     for _ in range(2):
-        rhs, dt = stepper.rhs_and_dt(t)
-        t += dt
-        stepper.advance(t, dt, rhs)
+        t, _ = stepper.step(t, math.inf)
     calls = []
 
     def coeff(Du, out=None):
@@ -604,13 +599,13 @@ def test_coefficient_that_could_overflow_keeps_the_guard(a, guarded):
     stepper = _Stepper(_constant_flow(a, "large"), g, u0[None], BoundaryCondition("periodic"),
                        TimeStepPlan(t_end=1e-150))
     with np.errstate(over="ignore"):
-        rhs, dt = stepper.rhs_and_dt(0.0)
+        if guarded:
+            with pytest.raises(BlowUpError, match="solution blow-up"):
+                stepper.step(0.0, math.inf)
+        else:
+            stepper.step(0.0, math.inf)
     assert stepper.guarded is guarded
-    if guarded:
-        with pytest.raises(BlowUpError, match="solution blow-up"):
-            stepper.advance(dt, dt, rhs)
-    else:
-        stepper.advance(dt, dt, rhs)
+    if not guarded:
         assert np.max(np.abs(stepper.u)) <= 1e150
 
 
@@ -633,9 +628,7 @@ def test_guard_stays_on_after_the_first_non_monotone_step():
     seen = []
     t = 0.0
     for _ in range(4):
-        rhs, dt = stepper.rhs_and_dt(t)
-        t += dt
-        stepper.advance(t, dt, rhs)
+        t, _ = stepper.step(t, math.inf)
         seen.append(stepper.guarded)
     assert seen == [False, True, True, True]
     assert _Stepper(csf, g, np.full((1, 32), np.inf), BoundaryCondition("periodic"),
@@ -684,3 +677,216 @@ def test_gradient_clip_fires_at_a_known_step():
         evolve(flow, Field(g, np.zeros(33)), bc, TimeStepPlan(t_end=1.0, max_grad_clip=50.0))
     assert str(info.value) == "|Du| = 52.2 exceeds max_grad_clip at t = 0.00415"
     assert len(calls) == 18
+
+
+# --- stepper reuse is invisible -------------------------------------------------
+
+
+def _result_bits(trajs, gaps=None):
+    """Every output of a run as bytes: snapshot times and values, dt_stats
+    and the gap series."""
+    out = [(t, f.time, f.values.tobytes(), repr(traj.dt_stats))
+           for traj in trajs for t, f in traj.snapshots]
+    return out + ([np.asarray(gaps).tobytes()] if gaps is not None else [])
+
+
+def _run(flow, fields, bc, plan, times):
+    if len(fields) == 1:
+        return _result_bits([evolve(flow, fields[0], bc, plan, times)])
+    lo, hi, gaps = evolve_pair_ordered(flow, *fields, bc, plan, times)
+    return _result_bits([lo, hi], gaps)
+
+
+def _fresh(flow, fields, bc, plan, times):
+    solver._IDLE_STEPPERS.clear()
+    return _run(flow, fields, bc, plan, times)
+
+
+def _count_steppers(monkeypatch):
+    built = []
+
+    class Counted(_Stepper):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_Stepper", Counted)
+    return built
+
+
+def test_interleaved_evolves_equal_fresh_runs(monkeypatch):
+    # csf, heat and mcf2d; periodic, neumann_zero and Dirichlet; batches of 1
+    # and 2, two initial data per key, run in a shuffled order with reuse
+    rng = np.random.default_rng(11)
+    cases = []
+    for flow in (flows.csf(), flows.heat_1d(0.25), flows.mcf_graph(2)):
+        n = flow.n
+        for bc_kind in ("periodic", "neumann_zero", "dirichlet"):
+            ax = Grid1D(0.0, 2 * np.pi, {1: 24, 2: 8}[n],
+                        "periodic" if bc_kind == "periodic" else "bounded")
+            grid = ax if n == 1 else GridND((ax,) * n)
+            mesh = np.stack(np.meshgrid(*[ax.nodes()] * n, indexing="ij"), axis=-1)
+            bc = BoundaryCondition(bc_kind, value=(lambda p, t: 0.1 * float(np.sum(p)) + t)
+                                   if bc_kind == "dirichlet" else None)
+            plan = TimeStepPlan(t_end=0.05)
+            for batch in (1, 2):
+                for _ in range(2):
+                    lo = np.sin(mesh @ rng.uniform(-2, 2, n)) + 0.1 * rng.standard_normal(
+                        mesh.shape[:-1])
+                    fields = [Field(grid, lo + k * (0.1 + rng.random(lo.shape)))
+                              for k in range(batch)]
+                    cases.append((flow, fields, bc, plan, [0.01, 0.05]))
+    fresh = [_fresh(*case) for case in cases]
+    solver._IDLE_STEPPERS.clear()
+    built = _count_steppers(monkeypatch)
+    # room for every key, so each is built once: flow, bc and batch size
+    monkeypatch.setattr(solver, "_IDLE_MAX", len(cases))
+    order = list(rng.permutation(len(cases))) * 2
+    for i in order:
+        assert _run(*cases[i]) == fresh[i]
+    assert len(built) == len(cases) // 2
+
+
+def test_dirichlet_reuse_keeps_the_sign_of_a_zero_endpoint():
+    # Grid1D(-1.0, -0.0) equals Grid1D(-1.0, 0.0) but its last node is -0.0,
+    # which this boundary value tells apart
+    flow, plan = flows.heat_1d(0.25), TimeStepPlan(t_end=0.05)
+    bc = BoundaryCondition("dirichlet", value=lambda x, t: math.copysign(1.0, x) * (1.0 + t))
+    cases = [(flow, [Field(Grid1D(-1.0, x_hi, 16, "bounded"), np.zeros(17))], bc, plan, [0.05])
+             for x_hi in (0.0, -0.0)]
+    assert cases[0][1][0].grid == cases[1][1][0].grid
+    fresh = [_fresh(*case) for case in cases]
+    assert fresh[0] != fresh[1]
+    for k in (0, 1, 0, 1):
+        assert _run(*cases[k]) == fresh[k]
+
+
+def test_idle_steppers_are_few_and_small():
+    # at most 8 idle steppers, the least recently used dropped first, and
+    # none for a batch of more than 4096 values
+    solver._IDLE_STEPPERS.clear()
+    bc, plan = BoundaryCondition("periodic"), TimeStepPlan(t_end=1e-3)
+    flow = flows.heat_1d(0.25)
+    grids = [Grid1D(0.0, 2 * np.pi, n, "periodic") for n in range(8, 18)]
+    for g in grids:
+        evolve(flow, Field(g, np.sin(g.nodes())), bc, plan)
+    assert [key[1] for key in solver._IDLE_STEPPERS] == grids[2:]
+    big = Grid1D(0.0, 2 * np.pi, 2049, "periodic")
+    evolve_pair_ordered(flow, Field(big, np.zeros(2049)), Field(big, np.ones(2049)), bc, plan)
+    assert [key[1] for key in solver._IDLE_STEPPERS] == grids[2:]
+
+
+def test_run_after_a_blow_up_equals_a_fresh_run(monkeypatch):
+    # a NaN coefficient raises mid-run with the guard on; the next run with
+    # the same key starts from its own data, limits and guard
+    g = Grid1D(0.0, 1.0, 32, "bounded")
+    csf = flows.csf()
+    nan_at = [5]
+    calls = []
+
+    def coeff(Du, out=None):
+        calls.append(1)
+        A = csf.coeff(Du, out)
+        if len(calls) == nan_at[0]:
+            A.fill(np.nan)
+        return A
+
+    flow = dataclasses.replace(csf, coeff=coeff)
+    x = g.nodes()
+    for bc in (BoundaryCondition("neumann_zero"),
+               BoundaryCondition("dirichlet", value=lambda x, t: np.sin(3 * x) + t)):
+        plan = TimeStepPlan(t_end=0.1)
+        f = Field(g, np.sin(3 * x))
+        nan_at[0] = None
+        expected = _fresh(flow, [f], bc, plan, [0.05, 0.1])
+        solver._IDLE_STEPPERS.clear()
+        built = _count_steppers(monkeypatch)
+        calls.clear()
+        nan_at[0] = 5
+        with pytest.raises(BlowUpError, match="solution blow-up"):
+            evolve(flow, Field(g, 3.0 * np.cos(x)), bc, plan, [0.05, 0.1])
+        nan_at[0] = None
+        assert _run(flow, [f], bc, plan, [0.05, 0.1]) == expected
+        assert len(built) == 1
+    # a member limit comes from the new data: 1e13 for the constant 1e7, but
+    # 1e6 for the noise, which anti-diffusion passes at its 30th step
+    counted = []
+    anti = _counted(_antidiffusion(), counted)
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    plan, bc = TimeStepPlan(t_end=1.0, max_grad_clip=1e300), BoundaryCondition("periodic")
+    evolve(anti, Field(g, np.full(32, 1e7)), bc, plan)
+    counted.clear()
+    with pytest.raises(BlowUpError, match="solution blow-up"):
+        evolve(anti, Field(g, 1e-3 * (-1.0) ** np.arange(32)), bc, plan)
+    assert len(counted) == 30
+    assert len(built) == 2
+
+
+def test_coefficient_that_evolves_the_same_key():
+    # the outer run's stepper is out of the cache while it runs, so the
+    # inner evolve builds its own; both equal fresh runs
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    x = g.nodes()
+    bc, plan, times = BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.1]
+    csf = flows.csf()
+    outer_u0, inner_u0 = Field(g, np.sin(x)), Field(g, 0.5 * np.cos(2 * x))
+    inner = []
+
+    def coeff(Du, out=None):
+        if reenter[0]:
+            reenter[0] = False
+            inner.append(_run(flow, [inner_u0], bc, plan, times))
+        return csf.coeff(Du, out)
+
+    reenter = [False]
+    flow = dataclasses.replace(csf, coeff=coeff)
+    expected_outer = _fresh(flow, [outer_u0], bc, plan, times)
+    expected_inner = _fresh(flow, [inner_u0], bc, plan, times)
+    reenter[0] = True
+    assert _run(flow, [outer_u0], bc, plan, times) == expected_outer
+    assert inner == [expected_inner]
+
+
+def test_changing_a_returned_snapshot_does_not_change_a_rerun():
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    x = g.nodes()
+    bc, plan, times = BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.1]
+    lo, hi = Field(g, np.sin(x)), Field(g, np.sin(x) + 0.5)
+    traj_lo, traj_hi, gaps = evolve_pair_ordered(flows.csf(), lo, hi, bc, plan, times)
+    expected = _result_bits([traj_lo, traj_hi], gaps)
+    for traj in (traj_lo, traj_hi):
+        for _, f in traj.snapshots[1:]:
+            f.values[:] = 7.0
+    gaps[:] = 7.0
+    traj_lo, traj_hi, gaps = evolve_pair_ordered(flows.csf(), lo, hi, bc, plan, times)
+    assert _result_bits([traj_lo, traj_hi], gaps) == expected
+
+
+def test_concurrent_evolves_on_one_key_equal_fresh_runs():
+    # a running stepper is out of the cache, so threads that evolve with one
+    # key at the same time never share one; a shared stepper would mix their
+    # data
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    x = g.nodes()
+    flow, bc, plan = flows.csf(), BoundaryCondition("periodic"), TimeStepPlan(t_end=0.02)
+    data = [Field(g, np.sin((k + 1) * x) / (k + 1)) for k in range(4)]
+    expected = [_fresh(flow, [f], bc, plan, [0.01, 0.02]) for f in data]
+    results = {k: [] for k in range(len(data))}
+
+    def worker(k):
+        for _ in range(25):
+            results[k].append(_run(flow, [data[k]], bc, plan, [0.01, 0.02]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(data))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k, runs in results.items():
+        assert len(runs) == 25 and all(r == expected[k] for r in runs)

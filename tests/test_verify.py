@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from flowlab import barriers, flows, verify
-from flowlab.fields import Field, Grid1D
+from flowlab.fields import Field, Grid1D, GridND
 from flowlab.solver import BoundaryCondition, TimeStepPlan, Trajectory, evolve
 from flowlab.verify import (
     ModulusOfContinuity,
@@ -181,6 +181,78 @@ def test_intersection_monotonicity_under_heat():
     assert rep.passed
     counts = rep.witness["counts"]
     assert counts[0] == 10 and counts[-1] == 2
+
+
+def _count_reference(u, phi, eps_tie):
+    """count_intersections as a scan of one snapshot: the strict signs, the
+    boundary precondition, then the changes between successive strict signs."""
+    if u.values.shape != phi.values.shape:
+        raise PreconditionError("fields live on different grids")
+    if not isinstance(u.grid, Grid1D):
+        raise PreconditionError("intersection counting is one-dimensional")
+    w = u.values - phi.values
+    s = np.where(w > eps_tie, 1, np.where(w < -eps_tie, -1, 0))
+    if u.grid.topology == "bounded" and (s[0] == 0 or s[-1] == 0):
+        raise PreconditionError(
+            "intersection on the boundary: |u - phi| <= eps_tie at an endpoint")
+    strict = s[s != 0]
+    if strict.size == 0:
+        return 0
+    changes = int(np.sum(strict[1:] != strict[:-1]))
+    if u.grid.topology == "periodic":
+        changes += int(strict[-1] != strict[0])
+    return changes
+
+
+_TIE_VALUES = [-1.0, -0.5, -1e-10, 0.0, 1e-10, 0.5, 1.0]
+
+
+@st.composite
+def _snapshot_pairs(draw):
+    # each snapshot on its own 1-D grid, with values where ties and ties at
+    # the endpoints of bounded grids are common; optionally one snapshot
+    # whose phi is on another grid
+    pairs = []
+    for _ in range(draw(st.integers(1, 5))):
+        topology = draw(st.sampled_from(["periodic", "bounded"]))
+        g = Grid1D(0.0, 1.0, draw(st.integers(4, 10)), topology)
+        n = g.n_nodes
+        u, phi = (np.array(draw(st.lists(st.sampled_from(_TIE_VALUES), min_size=n, max_size=n)))
+                  for _ in range(2))
+        pairs.append((Field(g, u), Field(g, phi)))
+    bad = draw(st.sampled_from([None, None, None, "shape", "2-D"]))
+    if bad:
+        k = draw(st.integers(0, len(pairs) - 1))
+        u, _ = pairs[k]
+        other = (Field(Grid1D(0.0, 1.0, 11, "bounded"), np.ones(12)) if bad == "shape"
+                 else Field(GridND((u.grid, u.grid)), np.ones(u.grid.shape * 2)))
+        pairs[k] = (u, other) if bad == "shape" else (other, other)
+    return pairs
+
+
+@given(_snapshot_pairs())
+@settings(max_examples=400, deadline=None)
+def test_intersection_counts_in_one_pass_match_the_per_snapshot_scan(pairs):
+    # counts, witness and PreconditionError of the one-array pass equal those
+    # of the scan snapshot by snapshot, and of count_intersections
+    traj_u, traj_p = Trajectory(), Trajectory()
+    for k, (u, phi) in enumerate(pairs):
+        traj_u.append(0.1 * k, u)
+        traj_p.append(0.1 * k, phi)
+    try:
+        expected = [_count_reference(u, phi, 1e-9) for u, phi in pairs]
+    except PreconditionError as e:
+        with pytest.raises(PreconditionError) as raised:
+            intersection_monotonicity(traj_u, traj_p)
+        assert str(raised.value) == str(e)
+        return
+    assert [count_intersections(u, phi) for u, phi in pairs] == expected
+    rep = intersection_monotonicity(traj_u, traj_p)
+    rises = np.diff(expected)
+    i = int(np.argmax(rises)) if rises.size else 0
+    assert rep.witness == {"counts": expected, "t_before": 0.1 * i,
+                           "t_after": 0.1 * (i + 1) if rises.size else None}
+    assert rep.max_defect == (max(int(np.max(rises)), 0) if rises.size else 0)
 
 
 # --- displacement ---------------------------------------------------------------
