@@ -19,12 +19,12 @@ the blow-up guard, which looks at members one by one only when that
 exceeds the smallest member limit; 1-D steps that the scheme proves
 monotone skip it (see ``_Stepper``).
 
-A stepper is built once per flow, grid, bc, plan and batch size: after a
+A stepper is built once per flow, grid object, bc and batch size: after a
 run it waits in a small module cache (batches of at most 4096 values), and
-the next evolve with an equal key re-seeds it with ``reset`` instead of
-building another.  Every u a step returns is finite (monotone steps stay
-bounded, every other step is guarded), so snapshots are copies of u
-wrapped without ``Field``'s checks.
+the next evolve with that key re-seeds it with ``reset`` and the run's
+plan instead of building another.  Every u a step returns is finite
+(monotone steps stay bounded, every other step is guarded), so snapshots
+are copies of u wrapped without ``Field``'s checks.
 """
 
 from __future__ import annotations
@@ -175,27 +175,30 @@ class _Stepper:
 
     The batch lives in one buffer with a ghost layer on every side.
     ``__init__`` builds the ghost, stencil and Dirichlet-face views into it
-    and the work buffers of a step, then two closures over them, ``reset``
-    and ``step``, and seeds the batch with ``reset(u0, gaps)``.
+    and the work buffers of a step, then closures over them, ``reset``,
+    ``step`` and ``finish``, and seeds the batch with ``reset(u0, plan,
+    gaps)``.
 
-    ``reset(u0, gaps=None)`` writes u0 (one array per member) into the
-    batch, sets the member limits, ``a_cap`` and the guard flag from it, and
-    writes the Dirichlet faces at t = 0.  Every buffer a step reads is
-    written earlier in that step, so after ``reset`` the stepper runs a new
-    evolution of the same flow, grid, bc, plan and batch size bit for bit as
-    a new stepper would.  When ``gaps`` is a list it receives min over nodes
-    of (u[1] - u[0]) then and after every step.
+    ``reset(u0, plan, gaps=None)`` writes u0 (one array per member) into
+    the batch, sets the member limits, ``a_cap`` and the guard flag from it,
+    takes the plan's numbers, and writes the Dirichlet faces at t = 0.
+    Every buffer a step reads is written earlier in that step, so after
+    ``reset`` the stepper runs a new evolution of the same flow, grid, bc
+    and batch size bit for bit as a new stepper would.  When ``gaps`` is a
+    list it receives min over nodes of (u[1] - u[0]) then and after every
+    step, until ``finish()`` drops it.
 
     ``step(t, t_next)`` makes one whole step from t and returns (t + dt,
     dt): the rhs, left unscaled in the buffer ``rhs``; the gradient clip and
     the CFL step dt, clipped to t_next - t; u += dt rhs, with the increment
     in a work buffer; the Dirichlet faces; the blow-up guard; and the gap.
-    It is one closure over the buffers, views and the plan's numbers, with
-    one branch for n = 1 and one for cross terms, so a step looks nothing up
-    and only does arithmetic, written in place by ufunc calls with a
-    positional ``out``.  The constants a step divides by (2h, h^2) or takes
-    a maximum with (0) are 0-d float64 arrays made here: as operands they
-    give the bits of the Python floats (NEP 50) at a lower cost per call.
+    It is one closure over the buffers, views and the run's plan numbers,
+    with one branch for n = 1 and one for cross terms, so a step looks
+    nothing up and only does arithmetic, written in place by ufunc calls
+    with a positional ``out``.  The constants a step divides by (2h, h^2)
+    or takes a maximum with (0) are 0-d float64 arrays made here: as
+    operands they give the bits of the Python floats (NEP 50) at a lower
+    cost per call.
     Sums of terms keep the order cross terms first, then axes, so every
     float matches the term-by-term formula.  Cross terms use the diagonal
     splitting.  The flow's ``coeff`` writes into a buffer of the stepper.
@@ -248,8 +251,6 @@ class _Stepper:
         if any(abs(ax.h - h) > 1e-12 * h for ax in axes):
             raise SolverError("graph flows with n > 1 need equal axis spacing")
         coeff, value = flow.coeff, bc.value
-        max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
-        dt_floor = 1e-14 * t_end
         h2 = h ** 2
         shape = grid.shape
         up = np.empty((len(u0),) + tuple(s + 2 for s in shape))
@@ -328,12 +329,17 @@ class _Stepper:
         negative, absolute, maximum = np.negative, np.abs, np.maximum
         max_reduce, min_reduce = maximum.reduce, np.minimum.reduce
 
-        # the state of one run, set by reset
+        # the state of one run, set by reset; the plan's numbers are the
+        # run's own, so a reused stepper returns them as a fresh one would
         guarded, a_cap, limit, limit_min, gap_series = False, 0.0, None, 0.0, None
+        max_grad_clip = cfl_safety = t_end = dt_floor = None
 
-        def reset(u0, gaps=None):
-            """Seed the batch with u0 and start a run at t = 0."""
+        def reset(u0, plan, gaps=None):
+            """Seed the batch with u0 and start a run of ``plan`` at t = 0."""
             nonlocal guarded, a_cap, limit, limit_min, gap_series
+            nonlocal max_grad_clip, cfl_safety, t_end, dt_floor
+            max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
+            dt_floor = 1e-14 * t_end
             for member, values in zip(u, u0):
                 member[...] = values
             u_max = maximum(1.0, max_reduce(absolute(u), grid_axes))
@@ -470,9 +476,14 @@ class _Stepper:
                 gap_series.append(float(min_reduce(subtract(hi, lo, gap), None)))
             return t, dt
 
-        self.reset, self.step = reset, step
+        def finish():
+            """End a run: an idle stepper keeps no caller's gap list."""
+            nonlocal gap_series
+            gap_series = None
+
+        self.reset, self.step, self.finish = reset, step, finish
         self._state = lambda: (guarded, a_cap)
-        reset(u0, gaps)
+        reset(u0, plan, gaps)
 
     @property
     def guarded(self) -> bool:
@@ -499,14 +510,15 @@ def prep_output_times(plan: TimeStepPlan, output_times) -> list:
     return out
 
 
-# idle steppers by (flow, grid, bc, plan, batch size), least recently used
+# idle steppers by (flow, grid object, bc, batch size), least recently used
 # first.  A running stepper is taken out, so a re-entrant or concurrent
 # evolve with the same key builds its own; taking out and putting back are
 # single dict operations, so two threads never get one stepper.
 _IDLE_STEPPERS: dict = {}
 _IDLE_MAX = 8
-# a batch of more values is not kept: its build costs about one of its steps
-# or less, and an idle stepper would hold all its buffers
+# a bound on the memory idle steppers hold (each keeps all its buffers): a
+# batch of more values is not kept.  No benchmark workload reaches it (the
+# largest batch is aniso's 48 x 48)
 _IDLE_MAX_VALUES = 4096
 
 
@@ -516,20 +528,24 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
 
     Returns one Trajectory per field.  When ``gaps`` is a list it receives
     min over nodes of (u[1] - u[0]) at t = 0 and after every step.  An idle
-    stepper of an equal flow, grid, bc, plan and batch size is reset and
-    reused; the frozen dataclasses compare their callables by identity.
+    stepper of an equal flow and bc, the same grid object and the same batch
+    size is reset and reused (the frozen dataclasses compare their callables
+    by identity); a flow or bc that cannot be hashed gets a stepper of its
+    own, which is not kept.
     """
     grid = fields[0].grid
     values = [f.values for f in fields]
-    # equal grids may differ in the sign of a zero endpoint, which a Dirichlet
-    # value sees at its face nodes, so a Dirichlet stepper serves its own grid
-    # object only (the key holds the grid, so its id is not reused)
-    key = (flow, grid, bc, plan, len(fields), id(grid) if bc.kind == "dirichlet" else 0)
+    # the key holds the grid, so its id is not reused while the key lives
+    key = (flow, grid, id(grid), bc, len(fields))
+    try:
+        hash(key)
+    except TypeError:
+        key = None
     stepper = _IDLE_STEPPERS.pop(key, None)
     if stepper is None:
         stepper = _Stepper(flow, grid, values, bc, plan, gaps)
     else:
-        stepper.reset(values, gaps)
+        stepper.reset(values, plan, gaps)
     try:
         pending = prep_output_times(plan, output_times)
         trajs = [Trajectory([(0.0, f)]) for f in fields]
@@ -552,7 +568,8 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
                 for traj, member in zip(trajs, u):
                     traj.snapshots.append((t, _unchecked_field(grid, member.copy(), t)))
     finally:
-        if stepper.u.size <= _IDLE_MAX_VALUES:
+        stepper.finish()
+        if key is not None and stepper.u.size <= _IDLE_MAX_VALUES:
             _IDLE_STEPPERS[key] = stepper
             for old in list(_IDLE_STEPPERS)[:-_IDLE_MAX]:
                 _IDLE_STEPPERS.pop(old, None)

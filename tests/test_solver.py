@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -736,7 +737,14 @@ def test_interleaved_evolves_equal_fresh_runs(monkeypatch):
                     fields = [Field(grid, lo + k * (0.1 + rng.random(lo.shape)))
                               for k in range(batch)]
                     cases.append((flow, fields, bc, plan, [0.01, 0.05]))
+    # one key, two plans that compare equal: with a = 0 the step is t_end,
+    # so a run returns the int or the float its own plan holds
+    g = Grid1D(0.0, 1.0, 8, "bounded")
+    zero, bc = _constant_flow(0.0, "zero"), BoundaryCondition("neumann_zero")
+    cases += [(zero, [Field(g, np.zeros(9))], bc, TimeStepPlan(t_end=t_end), None)
+              for t_end in (1, 1.0)]
     fresh = [_fresh(*case) for case in cases]
+    assert fresh[-2] != fresh[-1]
     solver._IDLE_STEPPERS.clear()
     built = _count_steppers(monkeypatch)
     # room for every key, so each is built once: flow, bc and batch size
@@ -774,6 +782,43 @@ def test_idle_steppers_are_few_and_small():
     big = Grid1D(0.0, 2 * np.pi, 2049, "periodic")
     evolve_pair_ordered(flow, Field(big, np.zeros(2049)), Field(big, np.ones(2049)), bc, plan)
     assert [key[1] for key in solver._IDLE_STEPPERS] == grids[2:]
+
+
+def test_unhashable_coefficient_gets_a_stepper_of_its_own(monkeypatch):
+    # a callable instance of a plain dataclass cannot be hashed, so the flow
+    # is no cache key: each evolve builds a stepper and none is kept
+    @dataclasses.dataclass
+    class Csf:
+        def __call__(self, Du, out=None):
+            return flows.csf().coeff(Du, out)
+
+    flow = dataclasses.replace(flows.csf(), coeff=Csf())
+    with pytest.raises(TypeError):
+        hash(flow)
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
+    bc, plan = BoundaryCondition("periodic"), TimeStepPlan(t_end=0.05)
+    f = Field(g, np.sin(g.nodes()))
+    expected = _fresh(flows.csf(), [f], bc, plan, [0.05])
+    solver._IDLE_STEPPERS.clear()
+    built = _count_steppers(monkeypatch)
+    for _ in range(2):
+        assert _run(flow, [f], bc, plan, [0.05]) == expected
+    assert len(built) == 2 and not solver._IDLE_STEPPERS
+
+
+def test_idle_stepper_keeps_no_gap_list():
+    class Gaps(list):
+        pass
+
+    g = Grid1D(0.0, 2 * np.pi, 16, "periodic")
+    fields = [Field(g, np.zeros(16)), Field(g, np.ones(16))]
+    gaps = Gaps()
+    solver._evolve_batch(flows.csf(), fields, BoundaryCondition("periodic"),
+                         TimeStepPlan(t_end=0.01), None, gaps)
+    assert len(gaps) > 1 and len(solver._IDLE_STEPPERS) > 0
+    ref = weakref.ref(gaps)
+    del gaps
+    assert ref() is None
 
 
 def test_run_after_a_blow_up_equals_a_fresh_run(monkeypatch):
