@@ -8,7 +8,16 @@ axes.  All derivatives are hand-derived closed forms; finite differences are
 used only as test oracles.  Each norm family has one derivative jet,
 ``FinslerNorm.jet(w, order)``, which returns (F, DF, D^2 F, D^3 F)[:order + 1]
 and computes the terms they share once; a caller that needs several
-derivatives of one stack calls it once.
+derivatives of one stack calls it once.  Every jet is exactly even:
+F(-w) = F(w), DF(-w) = -DF(w) and so on, bit for bit (the quartic norm
+forms the powers of w as products, since ``**`` on a negative base is not
+even in numpy).
+
+``flow_coefficients`` takes F D^2 F from the jet; it is the oracle for the
+flow coefficient and feeds ``trace_lower_bound``.  An aniso flow steps with
+the norm's closed form ``flow_coeff`` when it has one (every elliptic norm,
+the Euclidean one too, which then steps as mcf bit for bit), and with
+``flow_coefficients`` otherwise (the quartic norm).
 """
 
 from __future__ import annotations
@@ -53,7 +62,9 @@ class FinslerNorm:
     (..., dim, dim) and (..., dim, dim, dim); ``value``, ``grad``, ``hess``
     and ``third`` are its entries one at a time (``from_jet``).
     ``symmetric_flag`` claims evenness in the phi^0 coordinate:
-    F(p + phi^0) = F(p - phi^0) for spatial p."""
+    F(p + phi^0) = F(p - phi^0) for spatial p.  ``flow_coeff``, when set,
+    is a closed form of ``flow_coefficients`` with its signature (the
+    elliptic norms have one), and ``aniso_flow`` steps with it."""
 
     id: str
     dim: int
@@ -63,15 +74,18 @@ class FinslerNorm:
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
     symmetric_flag: bool
+    flow_coeff: Optional[Callable[..., np.ndarray]] = None
 
     @classmethod
-    def from_jet(cls, norm_id: str, dim: int, jet, symmetric_flag: bool) -> "FinslerNorm":
+    def from_jet(cls, norm_id: str, dim: int, jet, symmetric_flag: bool,
+                 flow_coeff=None) -> "FinslerNorm":
         return cls(norm_id, dim, jet,
                    value=lambda w: jet(w, 0)[0],
                    grad=lambda w: jet(w, 1)[1],
                    hess=lambda w: jet(w, 2)[2],
                    third=lambda w: jet(w, 3)[3],
-                   symmetric_flag=symmetric_flag)
+                   symmetric_flag=symmetric_flag,
+                   flow_coeff=flow_coeff)
 
 
 @dataclass
@@ -137,7 +151,8 @@ def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
     With the unit-ball normal mh = M w / F, the jet is DF = mh,
     D^2 F = (M - mh mh^T) / F and D^3 F = (3 mh(x)mh(x)mh - sym(M, mh)) / F^2.
     Symmetric in the vertical coordinate exactly when row 0 of M has no
-    off-diagonal entries.
+    off-diagonal entries.  The flow coefficient has a closed form
+    (``_elliptic_flow_coeff``).
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -167,7 +182,42 @@ def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
         norm_id = "elliptic:" + ";".join(
             ",".join(repr(float(v)) for v in row) for row in M
         )
-    return FinslerNorm.from_jet(norm_id, dim, jet, symmetric)
+    return FinslerNorm.from_jet(norm_id, dim, jet, symmetric, _elliptic_flow_coeff(M))
+
+
+def _elliptic_flow_coeff(M: np.ndarray):
+    """F D^2 F at z = p - phi^0, spatial block, for F(w) = sqrt(w^T M w):
+    M_ss - m m^T / (z^T M z) with m = M_ss p - M_s0 and
+    z^T M z = (M_00 - 2 M_0s . p) + p . (M_ss p).
+
+    Filled entry by entry from the component arrays, as ``mcf_graph`` does,
+    with every sum taken left to right; with M = I each entry rounds as
+    I - p p^T / (1 + |p|^2) there, so the Euclidean flow is mcf bit for bit.
+    """
+    n = M.shape[0] - 1
+    M00, M0s, Mss = float(M[0, 0]), M[0, 1:].tolist(), M[1:, 1:].tolist()
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for ai, bi in zip(a[1:], b[1:]):
+            acc = acc + ai * bi
+        return acc
+
+    def coeff(P, out=None):
+        P = np.asarray(P, dtype=float)
+        p = [P[..., i] for i in range(n)]
+        Mp = [dot(row, p) for row in Mss]
+        m = [Mp[i] - M0s[i] for i in range(n)]
+        zMz = (M00 - 2.0 * dot(M0s, p)) + dot(p, Mp)
+        A = np.empty(P.shape + (n,)) if out is None else out
+        for i in range(n):
+            np.subtract(Mss[i][i], m[i] * m[i] / zMz, out=A[..., i, i])
+            for j in range(i + 1, n):
+                np.subtract(Mss[i][j], m[i] * m[j] / zMz, out=A[..., i, j])
+                A[..., j, i] = A[..., i, j]
+        return A
+
+    return coeff
 
 
 def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
@@ -177,7 +227,7 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     the Leibniz expansion of S g with S = sum w_i^4 and g = r^-3 to the
     Euclidean jet.  Admitted only if the sampled minimum tangent-Hessian
     eigenvalue exceeds 1e-6 (convexity pre-check); delta = 0 reduces to the
-    Euclidean norm.
+    Euclidean norm.  It has no closed-form flow coefficient.
     """
     eu = euclidean_norm(dim)
     d = float(delta)
@@ -187,22 +237,25 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     def jet(w, order):
         w = np.asarray(w, dtype=float)
         e = eu.jet(w, order)
-        # the powers of r are taken on (..., 1) arrays and reshaped for each
-        # broadcast: numpy rounds ** on a 0-d scalar unlike its array loop, so
-        # one covector takes the array loop too
-        r, S = e[0], np.sum(w ** 4, axis=-1)
+        # the powers of w are products: numpy's ** on a negative base is slow
+        # and not even, (-x)**4 != x**4 now and then.  The powers of r > 0 are
+        # taken on (..., 1) arrays and reshaped for each broadcast: numpy
+        # rounds ** on a 0-d scalar unlike its array loop, so one covector
+        # takes the array loop too
+        w2 = w * w
+        r, S = e[0], np.sum(w2 * w2, axis=-1)
         r1, S1 = r[..., None], S[..., None]
         r3 = r1 ** 3
         out = [r + d * S / r3[..., 0]]
         if order >= 1:
             r5 = r1 ** 5
-            Si = 4.0 * w ** 3
+            Si = 4.0 * (w2 * w)
             # grad(r) + delta * (S_i r^-3 - 3 S w_i r^-5)
             out.append(e[1] + d * (Si / r3 - 3.0 * S1 * w / r5))
         if order >= 2:
             r7 = r1 ** 7
             # S_ij and the derivatives g_i, g_ij of g = r^-3
-            Sij = I * (12.0 * w ** 2)[..., None, :]
+            Sij = I * (12.0 * w2)[..., None, :]
             gi = -3.0 * w / r5
             gij = -3.0 * I / r5[..., None] + 15.0 * _outer(w, w) / r7[..., None]
             H_u = Sij / r3[..., None] + _outer(Si, gi) + _outer(gi, Si) + S1[..., None] * gij
@@ -305,7 +358,9 @@ def flow_coefficients(nf: FinslerNorm, p: np.ndarray, out=None) -> np.ndarray:
 
 
 def aniso_flow(nf: FinslerNorm):
-    """Graph flow u_t = [F D^ij F](Du) u_ij generated by the norm."""
+    """Graph flow u_t = [F D^ij F](Du) u_ij generated by the norm; its
+    coefficient is the norm's closed form ``flow_coeff`` when it has one,
+    and ``flow_coefficients`` (the jet) otherwise."""
     from .flows import GraphFlowND
 
     n = nf.dim - 1
@@ -313,10 +368,13 @@ def aniso_flow(nf: FinslerNorm):
     def Lambda_of_K(K):
         scales = np.linspace(0.0, max(K, 1e-9), 17)
         p = scales[:, None, None] * _spatial_directions(n, 16)
-        return float(np.max(np.linalg.eigvalsh(flow_coefficients(nf, p))))
+        return float(np.max(np.linalg.eigvalsh(coeff(p))))
 
     def coeff(p, out=None):
         return flow_coefficients(nf, p, out)
+
+    if nf.flow_coeff is not None:
+        coeff = nf.flow_coeff
 
     return GraphFlowND(
         n=n,

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowlab import finsler, flows
+from flowlab import finsler, flows, solver
+from flowlab.fields import Field, Grid1D, GridND
 from flowlab.finsler import (
     NormConstructionError,
     builtin_norms,
@@ -80,28 +81,29 @@ def _ref_elliptic(M):
 
 
 def _ref_quartic(d, dim):
-    """value, grad, hess and third of F(w) = r + d * sum w_i^4 / r^3."""
+    """value, grad, hess and third of F(w) = r + d * sum w_i^4 / r^3, with
+    the powers of w as products."""
     eu_value, eu_grad, eu_hess, eu_third = _ref_elliptic(np.eye(dim))
     I = np.eye(dim)
     idx = np.arange(dim)
 
     def value(w):
         r = eu_value(w)
-        return r + d * np.sum(w ** 4, axis=-1) / r ** 3
+        return r + d * np.sum((w * w) * (w * w), axis=-1) / r ** 3
 
     def grad(w):
         r = eu_value(w)[..., None]
-        S = np.sum(w ** 4, axis=-1)[..., None]
-        return eu_grad(w) + d * (4.0 * w ** 3 / r ** 3 - 3.0 * S * w / r ** 5)
+        S = np.sum((w * w) * (w * w), axis=-1)[..., None]
+        return eu_grad(w) + d * (4.0 * ((w * w) * w) / r ** 3 - 3.0 * S * w / r ** 5)
 
     def parts(w):
         r = eu_value(w)
         r1, r2 = r[..., None], r[..., None, None]
-        Si = 4.0 * w ** 3
-        Sij = I * (12.0 * w ** 2)[..., None, :]
+        Si = 4.0 * ((w * w) * w)
+        Sij = I * (12.0 * (w * w))[..., None, :]
         gi = -3.0 * w / r1 ** 5
         gij = -3.0 * I / r2 ** 5 + 15.0 * _outer(w, w) / r2 ** 7
-        return r, np.sum(w ** 4, axis=-1), Si, Sij, gi, gij
+        return r, np.sum((w * w) * (w * w), axis=-1), Si, Sij, gi, gij
 
     def hess(w):
         r, S, Si, Sij, gi, gij = parts(w)
@@ -150,6 +152,22 @@ def test_jet_matches_reference_formulas_bit_for_bit(nf, ref):
                     f"{nf.id} dim {nf.dim}: order {order} entry {k}"
         for k, name in enumerate(("value", "grad", "hess", "third")):
             assert getattr(nf, name)(w).tobytes() == expected[k].tobytes(), name
+
+
+EVEN_CASES = [nf for dim in (2, 3) for nf in (
+    euclidean_norm(dim), elliptic_norm(np.diag(1.0 + 0.5 * np.arange(dim))),
+    quartic_norm(1e-3, dim), quartic_norm(0.3, dim))] + [elliptic_norm(COUPLED)]
+
+
+@pytest.mark.parametrize("nf", EVEN_CASES, ids=[f"{nf.id}-dim{nf.dim}" for nf in EVEN_CASES])
+def test_jet_is_exactly_even(nf):
+    # F(-w) = F(w), DF(-w) = -DF(w), ... bit for bit: no entry of the jet
+    # rounds apart under w -> -w
+    rng = np.random.default_rng(20 + nf.dim)
+    W = rng.normal(size=(2000, nf.dim)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
+    for k, (got, want) in enumerate(zip(nf.jet(-W, 3), nf.jet(W, 3))):
+        want = want if k % 2 == 0 else -want
+        assert got.tobytes() == want.tobytes(), f"{nf.id} dim {nf.dim}: entry {k}"
 
 
 def _fd_grad(nf, w, d=1e-6):
@@ -263,6 +281,66 @@ def test_flow_coefficients_euclid_is_mcf():
     for _ in range(20):
         p = rng.normal(size=2) * rng.uniform(0.1, 5)
         assert np.allclose(flow_coefficients(nf, p), mcf.coeff(p), atol=1e-12)
+
+
+# M_0s != 0 with coupled spatial entries
+SKEWED = np.array([[2.0, -0.4, 0.3, 0.1], [-0.4, 1.5, 0.2, 0.0],
+                   [0.3, 0.2, 1.0, -0.25], [0.1, 0.0, -0.25, 1.2]])
+CLOSED_FORM_CASES = [euclidean_norm(dim) for dim in (2, 3, 4)] + [
+    elliptic_norm(np.diag([1.0, 1.5, 2.0])), elliptic_norm(COUPLED), elliptic_norm(SKEWED)]
+
+
+@pytest.mark.parametrize("nf", CLOSED_FORM_CASES, ids=[
+    "euclid-dim2", "euclid-dim3", "euclid-dim4", "diagonal", "coupled", "skewed"])
+def test_elliptic_closed_form_matches_flow_coefficients(nf):
+    rng = np.random.default_rng(30 + nf.dim)
+    n = nf.dim - 1
+    P = rng.normal(size=(40, 25, n)) * 10.0 ** rng.uniform(-3, 3, size=(40, 25, 1))
+    want = flow_coefficients(nf, P)
+    got = nf.flow_coeff(P)
+    assert got.shape == want.shape == (40, 25, n, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    out = np.full(want.shape, np.nan)
+    assert nf.flow_coeff(P, out) is out and out.tobytes() == got.tobytes()
+    assert nf.flow_coeff(P[3, 4]).tobytes() == got[3, 4].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_euclid_closed_form_is_mcf_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    P = rng.normal(size=(600, n)) * 10.0 ** rng.uniform(-3, 8, size=(600, 1))
+    P[:40] = 0.0
+    P[40:80] = -0.0
+    P[80:200, 0] = rng.choice([0.0, -0.0], size=120)
+    P[200:220] = 1e8 * np.sign(rng.normal(size=(20, n)))
+    mcf = flows.mcf_graph(n)
+    coeff = euclidean_norm(n + 1).flow_coeff
+    assert coeff(P).tobytes() == mcf.coeff(P).tobytes()
+    for p in P[[0, 41, 100, 210, 500]]:
+        assert coeff(p).tobytes() == mcf.coeff(p).tobytes()
+
+
+def test_aniso_flow_takes_the_closed_form_when_the_norm_has_one():
+    nf = norm_by_id("elliptic:1,1.5,2")
+    assert finsler.aniso_flow(nf).coeff is nf.flow_coeff
+    # the quartic norm has none and keeps the jet route
+    quartic = norm_by_id("quartic:0.001")
+    assert quartic.flow_coeff is None
+    P = np.random.default_rng(50).normal(size=(30, 2)) * 5.0
+    got = flows.get_flow("aniso:quartic:0.001").coeff(P)
+    assert got.tobytes() == flow_coefficients(quartic, P).tobytes()
+
+
+def test_aniso_euclid_evolves_to_mcf2d():
+    ax = Grid1D(0.0, 2 * np.pi, 24, "periodic")
+    g = GridND((ax, ax))
+    X, Y = g.meshgrid()
+    u0 = Field(g, 0.3 * np.sin(X) * np.sin(Y) + 0.2 * np.cos(X + Y))
+    bc, plan = solver.BoundaryCondition("periodic"), solver.TimeStepPlan(t_end=0.05)
+    got = solver.evolve(flows.get_flow("aniso:euclid"), u0, bc, plan)
+    want = solver.evolve(flows.mcf_graph(2), u0, bc, plan)
+    assert got.dt_stats["n_steps"] == want.dt_stats["n_steps"]
+    assert np.array_equal(got.fields[-1].values, want.fields[-1].values)
 
 
 def test_aniso_flow_envelopes():
