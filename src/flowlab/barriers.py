@@ -144,14 +144,13 @@ _BRACKET = 1.0 - 1e-15
 _PSI_BISECTIONS = 41
 
 
-def _psi_map(b: PsiBarrier, psi, t):
-    k = b.kernel
-    return phi_eval(k, psi - 1.0, t) - phi_eval(k, psi + 1.0, t)
-
-
 def psi_range(b: PsiBarrier, t) -> float:
     """Largest |z| representable at time t (value of the map at psi -> 1)."""
-    return float(_psi_map(b, _BRACKET, np.asarray(t, dtype=float)))
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError("Phi requires t > 0")
+    out, work = np.empty(t.shape), np.empty(t.shape)
+    return float(_psi_map_into(-b.c, _BRACKET, t, np.sqrt(t), out, work))
 
 
 def _phi_into(neg_c, y, t, sqrt_t):
@@ -166,7 +165,8 @@ def _phi_into(neg_c, y, t, sqrt_t):
 
 
 def _psi_map_into(neg_c, psi, t, sqrt_t, out, work):
-    """_psi_map(b, psi, t) written into ``out``; ``work`` is scratch."""
+    """psi's defining map Phi(psi - 1, t) - Phi(psi + 1, t) of the kernel
+    HeatKernel(-neg_c), written into ``out``; ``work`` is scratch."""
     _phi_into(neg_c, np.subtract(psi, 1.0, out=out), t, sqrt_t)
     _phi_into(neg_c, np.add(psi, 1.0, out=work), t, sqrt_t)
     return np.subtract(out, work, out=out)

@@ -10,27 +10,24 @@ series.  Cross-derivative terms use the diagonal stencil splitting, so the
 update is order-preserving wherever the coefficient matrix is diagonally
 dominant, for frozen coefficients only: a(Du) is taken from each solution's
 own central differences, and steep ordered mcf2d pairs cross by -1.8e-5 to
--5.4e-5 (ROADMAP item 3).  The stepper allocates its work buffers once and builds its step
-once, as one closure over them (``step``, which makes the rhs, the CFL
-step, the update, the Dirichlet faces, the guard and the gap of a pair),
-and writes every step in place, in the operation order of the term-by-term
-formula, so results are the same bit for bit.  One max reduction per step
-gives max |Du|^2 (for the gradient clip) and max S (for dt); a NaN max S
-raises ``BlowUpError`` at that step.  A second reduction gives max|u| for
-the blow-up guard, which looks at members one by one only when that
-exceeds the smallest member limit; 1-D steps that the scheme proves
-monotone skip it (see ``_Stepper``).
-
-A stepper is built once per flow, grid object, bc and batch size: after a
-run it waits in a small module cache (batches of at most 4096 values), and
-the next evolve with that key re-seeds it with ``reset`` and the run's
-plan instead of building another.  Every u a step returns is finite
-(monotone steps stay bounded, every other step is guarded), so snapshots
-are copies of u wrapped without ``Field``'s checks.
+-5.4e-5 (ROADMAP item 3).  Each evolve builds its own stepper, which is
+cheap: it allocates its work buffers and makes its views once, and builds
+its step once, as one closure over them (``step``, which makes the rhs,
+the CFL step, the update, the Dirichlet faces, the guard and the gap of a
+pair).  Every step is written in place, in the operation order of the
+term-by-term formula, so results are the same bit for bit.  One
+``maximum.reduceat`` per step gives max |Du|^2 (for the gradient clip) and
+max S (for dt); a NaN max S raises ``BlowUpError`` at that step.  A second
+reduction gives max|u| for the blow-up guard, which looks at members one
+by one only when that exceeds the smallest member limit; 1-D steps that
+the scheme proves monotone skip it (see ``_Stepper``).  Every u a step
+returns is finite (monotone steps stay bounded, every other step is
+guarded), so snapshots are copies of u wrapped without ``Field``'s checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -39,9 +36,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .fields import (Field, Grid1D, _coordinate_cells, _grid_to_jsonable, _unchecked_field,
-                     _write_csv)
-from .flows import DegeneracyProfile, GraphFlowND, scalar_flow
+from .fields import Field, _coordinate_cells, _grid_to_jsonable, _unchecked_field, _write_csv
+from .flows import GraphFlowND
 
 __all__ = [
     "BoundaryCondition",
@@ -52,7 +48,6 @@ __all__ = [
     "evolve",
     "evolve_pair_ordered",
     "prep_output_times",
-    "solve_auxiliary_phi",
 ]
 
 
@@ -176,40 +171,37 @@ class _Stepper:
     """Explicit Euler for u_t = a^ij(Du) D_ij u on a batch (B, *grid shape).
 
     The batch lives in one buffer with a ghost layer on every side.
-    ``__init__`` builds the ghost, stencil and Dirichlet-face views into it
-    and the work buffers of a step, then closures over them, ``reset``,
-    ``step`` and ``finish``, and seeds the batch with ``reset(u0, plan,
-    gaps)``.
-
-    ``reset(u0, plan, gaps=None)`` writes u0 (one array per member) into
-    the batch, sets the member limits, ``a_cap`` and the guard flag from it,
-    takes the plan's numbers, and writes the Dirichlet faces at t = 0.
-    Every buffer a step reads is written earlier in that step, so after
-    ``reset`` the stepper runs a new evolution of the same flow, grid, bc
-    and batch size bit for bit as a new stepper would.  When ``gaps`` is a
-    list it receives min over nodes of (u[1] - u[0]) then and after every
-    step, until ``finish()`` drops it.
+    ``__init__`` writes u0 (one array per member) into it, builds the
+    ghost, stencil and Dirichlet-face views into it and the work buffers of
+    a step, sets the member limits, ``a_cap`` and the guard flag from u0,
+    writes the Dirichlet faces at t = 0, and builds ``step``, one closure
+    over all of these and the plan's numbers.  A build is cheap, so every
+    evolve builds its own stepper: each axis's three windows (the interior
+    shifted by -1, 0 and +1) are sliced once, and the view at each offset
+    in {-1, 0, 1}^n is made once, for every n.  When ``gaps`` is a list it
+    receives min over nodes of (u[1] - u[0]) at t = 0 and after every step.
 
     ``step(t, t_next)`` makes one whole step from t and returns (t + dt,
     dt): the rhs, left unscaled in the buffer ``rhs``; the gradient clip and
     the CFL step dt, clipped to t_next - t; u += dt rhs, with the increment
     in a work buffer; the Dirichlet faces; the blow-up guard; and the gap.
-    It is one closure over the buffers, views and the run's plan numbers,
-    with one branch for n = 1 and one for cross terms, so a step looks
-    nothing up and only does arithmetic, written in place by ufunc calls
-    with a positional ``out``.  The constants a step divides by (2h, h^2)
-    or takes a maximum with (0) are 0-d float64 arrays made here: as
-    operands they give the bits of the Python floats (NEP 50) at a lower
-    cost per call.
+    It is one closure over the buffers, views and the plan's numbers, with
+    one branch for n = 1 and one for cross terms, so a step looks nothing
+    up and only does arithmetic, written in place by ufunc calls with a
+    positional ``out``.  The constants a step divides by (2h, h^2) or takes
+    a maximum with (0) are 0-d float64 arrays made here: as operands they
+    give the bits of the Python floats (NEP 50) at a lower cost per call.
     Sums of terms keep the order cross terms first, then axes, so every
     float matches the term-by-term formula.  Cross terms use the diagonal
     splitting.  The flow's ``coeff`` writes into a buffer of the stepper.
-    |Du|^2 and the stability sum S are rows of one buffer and share one
-    reduction.  With n = 1 there are no cross terms and the rows are
-    [|Du|^2, a, -a]: ``coeff`` writes a straight into the second row.
-    max|a| = max(max a, max(-a)) bit for bit (a NaN gives NaN), and max S =
-    max|a| / h^2 exactly, because correctly rounded division by h^2 > 0 is
-    monotone.  A NaN max S raises ``BlowUpError`` at the step that met it.
+    |Du|^2 and the stability sum S are rows of one buffer, and one
+    ``maximum.reduceat`` over its flat view, at row starts computed here,
+    gives every row's maximum.  With n = 1 there are no cross terms and the
+    rows are [|Du|^2, a, -a]: ``coeff`` writes a straight into the second
+    row.  max|a| = max(max a, max(-a)) bit for bit (a NaN gives NaN), and
+    max S = max|a| / h^2 exactly, because correctly rounded division by
+    h^2 > 0 is monotone.  A NaN max S raises ``BlowUpError`` at the step
+    that met it.
 
     The blow-up guard compares one batch-wide max|u| with the smallest
     member limit and tests the members one by one only when that fails (a
@@ -256,64 +248,62 @@ class _Stepper:
         h2 = h ** 2
         shape = grid.shape
         up = np.empty((len(u0),) + tuple(s + 2 for s in shape))
-        batch = (slice(None),)
-
-        def shifted(offsets):
-            return up[batch + tuple(slice(1 + o, s + 1 + o) for o, s in zip(offsets, shape))]
+        every, inner = slice(None), slice(1, -1)
+        # the views of the batch at the offsets in {-1, 0, 1}^n, from each
+        # axis's windows (the interior shifted by -1, 0 and +1): the view at
+        # offset o is views[centre + sum_i o_i place[i]]
+        windows = [(slice(0, s), slice(1, s + 1), slice(2, s + 2)) for s in shape]
+        views = [up[w] for w in itertools.product((every,), *windows)]
+        centre, place = len(views) // 2, [3 ** (n - 1 - i) for i in range(n)]
 
         def ghost_layer(ax, k):
             # padded index k on axis ax; ghosts of earlier axes are included
-            return up[batch + tuple(slice(None) if d < ax else k if d == ax
-                                         else slice(1, -1) for d in range(n))]
+            return up[(every,) * (ax + 1) + (k,) + (inner,) * (n - 1 - ax)]
 
-        e = np.eye(n, dtype=int)
-        self.u = u = shifted((0,) * n)
+        self.u = u = views[centre]
         grid_axes = tuple(range(1, n + 1))
         Du = np.empty(u.shape + (n,))
         grads = [Du[..., i] for i in range(n)]
-        differences = [(g, shifted(e[i]), shifted(-e[i]), np.array(2 * ax.h))
-                       for i, (g, ax) in enumerate(zip(grads, axes))]
-        stencils = [(shifted(e[i]), shifted(-e[i]), np.array(ax.h ** 2))
-                    for i, ax in enumerate(axes)]
+        differences = [(g, views[centre + p], views[centre - p], np.array(2 * ax.h))
+                       for g, p, ax in zip(grads, place, axes)]
         # |Du|^2 and the stability sum are rows of one buffer, so one
-        # reduction over its flat view gives every maximum.  With n = 1 the
-        # rows are |Du|^2, a and -a, and coeff writes a into the second one
-        # (as (B, N, 1, 1)); with cross terms they are |Du|^2 and S, and
+        # reduceat over its flat view gives every row's maximum.  With n = 1
+        # the rows are |Du|^2, a and -a, and coeff writes a into the second
+        # one (as (B, N, 1, 1)); with cross terms they are |Du|^2 and S, and
         # coeff writes into a buffer of its own
         rows = np.empty((3 if n == 1 else 2,) + u.shape)
-        reduced = rows.reshape(len(rows), -1)
+        flat, row_starts = rows.reshape(-1), np.arange(0, rows.size, u.size)
         gsq = rows[0]
         # work buffers: 2u, the rhs sum and one term (or the increment) at a time
         self.rhs = rhs = np.empty(u.shape)
         two_u, work = np.empty(u.shape), np.empty(u.shape)
-        # the gap u[1] - u[0] of a pair
-        gap = np.empty(shape)
         lo, hi = u[0], u[-1]
 
         # ghost <- source (periodic, neumann_zero), or <- 2 * source - second
         # for linear extrapolation (Dirichlet: boundary nodes are overwritten
         # after every step)
         copies, extrapolations = [], []
+        dirichlet = bc.kind == "dirichlet"
         for ax, N in enumerate(shape):
-            if bc.kind == "dirichlet":
-                extrapolations += [(ghost_layer(ax, d), ghost_layer(ax, a), ghost_layer(ax, b))
-                                   for d, a, b in [(0, 1, 2), (N + 1, N, N - 1)]]
+            first, last = ghost_layer(ax, 0), ghost_layer(ax, N + 1)
+            if dirichlet:
+                extrapolations += [(first, ghost_layer(ax, 1), ghost_layer(ax, 2)),
+                                   (last, ghost_layer(ax, N), ghost_layer(ax, N - 1))]
+            elif bc.kind == "periodic":
+                copies += [(first, ghost_layer(ax, N)), (last, ghost_layer(ax, 1))]
             else:
-                src = {"periodic": (N, 1), "neumann_zero": (2, N - 1)}[bc.kind]
-                copies += [(ghost_layer(ax, d), ghost_layer(ax, a))
-                           for d, a in zip((0, N + 1), src)]
+                copies += [(first, ghost_layer(ax, 2)), (last, ghost_layer(ax, N - 1))]
 
         # Dirichlet faces: with n = 1 each is one node, kept with its
         # coordinate x; else its grid shape and its rows of the mesh
         node_faces, faces = [], []
-        dirichlet = bc.kind == "dirichlet"
         if dirichlet:
             mesh = np.stack(np.meshgrid(*[ax.nodes() for ax in axes], indexing="ij"), axis=-1)
             for ax in range(n):
                 for side in (0, -1):
-                    idx = tuple(side if d == ax else slice(None) for d in range(n))
+                    idx = tuple(side if d == ax else every for d in range(n))
                     points = mesh[idx].reshape(-1, n)
-                    face = u[batch + idx]
+                    face = u[(every,) + idx]
                     if n == 1:
                         node_faces.append((face, points[0, 0]))
                     else:
@@ -326,43 +316,38 @@ class _Stepper:
                 # values come node by node; reshape them to the face's grid shape
                 face[...] = np.array([value(p, t) for p in points]).reshape(face_shape)
 
-        # the ufuncs, bound once as closure variables of reset and step
+        # the ufuncs, bound once as closure variables of step
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         negative, absolute, maximum = np.negative, np.abs, np.maximum
-        max_reduce, min_reduce = maximum.reduce, np.minimum.reduce
+        max_reduce, min_reduce, max_reduceat = maximum.reduce, np.minimum.reduce, maximum.reduceat
 
-        # the state of one run, set by reset; the plan's numbers are the
-        # run's own, so a reused stepper returns them as a fresh one would
-        guarded, a_cap, limit, limit_min, gap_series = False, 0.0, None, 0.0, None
-        max_grad_clip = cfl_safety = t_end = dt_floor = None
-
-        def reset(u0, plan, gaps=None):
-            """Seed the batch with u0 and start a run of ``plan`` at t = 0."""
-            nonlocal guarded, a_cap, limit, limit_min, gap_series
-            nonlocal max_grad_clip, cfl_safety, t_end, dt_floor
-            max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
-            dt_floor = 1e-14 * t_end
-            for member, values in zip(u, u0):
-                member[...] = values
-            u_max = maximum(1.0, max_reduce(absolute(u), grid_axes))
-            limit = 1e6 * u_max
-            limit_min = float(limit.min())
-            # a monotone step with max a < a_cap has no intermediate above
-            # max_float (see the class docstring); a NaN or inf in u0 gives 0
-            cap = sys.float_info.max / (8.0 * float(u_max.max()) * max(1.0, 1.0 / h2))
-            a_cap = cap if cap > 1.0 else 0.0
-            # the guard runs on every step unless steps may be monotone
-            guarded = n > 1 or dirichlet
-            apply_dirichlet(0.0)
-            gap_series = gaps
-            if gaps is not None:
-                gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
+        # seed the batch; the member limits, a_cap and the guard flag come from u0
+        u[...] = u0
+        u_max = maximum(1.0, max_reduce(absolute(u, work), grid_axes))
+        limit = 1e6 * u_max
+        # the smallest limit and U = max(u_max); every u_max is >= 1 or NaN,
+        # so their sum is NaN just when one of them is, and then both are
+        bounds = u_max.tolist()
+        total = sum(bounds)
+        limit_min, U = (1e6 * min(bounds), max(bounds)) if total == total else (total, total)
+        # a monotone step with max a < a_cap has no intermediate above
+        # max_float (see the class docstring); a NaN or inf in u0 gives 0
+        cap = sys.float_info.max / (8.0 * U * max(1.0, 1.0 / h2))
+        self.a_cap = a_cap = cap if cap > 1.0 else 0.0
+        # the guard runs on every step unless steps may be monotone
+        guarded = n > 1 or dirichlet
+        max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
+        dt_floor = 1e-14 * t_end
+        apply_dirichlet(0.0)
+        if gaps is not None:
+            gap = np.empty(shape)
+            gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
 
         if n == 1:
             a, neg_a = rows[1], rows[2]
             A = a[..., None, None]
             (grad, plus, minus, two_h_x), = differences
-            h2_x = stencils[0][2]
+            h2_x = np.array(h2)
         else:
             stab = rows[1]
             zero, h2_0d = np.array(0.0), np.array(h2)
@@ -374,10 +359,12 @@ class _Stepper:
             # cross term k goes straight into the rhs and S sums when k = 0,
             # else through term and work and is added on
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            cross = [(A[..., i, j], diag[i], diag[j], shifted(e[i] + e[j]), shifted(-e[i] - e[j]),
-                      shifted(e[i] - e[j]), shifted(e[j] - e[i]), k > 0)
+            cross = [(A[..., i, j], diag[i], diag[j], views[centre + place[i] + place[j]],
+                      views[centre - place[i] - place[j]], views[centre + place[i] - place[j]],
+                      views[centre - place[i] + place[j]], k > 0)
                      for k, (i, j) in enumerate(pairs)]
-            axis_terms = [(d,) + s for d, s in zip(diag, stencils)]
+            axis_terms = [(d, p, m, np.array(ax.h ** 2))
+                          for d, (_, p, m, _), ax in zip(diag, differences, axes)]
             g0, later_grads = grads[0], grads[1:]
 
         def step(t, t_next):
@@ -400,7 +387,7 @@ class _Stepper:
                 divide(rhs, h2_x, rhs)
                 multiply(rhs, a, rhs)
                 negative(a, neg_a)
-                gsq_max, a_max, neg_max = max_reduce(reduced, 1).tolist()
+                gsq_max, a_max, neg_max = max_reduceat(flat, row_starts).tolist()
                 # max|a|, NaN when a holds one; a NaN also fails neg_max <= 0
                 if not (neg_max <= 0.0 and a_max < a_cap):
                     guarded = True
@@ -446,7 +433,7 @@ class _Stepper:
                     add(rhs, term, rhs)
                     divide(absolute(d, work), h2_0d, work)
                     add(stab, work, stab)
-                gsq_max, stab_max = max_reduce(reduced, 1).tolist()
+                gsq_max, stab_max = max_reduceat(flat, row_starts).tolist()
             # the gradient clip, then the CFL step; a NaN max S raises here
             # (it would fail stab_max > 0 and give dt = t_end)
             gmax = math.sqrt(gsq_max)
@@ -474,28 +461,17 @@ class _Stepper:
                 if not max_reduce(au, None) <= limit_min:
                     if not (max_reduce(au, grid_axes) <= limit).all():
                         raise BlowUpError(f"solution blow-up at t = {t:.3g}")
-            if gap_series is not None:
-                gap_series.append(float(min_reduce(subtract(hi, lo, gap), None)))
+            if gaps is not None:
+                gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
             return t, dt
 
-        def finish():
-            """End a run: an idle stepper keeps no caller's gap list."""
-            nonlocal gap_series
-            gap_series = None
-
-        self.reset, self.step, self.finish = reset, step, finish
-        self._state = lambda: (guarded, a_cap)
-        reset(u0, plan, gaps)
+        self.step = step
+        self._guarded = lambda: guarded
 
     @property
     def guarded(self) -> bool:
         """Whether ``step`` runs the blow-up guard."""
-        return self._state()[0]
-
-    @property
-    def a_cap(self) -> float:
-        """The largest a below which a 1-D step may skip the guard."""
-        return self._state()[1]
+        return self._guarded()
 
 
 def prep_output_times(plan: TimeStepPlan, output_times) -> list:
@@ -512,69 +488,36 @@ def prep_output_times(plan: TimeStepPlan, output_times) -> list:
     return out
 
 
-# idle steppers by (flow, grid object, bc, batch size), least recently used
-# first.  A running stepper is taken out, so a re-entrant or concurrent
-# evolve with the same key builds its own; taking out and putting back are
-# single dict operations, so two threads never get one stepper.
-_IDLE_STEPPERS: dict = {}
-_IDLE_MAX = 8
-# a bound on the memory idle steppers hold (each keeps all its buffers): a
-# batch of more values is not kept.  No benchmark workload reaches it (the
-# largest batch is aniso's 48 x 48)
-_IDLE_MAX_VALUES = 4096
-
-
 def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: TimeStepPlan,
                   output_times, gaps: list | None = None) -> list:
     """Evolve fields on one grid as a batch with one dt sequence.
 
     Returns one Trajectory per field.  When ``gaps`` is a list it receives
-    min over nodes of (u[1] - u[0]) at t = 0 and after every step.  An idle
-    stepper of an equal flow and bc, the same grid object and the same batch
-    size is reset and reused (the frozen dataclasses compare their callables
-    by identity); a flow or bc that cannot be hashed gets a stepper of its
-    own, which is not kept.
+    min over nodes of (u[1] - u[0]) at t = 0 and after every step.  Each
+    call builds its own stepper.
     """
     grid = fields[0].grid
-    values = [f.values for f in fields]
-    # the key holds the grid, so its id is not reused while the key lives
-    key = (flow, grid, id(grid), bc, len(fields))
-    try:
-        hash(key)
-    except TypeError:
-        key = None
-    stepper = _IDLE_STEPPERS.pop(key, None)
-    if stepper is None:
-        stepper = _Stepper(flow, grid, values, bc, plan, gaps)
-    else:
-        stepper.reset(values, plan, gaps)
-    try:
-        pending = prep_output_times(plan, output_times)
-        trajs = [Trajectory([(0.0, f)]) for f in fields]
-        step, u = stepper.step, stepper.u
-        t = 0.0
-        n_steps = 0
-        dt_min, dt_max = np.inf, 0.0
-        while pending:
-            t_next = pending[0]
-            t, dt = step(t, t_next)
-            n_steps += 1
-            # the same picks as min(dt_min, dt), max(dt_max, dt)
-            if dt < dt_min:
-                dt_min = dt
-            if dt > dt_max:
-                dt_max = dt
-            if t >= t_next - 1e-14:
-                t = pending.pop(0)
-                # finite values of the grid's shape (see _Stepper)
-                for traj, member in zip(trajs, u):
-                    traj.snapshots.append((t, _unchecked_field(grid, member.copy(), t)))
-    finally:
-        stepper.finish()
-        if key is not None and stepper.u.size <= _IDLE_MAX_VALUES:
-            _IDLE_STEPPERS[key] = stepper
-            for old in list(_IDLE_STEPPERS)[:-_IDLE_MAX]:
-                _IDLE_STEPPERS.pop(old, None)
+    stepper = _Stepper(flow, grid, [f.values for f in fields], bc, plan, gaps)
+    pending = prep_output_times(plan, output_times)
+    trajs = [Trajectory([(0.0, f)]) for f in fields]
+    step, u = stepper.step, stepper.u
+    t = 0.0
+    n_steps = 0
+    dt_min, dt_max = np.inf, 0.0
+    while pending:
+        t_next = pending[0]
+        t, dt = step(t, t_next)
+        n_steps += 1
+        # the same picks as min(dt_min, dt), max(dt_max, dt)
+        if dt < dt_min:
+            dt_min = dt
+        if dt > dt_max:
+            dt_max = dt
+        if t >= t_next - 1e-14:
+            t = pending.pop(0)
+            # finite values of the grid's shape (see _Stepper)
+            for traj, member in zip(trajs, u):
+                traj.snapshots.append((t, _unchecked_field(grid, member.copy(), t)))
     for traj in trajs:
         traj.dt_stats = {"n_steps": n_steps, "dt_min": dt_min, "dt_max": dt_max}
     return trajs
@@ -602,38 +545,3 @@ def evolve_pair_ordered(flow, u0_low: Field, u0_high: Field, bc: BoundaryConditi
     traj_lo, traj_hi = _evolve_batch(flow, [u0_low, u0_high], bc, plan, output_times, gaps)
     return traj_lo, traj_hi, np.array(gaps)
 
-
-def solve_auxiliary_phi(profile: DegeneracyProfile, grid: Grid1D, plan: TimeStepPlan,
-                        output_times: Sequence[float] | None = None):
-    """Evolve the auxiliary 1-D barrier phi_t = 4 alpha_tilde(|phi'|) phi''.
-
-    Initial data is a steep ramp of width 2h pinned to 0 at z = 0 and to 1
-    at the far boundary.  Returns (trajectory, one-sided phi'(0, t) list).
-    """
-    if grid.topology != "bounded" or grid.x_lo != 0.0:
-        raise ValueError("auxiliary phi needs a bounded grid on [0, Z_max]")
-    z = grid.nodes()
-    u0 = np.clip(z / (2 * grid.h), 0.0, 1.0)
-    bc = BoundaryCondition("dirichlet", value=lambda x, t: 0.0 if x <= 0.0 else 1.0)
-    traj = evolve(_auxiliary_phi_flow(profile), Field(grid, u0), bc, plan, output_times)
-    slopes = []
-    for t, f in traj.snapshots:
-        v = f.values
-        slopes.append(float((-3 * v[0] + 4 * v[1] - v[2]) / (2 * grid.h)))
-    return traj, slopes
-
-
-def _auxiliary_phi_flow(profile: DegeneracyProfile) -> GraphFlowND:
-    """The n = 1 flow phi_t = 4 alpha_tilde(|phi'|) phi'' of ``solve_auxiliary_phi``."""
-    alpha_tilde = profile.alpha_tilde
-
-    def a(p, out=None):
-        return np.multiply(4.0, np.asarray(alpha_tilde(np.abs(p)), dtype=float), out=out)
-
-    return scalar_flow(
-        a,
-        A0=4.0 * profile.A0,
-        P=profile.P,
-        Lambda_of_K=lambda K: 4.0 * max(float(alpha_tilde(s)) for s in np.linspace(0, K, 65)),
-        name="auxiliary-phi",
-    )

@@ -91,6 +91,20 @@ def test_psi_odd(frac, t):
     assert psi_eval(b, z, t) == pytest.approx(-psi_eval(b, -z, t), abs=1e-10)
 
 
+@pytest.mark.parametrize("c", [0.125, 0.25, 1.0, 3.0])
+def test_psi_range_equals_the_phi_eval_formula_bit_for_bit(c):
+    # the reference is psi's defining map written with phi_eval, at psi ->
+    # 1; psi_range evaluates it in place and must round the same steps
+    b = PsiBarrier(c)
+    bracket = 1.0 - 1e-15
+    for t in np.geomspace(1e-6, 1e3, 97):
+        ref = float(phi_eval(b.kernel, bracket - 1.0, t) - phi_eval(b.kernel, bracket + 1.0, t))
+        assert psi_range(b, t).hex() == ref.hex()
+        assert psi_range(b, float(t)).hex() == ref.hex()
+    with pytest.raises(ValueError):
+        psi_range(b, 0.0)
+
+
 def test_psi_out_of_range():
     b = PsiBarrier()
     zmax = psi_range(b, 0.3)

@@ -249,7 +249,7 @@ def test_full_tolerance_covers_region_g(csf_run):
 def test_run_csf_double_coordinate_controls(tmp_path, c, code):
     # c = 1/8 is below the calibrated constant: its defect, about +0.20,
     # exceeds the one-cell tolerance, about 0.07
-    cfg = _write(tmp_path, open(CSF_CREN).read().replace("c = 0.25", f"c = {c}"))
+    cfg = _write(tmp_path, Path(CSF_CREN).read_text().replace("c = 0.25", f"c = {c}"))
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == code
     rep = json.loads((out / "reports" / "double-coordinate.json").read_text())
@@ -311,7 +311,7 @@ def test_run_heat_step(tmp_path):
     with open(os.path.join(out, "reports", "zero-counting.json")) as fh:
         rep = json.load(fh)
     assert rep["passed"] is True
-    summary = open(os.path.join(out, "summary.txt")).read()
+    summary = Path(out, "summary.txt").read_text()
     assert "PASS" in summary
     _assert_reference_digests(out, "heat-step")
 
@@ -332,14 +332,14 @@ def test_run_byte_identical(tmp_path):
     for sub in ("manifest.json", "summary.txt",
                 os.path.join("reports", "zero-counting.json"),
                 os.path.join("fields", "t=0.05.csv")):
-        a = open(os.path.join(out1, sub), "rb").read()
-        b = open(os.path.join(out2, sub), "rb").read()
+        a = Path(out1, sub).read_bytes()
+        b = Path(out2, sub).read_bytes()
         assert a == b, sub
 
 
 def test_run_assert_vs_report_only(tmp_path):
     # tighten the tolerance so the asserted check fails
-    text = open(HEAT_STEP).read().replace("rel_tol = 0.05", "rel_tol = 0.001")
+    text = Path(HEAT_STEP).read_text().replace("rel_tol = 0.05", "rel_tol = 0.001")
     cfg = _write(tmp_path, text, "strict.cfg")
     assert main(["run", cfg, "--out", str(tmp_path / "o1")]) == 1
     assert main(["run", cfg, "--report-only", "--out", str(tmp_path / "o2")]) == 0
@@ -381,7 +381,7 @@ def test_gradient_bound_controls(tmp_path, coeff, exit_code):
 def test_heat_zero_counting_controls(tmp_path, c, exit_code, defect):
     # the bundled run evolves u_t = u_xx / (4c) with c = 0.25; the check's bound
     # grows like sqrt(c), so the one for c = 0.1 lies below the run's gradient
-    text = open(HEAT_STEP).read()
+    text = Path(HEAT_STEP).read_text()
     head, sep, check = text.partition("[check:zero-counting]")
     cfg = _write(tmp_path, head + sep + check.replace("c = 0.25", f"c = {c}"))
     out = str(tmp_path / "o")
@@ -399,7 +399,7 @@ def test_double_coordinate_empty_window_is_error(tmp_path):
     out = str(tmp_path / "o")
     assert main(["run", _write(tmp_path, text), "--out", out]) == 1
     assert not os.path.exists(os.path.join(out, "reports", "dc.json"))
-    summary = open(os.path.join(out, "summary.txt")).read()
+    summary = Path(out, "summary.txt").read_text()
     assert "ERROR dc: no snapshot" in summary
 
 
@@ -416,7 +416,7 @@ def test_empty_window_is_error(tmp_path, text, name):
     out = str(tmp_path / "o")
     assert main(["run", _write(tmp_path, text), "--out", out]) == 1
     assert not os.path.exists(os.path.join(out, "reports", f"{name}.json"))
-    summary = open(os.path.join(out, "summary.txt")).read()
+    summary = Path(out, "summary.txt").read_text()
     assert f"ERROR {name}: no snapshot" in summary
 
 
@@ -445,19 +445,19 @@ def test_sweep(tmp_path):
     cfg = _write(tmp_path, MINIMAL)
     out = str(tmp_path / "sweep")
     assert main(["sweep", cfg, "--grid", "grid.n_cells=32,64", "--out", out]) == 0
-    rows = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
+    rows = Path(out, "sweep.csv").read_text().strip().splitlines()
     assert rows[0] == "label,exit_code"
     assert len(rows) == 3
     assert os.path.exists(os.path.join(out, "n_cells=32", "manifest.json"))
     # a misspelt key is a config error in its row, not a run with the default
     out = str(tmp_path / "misspelt")
     assert main(["sweep", cfg, "--grid", "grid.n_cell=32", "--out", out]) == 2
-    assert open(os.path.join(out, "sweep.csv")).read() == "label,exit_code\nn_cell=32,2\n"
+    assert Path(out, "sweep.csv").read_text() == "label,exit_code\nn_cell=32,2\n"
     # initial data that is not finite on the grid fails its row only
     out = str(tmp_path / "abspow")
     cfg = _write(tmp_path, MINIMAL.replace("kind = sin", "kind = abspow"), "abspow.cfg")
     assert main(["sweep", cfg, "--grid", "initial.exponent=1,-1", "--out", out]) == 2
-    assert (open(os.path.join(out, "sweep.csv")).read()
+    assert (Path(out, "sweep.csv").read_text()
             == "label,exit_code\nexponent=1,0\nexponent=-1,2\n")
 
 
@@ -579,11 +579,12 @@ def test_list_into_a_closed_pipe_exits_quietly():
     # as `flowlab list | head -1`: the reader is gone before the listing is written
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "flowlab", "list"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert (proc.wait(timeout=60), stderr) == (0, b"")
+    with subprocess.Popen([sys.executable, "-m", "flowlab", "list"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, stderr) == (0, b"")
 
 
 def test_list(capsys):

@@ -17,7 +17,6 @@ from flowlab.flows import (
     mcf_graph,
     plaplace_reg,
 )
-from flowlab.solver import _auxiliary_phi_flow
 
 
 def test_catalog_resolution():
@@ -273,10 +272,9 @@ def test_get_flow_takes_only_its_parameters():
 @pytest.mark.parametrize("flow", [
     heat_1d(0.25), csf(), plaplace_reg(-1.0, 0.1), plaplace_reg(0.0, 0.1),
     plaplace_reg(3.0, 0.2), plaplace_reg(6.0, 0.2), mcf_graph(2), mcf_graph(3),
-    get_flow("aniso:quartic:0.001"),
-    *[_auxiliary_phi_flow(get_flow(fid).degeneracy) for fid in ("heat", "csf", "mcf2d")]],
+    get_flow("aniso:quartic:0.001")],
     ids=["heat", "csf", "plaplace-q-1", "plaplace-q0", "plaplace-q3", "plaplace-q6",
-         "mcf2d", "mcf3d", "aniso", "aux-phi-heat", "aux-phi-csf", "aux-phi-mcf2d"])
+         "mcf2d", "mcf3d", "aniso"])
 def test_coeff_writes_into_out_bit_for_bit(flow):
     # coeff(Du, out) fills out and returns it, with the bits of coeff(Du);
     # q = 0, 3, 6 give the exponents -1, 0.5, 2 that ``**`` computes apart

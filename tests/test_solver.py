@@ -23,7 +23,6 @@ from flowlab.solver import (
     evolve,
     evolve_pair_ordered,
     prep_output_times,
-    solve_auxiliary_phi,
 )
 
 
@@ -230,19 +229,6 @@ def test_dirichlet_faces_nd(n):
             idx = tuple(side if k == d else slice(None) for k in range(n))
             assert np.array_equal(u[idx], linear[idx])
     assert np.max(np.abs(u - linear)) < 1e-12
-
-
-def test_auxiliary_phi_monotone():
-    profile = flows.mcf_graph(2).degeneracy
-    g = Grid1D(0.0, 4.0, 128, "bounded")
-    traj, slopes = solve_auxiliary_phi(profile, g, TimeStepPlan(t_end=0.2),
-                                       [0.05, 0.1, 0.2])
-    for _, f in traj.snapshots:
-        assert np.all(np.diff(f.values) >= -1e-10)
-        assert f.values[0] == 0.0
-        assert f.values[-1] == pytest.approx(1.0)
-    # the ramp relaxes: the slope at 0 decreases in time
-    assert all(s2 <= s1 + 1e-9 for s1, s2 in zip(slopes[1:], slopes[2:]))
 
 
 def test_export(tmp_path):
@@ -680,7 +666,7 @@ def test_gradient_clip_fires_at_a_known_step():
     assert len(calls) == 18
 
 
-# --- stepper reuse is invisible -------------------------------------------------
+# --- evolves share no state ----------------------------------------------------
 
 
 def _result_bits(trajs, gaps=None):
@@ -698,26 +684,10 @@ def _run(flow, fields, bc, plan, times):
     return _result_bits([lo, hi], gaps)
 
 
-def _fresh(flow, fields, bc, plan, times):
-    solver._IDLE_STEPPERS.clear()
-    return _run(flow, fields, bc, plan, times)
-
-
-def _count_steppers(monkeypatch):
-    built = []
-
-    class Counted(_Stepper):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_Stepper", Counted)
-    return built
-
-
-def test_interleaved_evolves_equal_fresh_runs(monkeypatch):
+def test_interleaved_evolves_equal_fresh_runs():
     # csf, heat and mcf2d; periodic, neumann_zero and Dirichlet; batches of 1
-    # and 2, two initial data per key, run in a shuffled order with reuse
+    # and 2, two initial data per flow, bc and batch size, run again twice
+    # in a shuffled order
     rng = np.random.default_rng(11)
     cases = []
     for flow in (flows.csf(), flows.heat_1d(0.25), flows.mcf_graph(2)):
@@ -737,22 +707,17 @@ def test_interleaved_evolves_equal_fresh_runs(monkeypatch):
                     fields = [Field(grid, lo + k * (0.1 + rng.random(lo.shape)))
                               for k in range(batch)]
                     cases.append((flow, fields, bc, plan, [0.01, 0.05]))
-    # one key, two plans that compare equal: with a = 0 the step is t_end,
-    # so a run returns the int or the float its own plan holds
+    # two plans that compare equal: with a = 0 the step is t_end, so a run
+    # returns the int or the float its own plan holds
     g = Grid1D(0.0, 1.0, 8, "bounded")
     zero, bc = _constant_flow(0.0, "zero"), BoundaryCondition("neumann_zero")
     cases += [(zero, [Field(g, np.zeros(9))], bc, TimeStepPlan(t_end=t_end), None)
               for t_end in (1, 1.0)]
-    fresh = [_fresh(*case) for case in cases]
+    fresh = [_run(*case) for case in cases]
     assert fresh[-2] != fresh[-1]
-    solver._IDLE_STEPPERS.clear()
-    built = _count_steppers(monkeypatch)
-    # room for every key, so each is built once: flow, bc and batch size
-    monkeypatch.setattr(solver, "_IDLE_MAX", len(cases))
     order = list(rng.permutation(len(cases))) * 2
     for i in order:
         assert _run(*cases[i]) == fresh[i]
-    assert len(built) == len(cases) // 2
 
 
 def test_dirichlet_reuse_keeps_the_sign_of_a_zero_endpoint():
@@ -763,30 +728,15 @@ def test_dirichlet_reuse_keeps_the_sign_of_a_zero_endpoint():
     cases = [(flow, [Field(Grid1D(-1.0, x_hi, 16, "bounded"), np.zeros(17))], bc, plan, [0.05])
              for x_hi in (0.0, -0.0)]
     assert cases[0][1][0].grid == cases[1][1][0].grid
-    fresh = [_fresh(*case) for case in cases]
+    fresh = [_run(*case) for case in cases]
     assert fresh[0] != fresh[1]
     for k in (0, 1, 0, 1):
         assert _run(*cases[k]) == fresh[k]
 
 
-def test_idle_steppers_are_few_and_small():
-    # at most 8 idle steppers, the least recently used dropped first, and
-    # none for a batch of more than 4096 values
-    solver._IDLE_STEPPERS.clear()
-    bc, plan = BoundaryCondition("periodic"), TimeStepPlan(t_end=1e-3)
-    flow = flows.heat_1d(0.25)
-    grids = [Grid1D(0.0, 2 * np.pi, n, "periodic") for n in range(8, 18)]
-    for g in grids:
-        evolve(flow, Field(g, np.sin(g.nodes())), bc, plan)
-    assert [key[1] for key in solver._IDLE_STEPPERS] == grids[2:]
-    big = Grid1D(0.0, 2 * np.pi, 2049, "periodic")
-    evolve_pair_ordered(flow, Field(big, np.zeros(2049)), Field(big, np.ones(2049)), bc, plan)
-    assert [key[1] for key in solver._IDLE_STEPPERS] == grids[2:]
-
-
-def test_unhashable_coefficient_gets_a_stepper_of_its_own(monkeypatch):
-    # a callable instance of a plain dataclass cannot be hashed, so the flow
-    # is no cache key: each evolve builds a stepper and none is kept
+def test_unhashable_coefficient_gets_a_stepper_of_its_own():
+    # a callable instance of a plain dataclass cannot be hashed; a flow
+    # holding one evolves as the catalog csf does
     @dataclasses.dataclass
     class Csf:
         def __call__(self, Du, out=None):
@@ -798,15 +748,13 @@ def test_unhashable_coefficient_gets_a_stepper_of_its_own(monkeypatch):
     g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
     bc, plan = BoundaryCondition("periodic"), TimeStepPlan(t_end=0.05)
     f = Field(g, np.sin(g.nodes()))
-    expected = _fresh(flows.csf(), [f], bc, plan, [0.05])
-    solver._IDLE_STEPPERS.clear()
-    built = _count_steppers(monkeypatch)
+    expected = _run(flows.csf(), [f], bc, plan, [0.05])
     for _ in range(2):
         assert _run(flow, [f], bc, plan, [0.05]) == expected
-    assert len(built) == 2 and not solver._IDLE_STEPPERS
 
 
 def test_idle_stepper_keeps_no_gap_list():
+    # once the evolve returns, nothing holds the caller's gap list
     class Gaps(list):
         pass
 
@@ -815,15 +763,16 @@ def test_idle_stepper_keeps_no_gap_list():
     gaps = Gaps()
     solver._evolve_batch(flows.csf(), fields, BoundaryCondition("periodic"),
                          TimeStepPlan(t_end=0.01), None, gaps)
-    assert len(gaps) > 1 and len(solver._IDLE_STEPPERS) > 0
+    assert len(gaps) > 1
     ref = weakref.ref(gaps)
     del gaps
     assert ref() is None
 
 
-def test_run_after_a_blow_up_equals_a_fresh_run(monkeypatch):
-    # a NaN coefficient raises mid-run with the guard on; the next run with
-    # the same key starts from its own data, limits and guard
+def test_run_after_a_blow_up_equals_a_fresh_run():
+    # a NaN coefficient raises mid-run with the guard on; the next run of
+    # the same flow on the same grid starts from its own data, limits and
+    # guard
     g = Grid1D(0.0, 1.0, 32, "bounded")
     csf = flows.csf()
     nan_at = [5]
@@ -843,16 +792,13 @@ def test_run_after_a_blow_up_equals_a_fresh_run(monkeypatch):
         plan = TimeStepPlan(t_end=0.1)
         f = Field(g, np.sin(3 * x))
         nan_at[0] = None
-        expected = _fresh(flow, [f], bc, plan, [0.05, 0.1])
-        solver._IDLE_STEPPERS.clear()
-        built = _count_steppers(monkeypatch)
+        expected = _run(flow, [f], bc, plan, [0.05, 0.1])
         calls.clear()
         nan_at[0] = 5
         with pytest.raises(BlowUpError, match="solution blow-up"):
             evolve(flow, Field(g, 3.0 * np.cos(x)), bc, plan, [0.05, 0.1])
         nan_at[0] = None
         assert _run(flow, [f], bc, plan, [0.05, 0.1]) == expected
-        assert len(built) == 1
     # a member limit comes from the new data: 1e13 for the constant 1e7, but
     # 1e6 for the noise, which anti-diffusion passes at its 30th step
     counted = []
@@ -864,12 +810,11 @@ def test_run_after_a_blow_up_equals_a_fresh_run(monkeypatch):
     with pytest.raises(BlowUpError, match="solution blow-up"):
         evolve(anti, Field(g, 1e-3 * (-1.0) ** np.arange(32)), bc, plan)
     assert len(counted) == 30
-    assert len(built) == 2
 
 
 def test_coefficient_that_evolves_the_same_key():
-    # the outer run's stepper is out of the cache while it runs, so the
-    # inner evolve builds its own; both equal fresh runs
+    # an evolve started from inside the coefficient of another evolve of
+    # the same flow on the same grid; both equal runs made one at a time
     g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
     x = g.nodes()
     bc, plan, times = BoundaryCondition("periodic"), TimeStepPlan(t_end=0.1), [0.05, 0.1]
@@ -885,8 +830,8 @@ def test_coefficient_that_evolves_the_same_key():
 
     reenter = [False]
     flow = dataclasses.replace(csf, coeff=coeff)
-    expected_outer = _fresh(flow, [outer_u0], bc, plan, times)
-    expected_inner = _fresh(flow, [inner_u0], bc, plan, times)
+    expected_outer = _run(flow, [outer_u0], bc, plan, times)
+    expected_inner = _run(flow, [inner_u0], bc, plan, times)
     reenter[0] = True
     assert _run(flow, [outer_u0], bc, plan, times) == expected_outer
     assert inner == [expected_inner]
@@ -908,14 +853,13 @@ def test_changing_a_returned_snapshot_does_not_change_a_rerun():
 
 
 def test_concurrent_evolves_on_one_key_equal_fresh_runs():
-    # a running stepper is out of the cache, so threads that evolve with one
-    # key at the same time never share one; a shared stepper would mix their
-    # data
+    # threads that evolve one flow on one grid at the same time never share
+    # a stepper; a shared one would mix their data
     g = Grid1D(0.0, 2 * np.pi, 32, "periodic")
     x = g.nodes()
     flow, bc, plan = flows.csf(), BoundaryCondition("periodic"), TimeStepPlan(t_end=0.02)
     data = [Field(g, np.sin((k + 1) * x) / (k + 1)) for k in range(4)]
-    expected = [_fresh(flow, [f], bc, plan, [0.01, 0.02]) for f in data]
+    expected = [_run(flow, [f], bc, plan, [0.01, 0.02]) for f in data]
     results = {k: [] for k in range(len(data))}
 
     def worker(k):
@@ -935,3 +879,36 @@ def test_concurrent_evolves_on_one_key_equal_fresh_runs():
     assert not any(th.is_alive() for th in threads)
     for k, runs in results.items():
         assert len(runs) == 25 and all(r == expected[k] for r in runs)
+
+
+def test_threads_interleaving_singles_and_pairs_on_one_grid_equal_fresh_runs():
+    # four threads alternate a single evolve and an ordered pair of one flow
+    # on one grid object, switching often; every run, gap series included,
+    # equals the same run made alone
+    g = Grid1D(0.0, np.pi, 24, "bounded")
+    x = g.nodes()
+    flow, bc, plan = flows.csf(), BoundaryCondition("neumann_zero"), TimeStepPlan(t_end=0.02)
+    times = [0.01, 0.02]
+    cases = [[(flow, [Field(g, np.cos((k + 1) * x))], bc, plan, times),
+              (flow, [Field(g, np.cos((k + 1) * x)), Field(g, np.cos((k + 1) * x) + 0.3)],
+               bc, plan, times)]
+             for k in range(4)]
+    expected = [[_run(*case) for case in pair] for pair in cases]
+    results = {k: [] for k in range(len(cases))}
+
+    def worker(k):
+        for r in range(20):
+            results[k].append(_run(*cases[k][r % 2]) == expected[k][r % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(cases))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(runs == [True] * 20 for runs in results.values())
