@@ -13,11 +13,12 @@ F(-w) = F(w), DF(-w) = -DF(w) and so on, bit for bit (the quartic norm
 forms the powers of w as products, since ``**`` on a negative base is not
 even in numpy).
 
+Every norm also carries a closed form of its flow coefficient F D^2 F at
+z = p - phi^0, ``flow_coeff`` (the Euclidean one steps as mcf bit for bit).
+An aniso flow steps with it, and ``estimate_A_P`` and ``trace_lower_bound``
+sample it, so the certificate samples the coefficient the solver steps with.
 ``flow_coefficients`` takes F D^2 F from the jet; it is the oracle for the
-flow coefficient and feeds ``trace_lower_bound``.  An aniso flow steps with
-the norm's closed form ``flow_coeff`` when it has one (every elliptic norm,
-the Euclidean one too, which then steps as mcf bit for bit), and with
-``flow_coefficients`` otherwise (the quartic norm).
+closed forms.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ class FinslerNorm:
     (..., dim, dim) and (..., dim, dim, dim); ``value``, ``grad``, ``hess``
     and ``third`` are its entries one at a time (``from_jet``).
     ``symmetric_flag`` claims evenness in the phi^0 coordinate:
-    F(p + phi^0) = F(p - phi^0) for spatial p.  ``flow_coeff``, when set,
-    is a closed form of ``flow_coefficients`` with its signature (the
-    elliptic norms have one), and ``aniso_flow`` steps with it."""
+    F(p + phi^0) = F(p - phi^0) for spatial p.  ``flow_coeff`` is a closed
+    form of ``flow_coefficients`` with its signature, ``(p, out=None)``;
+    ``aniso_flow`` steps with it and the certificate samples it."""
 
     id: str
     dim: int
@@ -74,11 +75,11 @@ class FinslerNorm:
     hess: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray]
     symmetric_flag: bool
-    flow_coeff: Optional[Callable[..., np.ndarray]] = None
+    flow_coeff: Callable[..., np.ndarray]
 
     @classmethod
     def from_jet(cls, norm_id: str, dim: int, jet, symmetric_flag: bool,
-                 flow_coeff=None) -> "FinslerNorm":
+                 flow_coeff) -> "FinslerNorm":
         return cls(norm_id, dim, jet,
                    value=lambda w: jet(w, 0)[0],
                    grad=lambda w: jet(w, 1)[1],
@@ -227,7 +228,8 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     the Leibniz expansion of S g with S = sum w_i^4 and g = r^-3 to the
     Euclidean jet.  Admitted only if the sampled minimum tangent-Hessian
     eigenvalue exceeds 1e-6 (convexity pre-check); delta = 0 reduces to the
-    Euclidean norm.  It has no closed-form flow coefficient.
+    Euclidean norm.  The flow coefficient has a closed form
+    (``_quartic_flow_coeff``).
     """
     eu = euclidean_norm(dim)
     d = float(delta)
@@ -271,10 +273,51 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
             out.append(e[3] + d * T_u)
         return tuple(out)
 
-    nf = FinslerNorm.from_jet(f"quartic:{delta}", dim, jet, True)
+    nf = FinslerNorm.from_jet(f"quartic:{delta}", dim, jet, True,
+                              _quartic_flow_coeff(d, dim - 1))
     if d != 0.0:
         _check_convexity(nf)
     return nf
+
+
+def _quartic_flow_coeff(delta: float, n: int):
+    """F D^2 F at z = p - phi^0, spatial block, for F = r + delta S r^-3.
+
+    With r^2 = 1 + |p|^2, S = 1 + sum p_i^4, sigma = S / r^2 and
+    e = delta / r^2, it is c (r D^2 F) with c = F / r = 1 + e sigma, and the
+    spatial block of r D^2 F has the entries
+        [i = j] (1 + e (12 p_i^2 - 3 sigma))
+        - p_i p_j / r^2 (1 + e (12 (p_i^2 + p_j^2) - 15 sigma)).
+    Filled entry by entry from the component arrays like
+    ``_elliptic_flow_coeff``, with products for the powers (exactly even) and
+    no square root: r enters only through r^2.
+    """
+    d = float(delta)
+
+    def coeff(P, out=None):
+        P = np.asarray(P, dtype=float)
+        p = [P[..., i] for i in range(n)]
+        p2 = [pi * pi for pi in p]
+        S = 1.0 + p2[0] * p2[0]
+        for x in p2[1:]:
+            S = S + x * x
+        # 1 + |p|^2 without p_i^2, so 1 - p_i^2 / r^2 = q_i / r^2 cancels nothing
+        q = [1.0 + sum(p2[:i] + p2[i + 1:]) for i in range(n)]
+        r2 = q[0] + p2[0]
+        sigma, e = S / r2, d / r2
+        c = 1.0 + e * sigma
+        s3, s15 = 3.0 * sigma, 15.0 * sigma
+        A = np.empty(P.shape + (n,)) if out is None else out
+        for i in range(n):
+            g = q[i] / r2 + e * ((12.0 * p2[i] - s3) - p2[i] / r2 * (24.0 * p2[i] - s15))
+            np.multiply(c, g, out=A[..., i, i])
+            for j in range(i + 1, n):
+                g = p[i] * p[j] / r2 * (1.0 + e * (12.0 * (p2[i] + p2[j]) - s15))
+                np.multiply(c, -g, out=A[..., i, j])
+                A[..., j, i] = A[..., i, j]
+        return A
+
+    return coeff
 
 
 def _check_convexity(nf: FinslerNorm):
@@ -359,8 +402,7 @@ def flow_coefficients(nf: FinslerNorm, p: np.ndarray, out=None) -> np.ndarray:
 
 def aniso_flow(nf: FinslerNorm):
     """Graph flow u_t = [F D^ij F](Du) u_ij generated by the norm; its
-    coefficient is the norm's closed form ``flow_coeff`` when it has one,
-    and ``flow_coefficients`` (the jet) otherwise."""
+    coefficient is the norm's closed form ``flow_coeff``."""
     from .flows import GraphFlowND
 
     n = nf.dim - 1
@@ -368,17 +410,11 @@ def aniso_flow(nf: FinslerNorm):
     def Lambda_of_K(K):
         scales = np.linspace(0.0, max(K, 1e-9), 17)
         p = scales[:, None, None] * _spatial_directions(n, 16)
-        return float(np.max(np.linalg.eigvalsh(coeff(p))))
-
-    def coeff(p, out=None):
-        return flow_coefficients(nf, p, out)
-
-    if nf.flow_coeff is not None:
-        coeff = nf.flow_coeff
+        return float(np.max(np.linalg.eigvalsh(nf.flow_coeff(p))))
 
     return GraphFlowND(
         n=n,
-        coeff=coeff,
+        coeff=nf.flow_coeff,
         Lambda_of_K=Lambda_of_K,
         name=f"aniso:{nf.id}",
     )
@@ -425,10 +461,11 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
     """Sampled constants (A, P) with B(p) = F D^2 F|_{p - phi^0}(p, p) >= A
     whenever F(p) >= P.
 
-    B is sampled over spatial directions and scales; P is the smallest grid
-    scale whose tail infimum reaches half the large-scale plateau
-    min_dirs F D^2 F|_p(phi^0, phi^0).  Raises if the plateau is not reached
-    at s_max.
+    B = p^T a(p) p is sampled from the flow coefficient a = ``nf.flow_coeff``
+    over spatial directions and scales; P is the smallest grid scale whose
+    tail infimum reaches half the large-scale plateau
+    min_dirs F D^2 F|_p(phi^0, phi^0), taken from the jet.  Raises if the
+    plateau is not reached at s_max.
     """
     spec = SAMPLING["estimate_A_P"]
     dirs = _spatial_directions(nf.dim - 1, spec["n_dirs"])
@@ -437,9 +474,7 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
     # normalize so that F(p) equals the scale exactly; B is (dirs, scales)
     v_unit = dirs / nf.value(_embed(dirs))[:, None]
     p = scales[:, None] * v_unit[:, None, :]
-    pe = _embed(p)
-    F, _, H = nf.jet(_z_of(p), 2)
-    B = F * _quad(pe, H, pe)
+    B = _quad(p, nf.flow_coeff(p), p)
     F, _, H = nf.jet(_embed(v_unit), 2)
     limits = F * H[:, 0, 0]
 
@@ -539,15 +574,15 @@ def check_symmetry(nf: FinslerNorm) -> VerificationReport:
 
 
 def trace_lower_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
-    """Empirical min over sampled p of trace of the spatial flow-coefficient
-    block; requires n > 1."""
+    """Empirical min over sampled p of the trace of the flow coefficient
+    ``nf.flow_coeff``; requires n > 1."""
     n = nf.dim - 1
     if n <= 1:
         raise ValueError("trace lower bound needs n > 1")
     spec = SAMPLING["trace_lower_bound"]
     scales = np.concatenate([[0.0], np.geomspace(0.05, s_max, spec["n_scales"])])
     p = scales[:, None] * _spatial_directions(n, spec["n_dirs"])[:, None, :]
-    return float(np.min(np.trace(flow_coefficients(nf, p), axis1=-2, axis2=-1)))
+    return float(np.min(np.trace(nf.flow_coeff(p), axis1=-2, axis2=-1)))
 
 
 def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:

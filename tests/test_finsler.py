@@ -320,15 +320,51 @@ def test_euclid_closed_form_is_mcf_bit_for_bit(n):
         assert coeff(p).tobytes() == mcf.coeff(p).tobytes()
 
 
+QUARTIC_CASES = [(delta, dim) for delta in (1e-3, 0.3) for dim in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("delta, dim", QUARTIC_CASES,
+                         ids=[f"quartic:{d}-dim{dim}" for d, dim in QUARTIC_CASES])
+def test_quartic_closed_form_matches_flow_coefficients(delta, dim):
+    # past |p| ~ 1e4 both forms cancel in the I - p p^T / r^2 part
+    nf = quartic_norm(delta, dim)
+    rng = np.random.default_rng(60 + dim)
+    n = dim - 1
+    P = rng.normal(size=(40, 25, n)) * 10.0 ** rng.uniform(-3, 3, size=(40, 25, 1))
+    want = flow_coefficients(nf, P)
+    got = nf.flow_coeff(P)
+    assert got.shape == want.shape == (40, 25, n, n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    # exactly even and symmetric
+    assert nf.flow_coeff(-P).tobytes() == got.tobytes()
+    assert got.tobytes() == np.ascontiguousarray(np.swapaxes(got, -1, -2)).tobytes()
+    out = np.full(want.shape, np.nan)
+    assert nf.flow_coeff(P, out) is out and out.tobytes() == got.tobytes()
+    assert nf.flow_coeff(P[3, 4]).tobytes() == got[3, 4].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_quartic_closed_form_is_finite_at_zero_and_steep_slopes(n):
+    P = np.zeros((6, n))
+    P[1] = -0.0
+    P[2, 0] = -0.0
+    P[3:] = 1e8 * np.sign(np.random.default_rng(70 + n).normal(size=(3, n)))
+    with np.errstate(all="raise"):
+        got = quartic_norm(0.3, n + 1).flow_coeff(P)
+    assert np.all(np.isfinite(got))
+    # -0 in one component may sign an off-diagonal zero, nothing else
+    assert got[0].tobytes() == got[1].tobytes() and np.array_equal(got[0], got[2])
+
+
 def test_aniso_flow_takes_the_closed_form_when_the_norm_has_one():
-    nf = norm_by_id("elliptic:1,1.5,2")
-    assert finsler.aniso_flow(nf).coeff is nf.flow_coeff
-    # the quartic norm has none and keeps the jet route
-    quartic = norm_by_id("quartic:0.001")
-    assert quartic.flow_coeff is None
+    # every catalog norm has one, and the flow steps with it
+    for norm_id in ("euclid", "elliptic:1,1.5,2", "quartic:0.001"):
+        nf = norm_by_id(norm_id)
+        assert finsler.aniso_flow(nf).coeff is nf.flow_coeff
     P = np.random.default_rng(50).normal(size=(30, 2)) * 5.0
     got = flows.get_flow("aniso:quartic:0.001").coeff(P)
-    assert got.tobytes() == flow_coefficients(quartic, P).tobytes()
+    want = flow_coefficients(norm_by_id("quartic:0.001"), P)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_aniso_euclid_evolves_to_mcf2d():
@@ -370,9 +406,14 @@ def test_cartan_Q_vanishes_for_elliptic():
 
 
 def test_estimate_A_P_euclid():
-    A, P = estimate_A_P(euclidean_norm(3))
-    assert A == pytest.approx(0.5, abs=1e-3)
-    assert P == pytest.approx(1.0, abs=1e-2)
+    # B(p) = s^2 / (1 + s^2) at F(p) = s rises with s, against the plateau 1:
+    # P is the first grid scale whose B reaches 1/2 and A = P^2 / (1 + P^2).
+    # In dim 3, B(1) ties 1/2 and rounds below it in some direction, so P is
+    # 1 or the next grid scale
+    for dim in (2, 3):
+        A, P = estimate_A_P(euclidean_norm(dim))
+        assert P in (1.0, 1.0002808069682727)
+        assert A == pytest.approx(P * P / (1.0 + P * P), rel=1e-14, abs=0.0)
 
 
 def test_estimate_A_P_plateau_guard():
@@ -387,6 +428,12 @@ def test_smallness_thresholds():
     assert 0 < C1q < 0.1 and pass4q
 
 
+def test_smallness_fails_for_a_large_quartic_perturbation():
+    # C1 is about 22 here, far past both thresholds (C1^2 < 4/sqrt(2), 2/sqrt(2))
+    C1, pass4, pass2 = check_smallness(quartic_norm(0.3, 3))
+    assert C1 > 20.0 and not pass4 and not pass2
+
+
 def test_symmetry_probe_detects_coupling():
     assert check_symmetry(euclidean_norm(3)).passed
     assert check_symmetry(elliptic_norm(np.diag([1.0, 1.5, 2.0]))).passed
@@ -397,7 +444,11 @@ def test_symmetry_probe_detects_coupling():
 
 
 def test_trace_lower_bound_euclid():
-    assert trace_lower_bound(euclidean_norm(3)) == pytest.approx(1.0, abs=1e-3)
+    # tr(I - p p^T / (1 + s^2)) = n - 1 + 1 / (1 + s^2), least at s = s_max
+    for dim in (3, 4):
+        want = dim - 2 + 1.0 / (1.0 + 1e3 ** 2)
+        assert trace_lower_bound(euclidean_norm(dim), s_max=1e3) == pytest.approx(
+            want, rel=1e-14, abs=0.0)
 
 
 def test_cross_term_requires_symmetry():
@@ -444,17 +495,19 @@ def test_quartic_certificate_matches_benchmark_reference():
 NAN = float("nan")
 
 
-# (norm id, dim, A, P, k, C1, C2, S_eps) as certified before the derivative jet
+# (norm id, dim, A, P, k, C1, C2, S_eps) as certified before the derivative
+# jet; A as sampled from the closed-form flow coefficients, which moved it by
+# 1 ulp for euclid (both dims) and quartic:0.001 in dim 2
 PINNED_CERTIFICATES = [
-    ("euclid", 2, 0.5000000000000001, 1.0, NAN, 1.120257477329595e-12,
+    ("euclid", 2, 0.5, 1.0, NAN, 1.120257477329595e-12,
      0.9999995000502525, {0.5: 1.0, 0.1: 1.0}),
-    ("euclid", 3, 0.5001403837709987, 1.0002808069682727, 1.0000009999989998,
+    ("euclid", 3, 0.5001403837709986, 1.0002808069682727, 1.0000009999989998,
      8.137771276330701e-15, 0.9999104564224002, {0.5: 1.0, 0.1: 1.0}),
     ("elliptic:1,1.5", 2, 0.5, 1.0, NAN, 2.740649319549391e-13,
      0.999999666672885, {0.5: 1.0, 0.1: 1.0}),
     ("elliptic:1,1.5,2", 3, 0.5001403837709986, 1.0002808069682727, 1.5009044076680242,
      7.503636610466052e-15, 0.9999174602724754, {0.5: 1.0, 0.1: 1.0}),
-    ("quartic:0.001", 2, 0.5019988716316827, 1.0, NAN, 0.011989932937762116,
+    ("quartic:0.001", 2, 0.5019988716316826, 1.0, NAN, 0.011989932937762116,
      0.9979965270938721, {0.5: 1.0, 0.1: 1.0}),
     ("quartic:0.001", 3, 0.5016282282954934, 1.0, 0.9980653395792088,
      0.011436510643955207, 0.9988816039286746, {0.5: 1.0, 0.1: 1.0}),
