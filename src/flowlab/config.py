@@ -57,10 +57,12 @@ class Kind(NamedTuple):
     """The ``keys`` one selector value takes, and ``build``, which reads
     them with defaults filled in: ``build(params, trajectory)`` of a check
     type, ``build(params)`` of a modulus, ``build(params, x)`` of an
-    initial kind."""
+    initial kind.  ``flows`` names the catalog flows whose bound a check
+    type proves; None admits every flow."""
 
     build: Callable
     keys: dict | Select
+    flows: tuple | None = None
 
 
 def _bool(text: str) -> bool:
@@ -131,7 +133,9 @@ CHECK_TYPES = {
         lambda p, traj: verify.heat_zero_counting_gradient(
             traj, M=p["M"], c=p["c"], rel_tol=p["rel_tol"], tail_floor=p["tail_floor"]),
         {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
-         "rel_tol": Key(float, 0.02), "tail_floor": Key(float, 0.0)}),
+         "rel_tol": Key(float, 0.02), "tail_floor": Key(float, 0.0)},
+        # the bound is derived for u_t = u_xx / (4c)
+        flows=("heat",)),
     "double_coordinate": Kind(
         lambda p, traj: verify.double_coordinate_defect(
             traj, barriers.PsiBarrier(c=p["c"]), p["M"], region=p["region"],
@@ -324,8 +328,15 @@ def load_config(path) -> ExperimentConfig:
     if clash:
         raise ConfigError("plan.output_times", clash)
 
-    checks = {name.split(":", 1)[1]: section(name)[1]
-              for name in cp.sections() if name.startswith("check:")}
+    checks = {}
+    for name in cp.sections():
+        if name.startswith("check:"):
+            params = section(name)[1]
+            covered = CHECK_TYPES[params["type"]].flows
+            if covered is not None and flow_values["id"] not in covered:
+                raise ConfigError(f"{name}.type", f"{params['type']} proves its bound for the "
+                                  f"flows {covered} only, not {flow_values['id']!r}")
+            checks[name.split(":", 1)[1]] = params
 
     return ExperimentConfig(
         flow_id=flow_values["id"],

@@ -55,7 +55,10 @@ class GraphFlowND:
     ``coeff(Du, out=None)`` maps a stack of covectors (..., n) to
     coefficient matrices (..., n, n); one covector p, shape (n,), gives
     a^ij(p), shape (n, n).  Given ``out`` of that shape, it writes the
-    matrices there and returns ``out``.
+    matrices there and returns ``out``.  A 1-D coeff built by
+    ``scalar_flow`` also carries ``coeff.a_of_sq``; it lives on coeff, not
+    on the flow, so ``dataclasses.replace(flow, coeff=...)`` drops it along
+    with the coeff it belongs to.
     """
 
     n: int
@@ -65,13 +68,25 @@ class GraphFlowND:
     name: str = "graphflow"
 
 
-def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
+def scalar_flow(a_of_sq: Callable[..., np.ndarray], A0: float, P: float,
                 Lambda_of_K: Callable[[float], float], name: str) -> GraphFlowND:
-    """The n = 1 flow u_t = a(u_x) u_xx for an even, vectorised a.
+    """The n = 1 flow u_t = a(u_x) u_xx, with a written once as a function of
+    s = p^2: ``a_of_sq(s, out=None)`` returns a at s, vectorised, written
+    into ``out`` when given.
 
-    ``a(p, out=None)`` returns a(p), written into ``out`` when given.  Its
-    degeneracy profile is a itself: a(s) s^2 >= A0 for s >= P.
+    ``coeff(Du, out=None)`` and the degeneracy profile a(p), with
+    a(p) p^2 >= A0 for p >= P, both come from it.  ``coeff.a_of_sq`` is the
+    function itself: the stepper feeds it the |Du|^2 that its gradient clip
+    needs anyway, so one product serves both.  Without ``out``, s is
+    ``p ** 2``, which on a numpy scalar is pow and rounds apart from p * p
+    now and then, so the profile keeps its scalar values; with ``out``, s
+    is p * p, written into ``out``, as the stepper computes it.
     """
+
+    def a(p, out=None):
+        if out is None:
+            return a_of_sq(p ** 2)
+        return a_of_sq(np.multiply(p, p, out), out)
 
     def coeff(Du, out=None):
         if out is None:
@@ -79,6 +94,7 @@ def scalar_flow(a: Callable[..., np.ndarray], A0: float, P: float,
         a(Du, out[..., 0])
         return out
 
+    coeff.a_of_sq = a_of_sq
     return GraphFlowND(
         n=1,
         coeff=coeff,
@@ -126,18 +142,15 @@ def csf() -> GraphFlowND:
 
     one = np.array(1.0)
 
-    def a(p, out=None):
-        # without out, p ** 2 is pow on a numpy scalar, which rounds apart
-        # from p * p now and then, so the degeneracy profile keeps its
-        # scalar values; with out, 1.0 is a 0-d array, with the same bits
+    def a_of_sq(s, out=None):
+        # with out, 1.0 is a 0-d array, with the same bits
         if out is None:
-            return np.divide(1.0, np.add(p ** 2, 1.0))
-        np.multiply(p, p, out)
-        np.add(out, one, out)
+            return np.divide(1.0, np.add(s, 1.0))
+        np.add(s, one, out)
         return np.divide(one, out, out)
 
     return scalar_flow(
-        a,
+        a_of_sq,
         A0=0.5,
         P=1.0,
         Lambda_of_K=lambda K: 1.0,
@@ -155,14 +168,14 @@ def heat_1d(c: float) -> GraphFlowND:
         raise ValueError("c must be positive")
     a_val = 1.0 / (4.0 * c)
 
-    def a(p, out=None):
+    def a_of_sq(s, out=None):
         if out is None:
-            out = np.empty_like(np.asarray(p, dtype=float))
+            out = np.empty_like(np.asarray(s, dtype=float))
         out.fill(a_val)
         return out
 
     return scalar_flow(
-        a,
+        a_of_sq,
         A0=a_val,  # = P^2/(4c) with P = 1
         P=1.0,
         Lambda_of_K=lambda K: a_val,
@@ -179,16 +192,15 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     expo = (q - 2.0) / 2.0
     eps2 = eps ** 2
 
-    def a(p, out=None):
-        # p ** 2 without out as in csf; ``**=`` works in place on an array,
-        # with the fast paths of ``**`` (exponent 2, 0.5, -1, ...), and
-        # rebinds b to a new numpy scalar
-        b = np.add(eps2, p ** 2) if out is None else np.add(eps2, np.multiply(p, p, out), out)
+    def a_of_sq(s, out=None):
+        # ``**=`` works in place on an array, with the fast paths of ``**``
+        # (exponent 2, 0.5, -1, ...), and rebinds b to a new numpy scalar
+        b = np.add(eps2, s, out)
         b **= expo
         return b
 
     return scalar_flow(
-        a,
+        a_of_sq,
         A0=min((eps ** 2 + 1.0) ** expo, 1.0),
         P=1.0,
         Lambda_of_K=lambda K: eps ** (2 * expo) if expo < 0 else (eps ** 2 + K ** 2) ** expo,

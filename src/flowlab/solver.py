@@ -12,12 +12,14 @@ dominant, for frozen coefficients only: a(Du) is taken from each solution's
 own central differences, and steep ordered mcf2d pairs cross by -1.8e-5 to
 -5.4e-5 (ROADMAP item 3).  Each evolve builds its own stepper, which is
 cheap: it allocates its work buffers and makes its views once, and builds
-its step once, as one closure over them (``step``, which makes the rhs,
-the CFL step, the update, the Dirichlet faces, the guard and the gap of a
-pair).  Every step is written in place, in the operation order of the
-term-by-term formula, so results are the same bit for bit.  One
-``maximum.reduceat`` per step gives max |Du|^2 (for the gradient clip) and
-max S (for dt); a NaN max S raises ``BlowUpError`` at that step.  A second
+its time loop once, as one closure over them (``run``: per step the rhs,
+the CFL step clipped to the next output time, the update, the boundary,
+the guard, the gap of a pair, the dt stats and, at each output time, the
+snapshots).  Every step is written in place, in the operation order of the
+term-by-term formula, so results are the same bit for bit; a 1-D csf step
+is 14 ufunc calls.  One ``maximum.reduceat`` per step gives max |Du|^2 (for
+the gradient clip) and max S (for dt); a NaN max S raises ``BlowUpError``
+at that step.  A second
 reduction gives max|u| for the blow-up guard, which looks at members one
 by one only when that exceeds the smallest member limit; 1-D steps that
 the scheme proves monotone skip it (see ``_Stepper``).  Every u a step
@@ -174,34 +176,43 @@ class _Stepper:
     ``__init__`` writes u0 (one array per member) into it, builds the
     ghost, stencil and Dirichlet-face views into it and the work buffers of
     a step, sets the member limits, ``a_cap`` and the guard flag from u0,
-    writes the Dirichlet faces at t = 0, and builds ``step``, one closure
-    over all of these and the plan's numbers.  A build is cheap, so every
-    evolve builds its own stepper: each axis's three windows (the interior
-    shifted by -1, 0 and +1) are sliced once, and the view at each offset
-    in {-1, 0, 1}^n is made once, for every n.  When ``gaps`` is a list it
-    receives min over nodes of (u[1] - u[0]) at t = 0 and after every step.
+    writes the Dirichlet faces at t = 0 and the ghosts, and builds ``run``,
+    one closure over all of these and the plan's numbers.  A build is
+    cheap, so every evolve builds its own stepper: each axis's three
+    windows (the interior shifted by -1, 0 and +1) are sliced once, and the
+    view at each offset in {-1, 0, 1}^n is made once, for every n.  When
+    ``gaps`` is a list it receives min over nodes of (u[1] - u[0]) at t = 0
+    and after every step.
 
-    ``step(t, t_next)`` makes one whole step from t and returns (t + dt,
-    dt): the rhs, left unscaled in the buffer ``rhs``; the gradient clip and
-    the CFL step dt, clipped to t_next - t; u += dt rhs, with the increment
-    in a work buffer; the Dirichlet faces; the blow-up guard; and the gap.
-    It is one closure over the buffers, views and the plan's numbers, with
-    one branch for n = 1 and one for cross terms, so a step looks nothing
-    up and only does arithmetic, written in place by ufunc calls with a
-    positional ``out``.  The constants a step divides by (2h, h^2) or takes
-    a maximum with (0) are 0-d float64 arrays made here: as operands they
-    give the bits of the Python floats (NEP 50) at a lower cost per call.
-    Sums of terms keep the order cross terms first, then axes, so every
-    float matches the term-by-term formula.  Cross terms use the diagonal
-    splitting.  The flow's ``coeff`` writes into a buffer of the stepper.
-    |Du|^2 and the stability sum S are rows of one buffer, and one
-    ``maximum.reduceat`` over its flat view, at row starts computed here,
-    gives every row's maximum.  With n = 1 there are no cross terms and the
-    rows are [|Du|^2, a, -a]: ``coeff`` writes a straight into the second
-    row.  max|a| = max(max a, max(-a)) bit for bit (a NaN gives NaN), and
-    max S = max|a| / h^2 exactly, because correctly rounded division by
-    h^2 > 0 is monotone.  A NaN max S raises ``BlowUpError`` at the step
-    that met it.
+    ``run(t, times, trajs)`` is the time loop of an evolve.  Each pass makes
+    one whole step: the rhs, left unscaled in the buffer ``rhs``; the
+    gradient clip and the CFL step dt, clipped to the next output time;
+    u += dt rhs; the Dirichlet faces and the ghosts for the next step; the
+    blow-up guard; the gap; and the dt stats.  At each output time it
+    appends a snapshot to every trajectory in ``trajs``.  ``step(t,
+    t_next)`` is one pass of the same loop.  The rhs and the row maxima come
+    from ``terms``, picked at build: one for n = 1, one with cross terms.
+    So a step looks nothing up and only does arithmetic, written in place
+    by ufunc calls with a positional ``out``.  The constants a step divides
+    by (2h, h^2) or takes a maximum with (0), and dt, are 0-d float64
+    arrays: as operands they give the bits of the Python floats (NEP 50) at
+    a lower cost per call.  Sums of terms keep the order cross terms first,
+    then axes, so every float matches the term-by-term formula.  Cross
+    terms use the diagonal splitting.  |Du|^2 and the stability sum S are
+    rows of one buffer, and one ``maximum.reduceat`` over its flat view
+    gives every row's maximum.  With cross terms the rows are [|Du|^2, S],
+    and ``coeff`` writes into a buffer of its own.
+
+    With n = 1 the rows are [|Du|^2, a, -a].  A catalog coefficient's
+    squared form ``coeff.a_of_sq`` (see ``flows.scalar_flow``) writes a into
+    the second row from the first, so one product g * g feeds both the
+    coefficient and the gradient clip; any other ``coeff`` is called as
+    ``coeff(Du, A)`` in its place, with A a view of that row.  A csf step is
+    14 ufunc calls: Du (2), |Du|^2 (1), a (2), the rhs (5), -a (1), the row
+    maxima (1) and the update (2).  max|a| = max(max a, max(-a)) bit for
+    bit (a NaN gives NaN), and max S = max|a| / h^2 exactly, because
+    correctly rounded division by h^2 > 0 is monotone.  A NaN max S raises
+    ``BlowUpError`` at the step that met it.
 
     The blow-up guard compares one batch-wide max|u| with the smallest
     member limit and tests the members one by one only when that fails (a
@@ -229,9 +240,8 @@ class _Stepper:
     Hence the snapshot invariant: after every step that returns, u is
     finite, for finite u0.  Monotone steps stay bounded, as above, and
     every other step is guarded, and the guard raises on inf and NaN.  The
-    batch has the grid's shape by construction, so ``_evolve_batch`` wraps
-    copies of u as snapshots without ``Field``'s shape and finiteness
-    checks.
+    batch has the grid's shape by construction, so ``run`` wraps copies of
+    u as snapshots without ``Field``'s shape and finiteness checks.
     """
 
     def __init__(self, flow: GraphFlowND, grid, u0, bc: BoundaryCondition, plan: TimeStepPlan,
@@ -268,9 +278,9 @@ class _Stepper:
                        for g, p, ax in zip(grads, place, axes)]
         # |Du|^2 and the stability sum are rows of one buffer, so one
         # reduceat over its flat view gives every row's maximum.  With n = 1
-        # the rows are |Du|^2, a and -a, and coeff writes a into the second
-        # one (as (B, N, 1, 1)); with cross terms they are |Du|^2 and S, and
-        # coeff writes into a buffer of its own
+        # the rows are |Du|^2, a and -a, and the coefficient is written into
+        # the second one; with cross terms they are |Du|^2 and S, and coeff
+        # writes into a buffer of its own
         rows = np.empty((3 if n == 1 else 2,) + u.shape)
         flat, row_starts = rows.reshape(-1), np.arange(0, rows.size, u.size)
         gsq = rows[0]
@@ -309,19 +319,25 @@ class _Stepper:
                     else:
                         faces.append((face, face.shape[1:], list(points)))
 
-        def apply_dirichlet(t):
+        # the ufuncs and sqrt, bound once as closure variables of the step
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        negative, absolute, maximum = np.negative, np.abs, np.maximum
+        max_reduce, min_reduce, max_reduceat = maximum.reduce, np.minimum.reduce, maximum.reduceat
+        sqrt = math.sqrt
+
+        def set_faces(t):
+            """The Dirichlet faces at time t, then the ghosts from them."""
             for face, x in node_faces:
                 face[...] = value(x, t)
             for face, face_shape, points in faces:
                 # values come node by node; reshape them to the face's grid shape
                 face[...] = np.array([value(p, t) for p in points]).reshape(face_shape)
+            for ghost, src, second in extrapolations:
+                add(src, src, ghost)
+                subtract(ghost, second, ghost)
 
-        # the ufuncs, bound once as closure variables of step
-        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        negative, absolute, maximum = np.negative, np.abs, np.maximum
-        max_reduce, min_reduce, max_reduceat = maximum.reduce, np.minimum.reduce, maximum.reduceat
-
-        # seed the batch; the member limits, a_cap and the guard flag come from u0
+        # seed the batch and its ghosts; the member limits, a_cap and the
+        # guard flag come from u0
         u[...] = u0
         u_max = maximum(1.0, max_reduce(absolute(u, work), grid_axes))
         limit = 1e6 * u_max
@@ -338,16 +354,44 @@ class _Stepper:
         guarded = n > 1 or dirichlet
         max_grad_clip, cfl_safety, t_end = plan.max_grad_clip, plan.cfl_safety, plan.t_end
         dt_floor = 1e-14 * t_end
-        apply_dirichlet(0.0)
+        dt_0d = np.array(0.0)
+        set_faces(0.0)
+        for ghost, src in copies:
+            ghost[...] = src
         if gaps is not None:
             gap = np.empty(shape)
             gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
 
         if n == 1:
             a, neg_a = rows[1], rows[2]
-            A = a[..., None, None]
             (grad, plus, minus, two_h_x), = differences
             h2_x = np.array(h2)
+            a_of_sq = getattr(coeff, "a_of_sq", None)
+            if a_of_sq is None:
+                A = a[..., None, None]
+
+                def a_of_sq(s, out):
+                    # a coefficient without the squared form reads Du itself
+                    coeff(Du, A)
+
+            def terms():
+                """a u_xx, unscaled, in rhs; returns (max |Du|^2, max S)."""
+                nonlocal guarded
+                subtract(plus, minus, grad)
+                divide(grad, two_h_x, grad)
+                multiply(grad, grad, gsq)
+                a_of_sq(gsq, a)
+                add(u, u, two_u)
+                subtract(plus, two_u, rhs)
+                add(rhs, minus, rhs)
+                divide(rhs, h2_x, rhs)
+                multiply(rhs, a, rhs)
+                negative(a, neg_a)
+                gsq_max, a_max, neg_max = max_reduceat(flat, row_starts).tolist()
+                # max|a|, NaN when a holds one; a NaN also fails neg_max <= 0
+                if not (neg_max <= 0.0 and a_max < a_cap):
+                    guarded = True
+                return gsq_max, (a_max if a_max > neg_max else neg_max) / h2
         else:
             stab = rows[1]
             zero, h2_0d = np.array(0.0), np.array(h2)
@@ -367,33 +411,8 @@ class _Stepper:
                           for d, (_, p, m, _), ax in zip(diag, differences, axes)]
             g0, later_grads = grads[0], grads[1:]
 
-        def step(t, t_next):
-            """One step from t toward t_next; returns (t + dt, dt)."""
-            nonlocal guarded
-            for ghost, src in copies:
-                ghost[...] = src
-            for ghost, src, second in extrapolations:
-                add(src, src, ghost)
-                subtract(ghost, second, ghost)
-            if n == 1:
-                # a u_xx
-                subtract(plus, minus, grad)
-                divide(grad, two_h_x, grad)
-                coeff(Du, A)
-                multiply(grad, grad, gsq)
-                add(u, u, two_u)
-                subtract(plus, two_u, rhs)
-                add(rhs, minus, rhs)
-                divide(rhs, h2_x, rhs)
-                multiply(rhs, a, rhs)
-                negative(a, neg_a)
-                gsq_max, a_max, neg_max = max_reduceat(flat, row_starts).tolist()
-                # max|a|, NaN when a holds one; a NaN also fails neg_max <= 0
-                if not (neg_max <= 0.0 and a_max < a_cap):
-                    guarded = True
-                stab_max = (a_max if a_max > neg_max else neg_max) / h2
-            else:
-                # a^ij D_ij u and its node-wise stability coefficient
+            def terms():
+                """a^ij D_ij u, unscaled, in rhs; returns [max |Du|^2, max S]."""
                 for g, p, m, two_h in differences:
                     subtract(p, m, g)
                     divide(g, two_h, g)
@@ -433,44 +452,75 @@ class _Stepper:
                     add(rhs, term, rhs)
                     divide(absolute(d, work), h2_0d, work)
                     add(stab, work, stab)
-                gsq_max, stab_max = max_reduceat(flat, row_starts).tolist()
-            # the gradient clip, then the CFL step; a NaN max S raises here
-            # (it would fail stab_max > 0 and give dt = t_end)
-            gmax = math.sqrt(gsq_max)
-            if gmax > max_grad_clip:
-                raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
-            if stab_max > 0:
-                dt = cfl_safety / (2.0 * stab_max)
-            elif stab_max == 0:
-                dt = t_end
-            else:
-                raise BlowUpError(f"solution blow-up at t = {t:.3g}: NaN stability coefficient")
-            if dt < dt_floor:
-                raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
-            # the same pick as min(dt, t_next - t)
-            if t_next - t < dt:
-                dt = t_next - t
-            t += dt
-            multiply(rhs, dt, work)
-            add(u, work, u)
-            if dirichlet:
-                apply_dirichlet(t)
-            if guarded:
-                # a NaN fails both comparisons
-                au = absolute(u, work)
-                if not max_reduce(au, None) <= limit_min:
-                    if not (max_reduce(au, grid_axes) <= limit).all():
-                        raise BlowUpError(f"solution blow-up at t = {t:.3g}")
-            if gaps is not None:
-                gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
-            return t, dt
+                return max_reduceat(flat, row_starts).tolist()
 
-        self.step = step
+        def run(t, times, trajs, max_steps=sys.maxsize):
+            """Steps from t until the last of ``times`` is reached, or for
+            ``max_steps`` steps; returns (t, steps made, min dt, max dt)."""
+            dt_min, dt_max = math.inf, 0.0
+            k, t_next = 0, times[0]
+            for n_steps in range(1, max_steps + 1):
+                gsq_max, stab_max = terms()
+                # the gradient clip, then the CFL step; a NaN max S raises
+                # here (it would fail stab_max > 0 and give dt = t_end)
+                gmax = sqrt(gsq_max)
+                if gmax > max_grad_clip:
+                    raise BlowUpError(f"|Du| = {gmax:.3g} exceeds max_grad_clip at t = {t:.3g}")
+                if stab_max > 0:
+                    dt = cfl_safety / (2.0 * stab_max)
+                elif stab_max == 0:
+                    dt = t_end
+                else:
+                    raise BlowUpError(f"solution blow-up at t = {t:.3g}: NaN stability coefficient")
+                if dt < dt_floor:
+                    raise SolverError(f"CFL time step underflow (dt = {dt:.3g})")
+                # the same pick as min(dt, t_next - t)
+                if t_next - t < dt:
+                    dt = t_next - t
+                t += dt
+                dt_0d[()] = dt
+                multiply(rhs, dt_0d, work)
+                add(u, work, u)
+                if dirichlet:
+                    set_faces(t)
+                else:
+                    for ghost, src in copies:
+                        ghost[...] = src
+                if guarded:
+                    # a NaN fails both comparisons
+                    au = absolute(u, work)
+                    if not max_reduce(au, None) <= limit_min:
+                        if not (max_reduce(au, grid_axes) <= limit).all():
+                            raise BlowUpError(f"solution blow-up at t = {t:.3g}")
+                if gaps is not None:
+                    gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))
+                # the same picks as min(dt_min, dt), max(dt_max, dt)
+                if dt < dt_min:
+                    dt_min = dt
+                if dt > dt_max:
+                    dt_max = dt
+                if t >= t_next - 1e-14:
+                    t = t_next
+                    # finite values of the grid's shape (see the class docstring)
+                    for traj, member in zip(trajs, u):
+                        traj.snapshots.append((t, _unchecked_field(grid, member.copy(), t)))
+                    k += 1
+                    if k == len(times):
+                        break
+                    t_next = times[k]
+            return t, n_steps, dt_min, dt_max
+
+        self.run = run
         self._guarded = lambda: guarded
+
+    def step(self, t, t_next):
+        """One step from t toward t_next; returns (t + dt, dt)."""
+        t, _, dt, _ = self.run(t, [t_next], (), 1)
+        return t, dt
 
     @property
     def guarded(self) -> bool:
-        """Whether ``step`` runs the blow-up guard."""
+        """Whether a step runs the blow-up guard."""
         return self._guarded()
 
 
@@ -498,26 +548,9 @@ def _evolve_batch(flow, fields: Sequence[Field], bc: BoundaryCondition, plan: Ti
     """
     grid = fields[0].grid
     stepper = _Stepper(flow, grid, [f.values for f in fields], bc, plan, gaps)
-    pending = prep_output_times(plan, output_times)
+    times = prep_output_times(plan, output_times)
     trajs = [Trajectory([(0.0, f)]) for f in fields]
-    step, u = stepper.step, stepper.u
-    t = 0.0
-    n_steps = 0
-    dt_min, dt_max = np.inf, 0.0
-    while pending:
-        t_next = pending[0]
-        t, dt = step(t, t_next)
-        n_steps += 1
-        # the same picks as min(dt_min, dt), max(dt_max, dt)
-        if dt < dt_min:
-            dt_min = dt
-        if dt > dt_max:
-            dt_max = dt
-        if t >= t_next - 1e-14:
-            t = pending.pop(0)
-            # finite values of the grid's shape (see _Stepper)
-            for traj, member in zip(trajs, u):
-                traj.snapshots.append((t, _unchecked_field(grid, member.copy(), t)))
+    _, n_steps, dt_min, dt_max = stepper.run(0.0, times, trajs)
     for traj in trajs:
         traj.dt_stats = {"n_steps": n_steps, "dt_min": dt_min, "dt_max": dt_max}
     return trajs

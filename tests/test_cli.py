@@ -158,6 +158,9 @@ def _edit(path, old, new):
     (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = plaplace-reg\neps = nan"), "flow.eps"),
     # eps = 0 makes a(0) infinite for q < 2: the first step's CFL dt underflows
     (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = plaplace-reg\neps = 0"), "flow.eps"),
+    # heat_zero_counting proves its bound for u_t = u_xx / (4c) only
+    (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = csf"), "check:zero-counting.type"),
+    (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = plaplace-reg"), "check:zero-counting.type"),
     # initial data that is not finite on the grid: |x|^-1 at the node x = 0
     (MINIMAL.replace("kind = sin", "kind = abspow\nexponent = -1"), "initial: 'abspow'"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
@@ -167,7 +170,8 @@ def _edit(path, old, new):
         "height-text", "bc-value-text", "seed-text", "seed-percent", "assert-text", "region-unknown",
         "flow-c-text", "n_cells-fraction", "periodic-bc-bounded-grid",
         "neumann-bc-periodic-grid", "output-times-nan", "bc-value-nan", "x_hi-inf",
-        "jump-minus-inf", "plaplace-eps-nan", "plaplace-eps-zero", "abspow-not-finite"])
+        "jump-minus-inf", "plaplace-eps-nan", "plaplace-eps-zero", "zero-counting-on-csf",
+        "zero-counting-on-plaplace", "abspow-not-finite"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):

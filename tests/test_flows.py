@@ -288,6 +288,18 @@ def test_coeff_writes_into_out_bit_for_bit(flow):
         out = np.full(P.shape, np.nan)
         assert a(P, out) is out
         assert out.tobytes() == np.asarray(a(P), dtype=float).tobytes()
+        # the squared form, as the stepper calls it on |Du|^2: p * p underflows
+        # at +-0 and 1e-170, overflows at 1e155, and a NaN propagates through
+        # every coefficient that depends on p
+        p = np.array([0.0, -0.0, 1e-170, -1e-170, 1e155, -1e155, np.inf, -np.inf, np.nan,
+                      0.5, -3.0, 30.0])
+        with np.errstate(over="ignore", under="ignore"):
+            s, expected = p * p, flow.coeff(p[:, None])[:, 0, 0]
+        out = np.full(p.shape, -1.0)
+        assert flow.coeff.a_of_sq(s, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert bool(np.isnan(out[8])) is (flow.name != "heat")
+        assert not np.isnan(np.delete(out, 8)).any()
 
 
 # sha256 of the degeneracy profile on the 400 samples of ``flowlab certify``,

@@ -433,12 +433,12 @@ def test_whole_runs_match_a_term_by_term_loop(flow_id, bc_kind, batch):
 def _constant_flow(value, name):
     # u_t = value * u_xx, with the coefficient written into ``out`` when given
 
-    def a(p, out=None):
-        out = np.empty_like(p) if out is None else out
+    def a_of_sq(s, out=None):
+        out = np.empty_like(s) if out is None else out
         out.fill(value)
         return out
 
-    return flows.scalar_flow(a, A0=1.0, P=1.0, Lambda_of_K=lambda K: 1.0, name=name)
+    return flows.scalar_flow(a_of_sq, A0=1.0, P=1.0, Lambda_of_K=lambda K: 1.0, name=name)
 
 
 def _antidiffusion():
@@ -620,6 +620,69 @@ def test_guard_stays_on_after_the_first_non_monotone_step():
     assert seen == [False, True, True, True]
     assert _Stepper(csf, g, np.full((1, 32), np.inf), BoundaryCondition("periodic"),
                     TimeStepPlan(t_end=1.0)).a_cap == 0.0
+
+
+# --- the squared-form coefficient ---------------------------------------------
+
+
+@pytest.mark.parametrize("bc_kind", ["periodic", "neumann_zero", "dirichlet"])
+def test_a_replaced_coefficient_is_the_one_that_runs(bc_kind):
+    # dataclasses.replace(csf, coeff=...) keeps csf's name and profile, but
+    # the 1-D step must call the new coeff once per step and follow it: twice
+    # the csf coefficient runs as the same flow written in the squared form
+    csf = flows.csf()
+    calls = []
+
+    def doubled(Du, out=None):
+        calls.append(1)
+        A = csf.coeff(Du, out)
+        return np.multiply(A, 2.0, A)
+
+    def doubled_of_sq(s, out=None):
+        a = csf.coeff.a_of_sq(s, out)
+        return np.multiply(a, 2.0, a)
+
+    g = Grid1D(0.0, 2 * np.pi, 32, "periodic" if bc_kind == "periodic" else "bounded")
+    bc = BoundaryCondition(bc_kind, value=(lambda x, t: 0.1 * x + t)
+                           if bc_kind == "dirichlet" else None)
+    plan, times = TimeStepPlan(t_end=0.1), [0.05, 0.1]
+    f = Field(g, np.sin(3 * g.nodes()))
+    replaced = evolve(dataclasses.replace(csf, coeff=doubled), f, bc, plan, times)
+    assert len(calls) == replaced.dt_stats["n_steps"]
+    squared = flows.scalar_flow(doubled_of_sq, A0=1.0, P=1.0, Lambda_of_K=lambda K: 2.0,
+                                name="doubled")
+    assert _result_bits([replaced]) == _run(squared, [f], bc, plan, times)
+    assert _result_bits([replaced]) != _run(csf, [f], bc, plan, times)
+
+
+def test_one_1d_csf_step_makes_14_array_calls(monkeypatch):
+    # the ufuncs the stepper binds, and their reductions, counted from the
+    # build on; one periodic csf step takes 14 calls
+    calls = []
+
+    def counting(f):
+        def counted(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return counted
+
+    class Counted:
+        # a ufunc whose calls, reduce and reduceat are counted
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+            self.reduce, self.reduceat = counting(ufunc.reduce), counting(ufunc.reduceat)
+
+        def __call__(self, *args, **kwargs):
+            return counting(self.ufunc)(*args, **kwargs)
+
+    for name in ("add", "subtract", "multiply", "divide", "negative", "abs", "maximum", "minimum"):
+        monkeypatch.setattr(np, name, Counted(getattr(np, name)))
+    g = Grid1D(0.0, 2 * np.pi, 96, "periodic")
+    stepper = _Stepper(flows.csf(), g, np.sin(g.nodes())[None], BoundaryCondition("periodic"),
+                       TimeStepPlan(t_end=1.0))
+    calls.clear()
+    stepper.step(0.0, math.inf)
+    assert len(calls) == 14, calls
 
 
 # --- the fused |Du|^2 and stability reduction ---------------------------------
