@@ -218,24 +218,29 @@ def _key_text(key: str, spec) -> str:
     return text + (f" in {within}" if within else "")
 
 
-def _describe(node, indent: str) -> tuple[str, list]:
+def _describe(node, indent: str, limits: dict) -> tuple[str, list]:
     """A config schema node's own keys as one text, each with its default
-    (or "required") and range, and the lines of its variants below it."""
+    (or "required") and range, and the lines of its variants below it; a
+    variant value in ``limits`` is limited to the flows it maps to."""
     if not isinstance(node, Select):
         return ", ".join(_key_text(*item) for item in node.items()) or "no keys", []
     own = [*node.common.items(), (node.key, (str, node.default, ""))]
     lines = []
     for value, sub in node.variants.items():
-        text, below = _describe(sub, indent + "  ")
-        lines += [f"{indent}{value}{'<...>' if value.endswith(':') else ''}: {text}", *below]
+        text, below = _describe(sub, indent + "  ", {})
+        label = value + ("<...>" if value.endswith(":") else "")
+        if limits.get(value):
+            label += f" (flows: {', '.join(limits[value])})"
+        lines += [f"{indent}{label}: {text}", *below]
     return ", ".join(_key_text(*item) for item in own) + f"; by {node.key}:", lines
 
 
 def cmd_list(args) -> int:
     lines = ["flows:", *(f"  {fid}" for fid in flows.catalog_ids()),
              "norms:", *(f"  {nf.id}" for nf in finsler.builtin_norms(2)), "config sections:"]
+    limits = {name: kind.flows for name, kind in CHECK_TYPES.items()}
     for section, node in SCHEMA.items():
-        text, below = _describe(node, "    ")
+        text, below = _describe(node, "    ", limits if section == "check:" else {})
         lines += [f"  [{section}{'<name>' if section.endswith(':') else ''}] {text}", *below]
     try:
         print(*lines, sep="\n", flush=True)

@@ -14,16 +14,19 @@ forms the powers of w as products, since ``**`` on a negative base is not
 even in numpy).
 
 Every norm also carries a closed form of its flow coefficient F D^2 F at
-z = p - phi^0, ``flow_coeff`` (the Euclidean one steps as mcf bit for bit).
-An aniso flow steps with it, and ``estimate_A_P`` and ``trace_lower_bound``
-sample it, so the certificate samples the coefficient the solver steps with.
+z = p - phi^0, ``flow_coeff``.  The flows built from a norm (``flows``:
+mcf is the Euclidean norm's flow, and every aniso:<norm-id> entry) step
+with it, and ``estimate_A_P`` and ``trace_lower_bound`` sample it, so the
+certificate samples the coefficient the solver steps with.
 ``flow_coefficients`` takes F D^2 F from the jet; it is the oracle for the
-closed forms.
+closed forms.  This module imports nothing from ``flows``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -40,7 +43,6 @@ __all__ = [
     "builtin_norms",
     "norm_by_id",
     "flow_coefficients",
-    "aniso_flow",
     "SAMPLING",
     "estimate_A_P",
     "cartan_Q",
@@ -65,7 +67,7 @@ class FinslerNorm:
     ``symmetric_flag`` claims evenness in the phi^0 coordinate:
     F(p + phi^0) = F(p - phi^0) for spatial p.  ``flow_coeff`` is a closed
     form of ``flow_coefficients`` with its signature, ``(p, out=None)``;
-    ``aniso_flow`` steps with it and the certificate samples it."""
+    the norm's flow steps with it and the certificate samples it."""
 
     id: str
     dim: int
@@ -191,25 +193,32 @@ def _elliptic_flow_coeff(M: np.ndarray):
     M_ss - m m^T / (z^T M z) with m = M_ss p - M_s0 and
     z^T M z = (M_00 - 2 M_0s . p) + p . (M_ss p).
 
-    Filled entry by entry from the component arrays, as ``mcf_graph`` does,
-    with every sum taken left to right; with M = I each entry rounds as
-    I - p p^T / (1 + |p|^2) there, so the Euclidean flow is mcf bit for bit.
+    Filled entry by entry from the component arrays, with every sum taken
+    left to right.  A zero entry of M adds no term and a unit entry no
+    product.  For a finite covector and an M with no -0.0 entry, that
+    changes at most the sign of a zero that M_ij - m_i m_j / z^T M z then
+    rounds away, so the bits are those of summing every term.  With M = I
+    the entries are I - p p^T / (1 + |p|^2), the coefficient of
+    ``flows.mcf_graph``.
     """
     n = M.shape[0] - 1
     M00, M0s, Mss = float(M[0, 0]), M[0, 1:].tolist(), M[1:, 1:].tolist()
+    # each row of M[:, 1:] as the (M_ij, j) of its nonzero entries
+    rows = [[(c, j) for j, c in enumerate(row) if c != 0.0] for row in M[:, 1:].tolist()]
 
-    def dot(a, b):
-        acc = a[0] * b[0]
-        for ai, bi in zip(a[1:], b[1:]):
-            acc = acc + ai * bi
-        return acc
+    def total(terms):
+        return functools.reduce(operator.add, terms)
+
+    def lin(row, p):
+        return total([p[j] if c == 1.0 else c * p[j] for c, j in row])
 
     def coeff(P, out=None):
         P = np.asarray(P, dtype=float)
         p = [P[..., i] for i in range(n)]
-        Mp = [dot(row, p) for row in Mss]
-        m = [Mp[i] - M0s[i] for i in range(n)]
-        zMz = (M00 - 2.0 * dot(M0s, p)) + dot(p, Mp)
+        Mp = [lin(row, p) for row in rows[1:]]
+        m = [Mp[i] - M0s[i] if M0s[i] else Mp[i] for i in range(n)]
+        pMp = total([p[i] * Mp[i] for i in range(n)])
+        zMz = (M00 - 2.0 * lin(rows[0], p) if rows[0] else M00) + pMp
         A = np.empty(P.shape + (n,)) if out is None else out
         for i in range(n):
             np.subtract(Mss[i][i], m[i] * m[i] / zMz, out=A[..., i, i])
@@ -398,26 +407,6 @@ def flow_coefficients(nf: FinslerNorm, p: np.ndarray, out=None) -> np.ndarray:
     """
     F, _, H = nf.jet(_z_of(p), 2)
     return np.multiply(F[..., None, None], H[..., 1:, 1:], out=out)
-
-
-def aniso_flow(nf: FinslerNorm):
-    """Graph flow u_t = [F D^ij F](Du) u_ij generated by the norm; its
-    coefficient is the norm's closed form ``flow_coeff``."""
-    from .flows import GraphFlowND
-
-    n = nf.dim - 1
-
-    def Lambda_of_K(K):
-        scales = np.linspace(0.0, max(K, 1e-9), 17)
-        p = scales[:, None, None] * _spatial_directions(n, 16)
-        return float(np.max(np.linalg.eigvalsh(nf.flow_coeff(p))))
-
-    return GraphFlowND(
-        n=n,
-        coeff=nf.flow_coeff,
-        Lambda_of_K=Lambda_of_K,
-        name=f"aniso:{nf.id}",
-    )
 
 
 # --- sampled structural constants -------------------------------------------

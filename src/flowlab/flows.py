@@ -4,7 +4,9 @@ Every entry is one GraphFlowND, u_t = a^ij(Du) D_ij u, packaging the
 coefficient together with the degeneracy profile (A, P) and the upper
 parabolicity envelope Lambda(K) that the verification checks consume.
 Metadata is supplied by the catalog, not inferred; sampled consistency
-checks guard against wrong metadata.
+checks guard against wrong metadata.  A norm of ``finsler`` is a flow here:
+mcf is the Euclidean norm's flow, aniso:<norm-id> that of any catalog norm,
+and each steps with its norm's closed-form ``flow_coeff``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import finsler
 from .reports import VerificationReport
 
 __all__ = [
@@ -25,6 +28,7 @@ __all__ = [
     "heat_1d",
     "csf",
     "plaplace_reg",
+    "aniso_flow",
     "get_flow",
     "catalog_ids",
     "alpha",
@@ -105,32 +109,14 @@ def scalar_flow(a_of_sq: Callable[..., np.ndarray], A0: float, P: float,
 
 
 def mcf_graph(n: int) -> GraphFlowND:
-    """Mean curvature flow for graphs: coeff(p) = I - p p^T / (1 + |p|^2)."""
+    """Mean curvature flow for graphs, the flow of the Euclidean norm:
+    coeff(p) = I - p p^T / (1 + |p|^2), the norm's ``flow_coeff``."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-
-    def coeff(P, out=None):
-        # entry by entry, with the roundings of eye(n) - outer / (1 + |p|^2):
-        # |p|^2 summed left to right, and 0.0 - q (not -q) off the diagonal
-        P = np.asarray(P, dtype=float)
-        p = [P[..., i] for i in range(n)]
-        sq = [pi * pi for pi in p]
-        pp = sq[0]
-        for s in sq[1:]:
-            pp = pp + s
-        denom = 1.0 + pp
-        A = np.empty(P.shape + (n,)) if out is None else out
-        for i in range(n):
-            np.subtract(1.0, sq[i] / denom, out=A[..., i, i])
-            for j in range(i + 1, n):
-                np.subtract(0.0, p[i] * p[j] / denom, out=A[..., i, j])
-                A[..., j, i] = A[..., i, j]
-        return A
-
     profile = DegeneracyProfile(lambda s: 1.0 / (1.0 + np.asarray(s) ** 2), A0=0.5, P=1.0)
     return GraphFlowND(
         n=n,
-        coeff=coeff,
+        coeff=finsler.euclidean_norm(n + 1).flow_coeff,
         Lambda_of_K=lambda K: 1.0,
         degeneracy=profile,
         name=f"mcf{n}d",
@@ -143,11 +129,8 @@ def csf() -> GraphFlowND:
     one = np.array(1.0)
 
     def a_of_sq(s, out=None):
-        # with out, 1.0 is a 0-d array, with the same bits
-        if out is None:
-            return np.divide(1.0, np.add(s, 1.0))
-        np.add(s, one, out)
-        return np.divide(one, out, out)
+        b = np.add(s, one, out)
+        return np.divide(one, b, out)
 
     return scalar_flow(
         a_of_sq,
@@ -208,13 +191,27 @@ def plaplace_reg(q: float = -1.0, eps: float = 0.1) -> GraphFlowND:
     )
 
 
-def _aniso(norm_id: str, dim) -> GraphFlowND:
-    from . import finsler
-
+def aniso_flow(norm_id: str, dim) -> GraphFlowND:
+    """u_t = [F D^ij F](Du) u_ij for the norm F of ``finsler.norm_by_id``
+    on R^dim: its coefficient is the norm's closed form ``flow_coeff``, and
+    Lambda(K) the largest eigenvalue of it sampled on |p| <= K."""
     dim = float(dim)
     if not dim.is_integer():
         raise ValueError(f"dim must be an integer, not {dim!r}")
-    return finsler.aniso_flow(finsler.norm_by_id(norm_id, dim=int(dim)))
+    nf = finsler.norm_by_id(norm_id, dim=int(dim))
+    n = nf.dim - 1
+
+    def Lambda_of_K(K):
+        scales = np.linspace(0.0, max(K, 1e-9), 17)
+        p = scales[:, None, None] * finsler._spatial_directions(n, 16)
+        return float(np.max(np.linalg.eigvalsh(nf.flow_coeff(p))))
+
+    return GraphFlowND(
+        n=n,
+        coeff=nf.flow_coeff,
+        Lambda_of_K=Lambda_of_K,
+        name=f"aniso:{nf.id}",
+    )
 
 
 class FlowEntry(NamedTuple):
@@ -234,7 +231,7 @@ FLOW_PARAMS = {
     "mcf3d": FlowEntry(lambda _: mcf_graph(3), {}),
     "plaplace-reg": FlowEntry(lambda _, q, eps: plaplace_reg(float(q), float(eps)),
                               {"q": (float, -1.0, ""), "eps": (float, 0.1, "(0, inf)")}),
-    "aniso:": FlowEntry(_aniso, {"dim": (int, 3, "[2, inf)")}),
+    "aniso:": FlowEntry(aniso_flow, {"dim": (int, 3, "[2, inf)")}),
 }
 
 

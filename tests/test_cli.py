@@ -598,3 +598,6 @@ def test_list(capsys):
     # the keys of the config schema, with their defaults
     assert "cfl_safety = 0.5" in out and "rel_tol = 0.02" in out and "tail_floor = 0.0" in out
     assert "eh_bound" not in out
+    # a check type limited to some flows names them; the others name none
+    assert "    heat_zero_counting (flows: heat): M (required)" in out
+    assert "    double_coordinate: M (required)" in out

@@ -305,19 +305,51 @@ def test_elliptic_closed_form_matches_flow_coefficients(nf):
     assert nf.flow_coeff(P[3, 4]).tobytes() == got[3, 4].tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_euclid_closed_form_is_mcf_bit_for_bit(n):
-    rng = np.random.default_rng(40 + n)
-    P = rng.normal(size=(600, n)) * 10.0 ** rng.uniform(-3, 8, size=(600, 1))
-    P[:40] = 0.0
-    P[40:80] = -0.0
-    P[80:200, 0] = rng.choice([0.0, -0.0], size=120)
-    P[200:220] = 1e8 * np.sign(rng.normal(size=(20, n)))
-    mcf = flows.mcf_graph(n)
-    coeff = euclidean_norm(n + 1).flow_coeff
-    assert coeff(P).tobytes() == mcf.coeff(P).tobytes()
-    for p in P[[0, 41, 100, 210, 500]]:
-        assert coeff(p).tobytes() == mcf.coeff(p).tobytes()
+def _dense_elliptic_flow_coeff(M, P):
+    """The elliptic closed form with every entry of M in its sums, 0 * p_j
+    and 1 * p_j included, each sum left to right."""
+    n = M.shape[0] - 1
+    M00, M0s, Mss = float(M[0, 0]), M[0, 1:].tolist(), M[1:, 1:].tolist()
+
+    def dot(a, b):
+        acc = a[0] * b[0]
+        for ai, bi in zip(a[1:], b[1:]):
+            acc = acc + ai * bi
+        return acc
+
+    P = np.asarray(P, dtype=float)
+    p = [P[..., i] for i in range(n)]
+    Mp = [dot(row, p) for row in Mss]
+    m = [Mp[i] - M0s[i] for i in range(n)]
+    zMz = (M00 - 2.0 * dot(M0s, p)) + dot(p, Mp)
+    A = np.empty(P.shape + (n,))
+    for i in range(n):
+        for j in range(n):
+            A[..., i, j] = np.subtract(Mss[i][j], m[i] * m[j] / zMz)
+    return A
+
+
+DENSE_CASES = {**{f"euclid-dim{dim}": np.eye(dim) for dim in (2, 3, 4)},
+               "diagonal": np.diag([1.0, 1.5, 2.0]), "coupled": COUPLED, "skewed": SKEWED,
+               "coupled-dim2": np.array([[2.0, 0.5], [0.5, 1.0]])}
+
+
+@pytest.mark.parametrize("M", DENSE_CASES.values(), ids=DENSE_CASES.keys())
+def test_elliptic_closed_form_bits_match_the_dense_sums(M):
+    # a zero entry of M adds no term and a unit entry no product: the same
+    # bits as summing every entry, at zero components of either sign too
+    nf = elliptic_norm(M)
+    rng = np.random.default_rng(80 + nf.dim)
+    n = nf.dim - 1
+    P = rng.normal(size=(300, n)) * 10.0 ** rng.uniform(-3, 8, size=(300, 1))
+    P[:20] = 0.0
+    P[20:40] = -0.0
+    P[40:120] = np.where(rng.random((80, n)) < 0.5, rng.choice([0.0, -0.0], size=(80, n)),
+                         P[40:120])
+    want = _dense_elliptic_flow_coeff(M, P)
+    assert nf.flow_coeff(P).tobytes() == want.tobytes()
+    for p in P[[0, 21, 50, 77, 200]]:
+        assert nf.flow_coeff(p).tobytes() == _dense_elliptic_flow_coeff(M, p).tobytes()
 
 
 QUARTIC_CASES = [(delta, dim) for delta in (1e-3, 0.3) for dim in (2, 3, 4)]
@@ -360,7 +392,8 @@ def test_aniso_flow_takes_the_closed_form_when_the_norm_has_one():
     # every catalog norm has one, and the flow steps with it
     for norm_id in ("euclid", "elliptic:1,1.5,2", "quartic:0.001"):
         nf = norm_by_id(norm_id)
-        assert finsler.aniso_flow(nf).coeff is nf.flow_coeff
+        P = np.random.default_rng(50).normal(size=(30, nf.dim - 1)) * 5.0
+        assert flows.aniso_flow(norm_id, 3).coeff(P).tobytes() == nf.flow_coeff(P).tobytes()
     P = np.random.default_rng(50).normal(size=(30, 2)) * 5.0
     got = flows.get_flow("aniso:quartic:0.001").coeff(P)
     want = flow_coefficients(norm_by_id("quartic:0.001"), P)
@@ -380,7 +413,7 @@ def test_aniso_euclid_evolves_to_mcf2d():
 
 
 def test_aniso_flow_envelopes():
-    flow = finsler.aniso_flow(euclidean_norm(3))
+    flow = flows.aniso_flow("euclid", 3)
     assert flow.n == 2
     assert flow.Lambda_of_K(2.0) == pytest.approx(1.0, abs=1e-10)
 

@@ -73,9 +73,10 @@ def _broadcast_mcf_coeff(P, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mcf_coeff_bits_match_broadcast_formula(n):
-    # the entry-by-entry coefficient rounds exactly as the broadcast does;
-    # zero components next to positive and negative ones pin the sign of
-    # zero off the diagonal (0.0 - (+0.0) is +0.0, -(+0.0) is -0.0)
+    # mcf's coefficient, the Euclidean norm's flow_coeff, rounds exactly as
+    # the broadcast does; zero components next to positive and negative
+    # ones pin the sign of zero off the diagonal (0.0 - (+0.0) is +0.0,
+    # -(+0.0) is -0.0)
     rng = np.random.default_rng(n)
     coeff = mcf_graph(n).coeff
     shape = (2,) + (6,) * n + (n,)
@@ -85,7 +86,15 @@ def test_mcf_coeff_bits_match_broadcast_formula(n):
     covectors = [np.zeros(n), np.full(n, -0.0), np.arange(n, dtype=float),
                  -np.arange(n, dtype=float), np.array([0.0, -1.5, 2.0])[:n],
                  np.array([3.0, 0.0, -1e-9])[:n], stack[1, (0,) * n]]
-    for P in [stack, stack[0, 1]] + covectors:
+    # zero covectors of either sign, a zero first component of either sign,
+    # and steep slopes |p_i| = 1e8
+    rows = rng.normal(size=(600, n)) * 10.0 ** rng.uniform(-3, 8, size=(600, 1))
+    rows[:40] = 0.0
+    rows[40:80] = -0.0
+    rows[80:200, 0] = rng.choice([0.0, -0.0], size=120)
+    rows[200:220] = 1e8 * np.sign(rng.normal(size=(20, n)))
+    covectors += list(rows[[0, 41, 100, 210, 500]])
+    for P in [stack, stack[0, 1], rows] + covectors:
         A = coeff(P)
         expected = _broadcast_mcf_coeff(P, n)
         assert A.shape == expected.shape == P.shape + (n,)

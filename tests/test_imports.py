@@ -1,5 +1,7 @@
 """Importing flowlab loads no scipy: scipy.optimize and scipy.special are
-imported by the functions that call them, on first call.
+imported by the functions that call them, on first call.  The norms of
+``finsler`` import no flows: ``flows`` builds flows from norms, not the
+other way round.
 
 Each check runs in a fresh interpreter, since this test process has
 already imported scipy through the other test modules.
@@ -49,3 +51,9 @@ def test_cli_commands_never_import_scipy_optimize(tmp_path):
         "print(codes, 'scipy.optimize' in sys.modules)\n",
         str(tmp_path))
     assert out.splitlines()[-1] == "[0, 0, 0] False"
+
+
+def test_finsler_imports_no_flows(tmp_path):
+    out = _run("import sys\nimport flowlab.finsler\nprint('flowlab.flows' in sys.modules)\n",
+               str(tmp_path))
+    assert out.splitlines()[-1] == "False"
