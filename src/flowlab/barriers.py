@@ -7,19 +7,17 @@ Phi(psi+1,t)), the crossing height z_M, erf cones, shrinking-sphere caps and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "HeatKernel",
     "PsiBarrier",
     "ConeBarrier",
     "SphereBarrier",
     "StepData",
     "RangeError",
-    "phi_eval",
+    "phi_jet",
     "psi_eval",
     "psi_eval_clamped",
     "psi_derivs",
@@ -48,73 +46,38 @@ def erf(x):
     return scipy_erf(x)
 
 
-# --- inverse error function -------------------------------------------------
-
-_WINITZKI_A = 0.147
-
-
 def inverf(y):
-    """Inverse error function, Newton-refined to ~1e-12 residual.
+    """scipy.special.erfinv on (-1, 1), imported on first call like ``erf``;
+    a float for a scalar."""
+    from scipy.special import erfinv
 
-    Seeded from the Winitzki rational approximation; each Newton step is
-    x <- x - (erf(x) - y) * sqrt(pi)/2 * exp(x^2).
-    """
     y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
     if np.any(np.abs(y) >= 1.0):
         raise ValueError("inverf defined only on (-1, 1)")
-
-    ln1my2 = np.log1p(-y ** 2)
-    term = 2.0 / (np.pi * _WINITZKI_A) + ln1my2 / 2.0
-    x = np.sign(y) * np.sqrt(np.sqrt(term ** 2 - ln1my2 / _WINITZKI_A) - term)
-
-    half_sqrt_pi = math.sqrt(math.pi) / 2.0
-    for _ in range(8):
-        resid = erf(x) - y
-        if np.max(np.abs(resid)) < 1e-15:
-            break
-        x = x - resid * half_sqrt_pi * np.exp(np.minimum(x ** 2, 700.0))
-    return float(x[0]) if scalar else x
+    x = erfinv(y)
+    return float(x) if y.ndim == 0 else x
 
 
 # --- heat kernel ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeatKernel:
-    """Phi(y, t) = t^{-1/2} exp(-c y^2 / t), c > 0."""
-
-    c: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
-
-def phi_eval(k: HeatKernel, y, t, deriv=0, log_scale=0.0):
-    """Evaluate Phi or its derivatives Phi_y, Phi_yy, Phi_yyy, Phi_t, times
-    exp(log_scale).
-
-    ``deriv`` is 0..3 for spatial derivatives or "t" for the time derivative.
+def phi_jet(c, y, t, log_scale=0.0):
+    """(Phi, Phi_y, Phi_yy, Phi_yyy, Phi_t) times exp(log_scale), for the heat
+    kernel Phi(y, t) = t^{-1/2} exp(-c y^2 / t), c > 0, from one exponential.
     """
+    if c <= 0:
+        raise ValueError("c must be positive")
     y = np.asarray(y, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("Phi requires t > 0")
-    c = k.c
     e = np.exp(log_scale - c * y ** 2 / t)
-    if deriv == 0:
-        return e / np.sqrt(t)
-    if deriv == 1:
-        return -2.0 * c * y / t ** 1.5 * e
-    if deriv == 2:
-        return 2.0 * c / t ** 1.5 * (2.0 * c * y ** 2 / t - 1.0) * e
-    if deriv == 3:
-        return 4.0 * c ** 2 * y / t ** 2.5 * (3.0 - 2.0 * c * y ** 2 / t) * e
-    if deriv == "t":
-        return 0.5 / t ** 1.5 * (2.0 * c * y ** 2 / t - 1.0) * e
-    raise ValueError(f"unknown derivative {deriv!r}")
+    t15, q = t ** 1.5, 2.0 * c * y ** 2 / t
+    return (e / np.sqrt(t),
+            -2.0 * c * y / t15 * e,
+            2.0 * c / t15 * (q - 1.0) * e,
+            4.0 * c ** 2 * y / t ** 2.5 * (3.0 - q) * e,
+            0.5 / t15 * (q - 1.0) * e)
 
 
 # --- implicit barrier psi ---------------------------------------------------
@@ -134,10 +97,6 @@ class PsiBarrier:
         if self.c <= 0:
             raise ValueError("c must be positive")
 
-    @property
-    def kernel(self) -> HeatKernel:
-        return HeatKernel(self.c)
-
 
 _BRACKET = 1.0 - 1e-15
 # halvings of the bracket (-1, 1) down to a width below 1e-12: ceil(log2(2 / 1e-12))
@@ -154,7 +113,7 @@ def psi_range(b: PsiBarrier, t) -> float:
 
 
 def _phi_into(neg_c, y, t, sqrt_t):
-    """phi_eval(HeatKernel(-neg_c), y, t) written over y, for t > 0 already
+    """phi_jet(-neg_c, y, t)[0] written over y, for t > 0 already
     checked and sqrt(t) given: the same rounded steps in the same order,
     (-c) y^2, / t, exp, / sqrt(t)."""
     np.square(y, out=y)
@@ -165,8 +124,8 @@ def _phi_into(neg_c, y, t, sqrt_t):
 
 
 def _psi_map_into(neg_c, psi, t, sqrt_t, out, work):
-    """psi's defining map Phi(psi - 1, t) - Phi(psi + 1, t) of the kernel
-    HeatKernel(-neg_c), written into ``out``; ``work`` is scratch."""
+    """psi's defining map Phi(psi - 1, t) - Phi(psi + 1, t) for c = -neg_c,
+    written into ``out``; ``work`` is scratch."""
     _phi_into(neg_c, np.subtract(psi, 1.0, out=out), t, sqrt_t)
     _phi_into(neg_c, np.add(psi, 1.0, out=work), t, sqrt_t)
     return np.subtract(out, work, out=out)
@@ -234,10 +193,9 @@ def psi_derivs(b: PsiBarrier, z, t):
     z = np.asarray(z, dtype=float)
     t = np.asarray(t, dtype=float)
     psi = psi_eval(b, z, t)
-    k = b.kernel
     L = b.c * (1.0 - np.abs(psi)) ** 2 / t
-    D1, D2, D3, Dt = (phi_eval(k, psi - 1.0, t, d, L) - phi_eval(k, psi + 1.0, t, d, L)
-                      for d in (1, 2, 3, "t"))
+    _, D1, D2, D3, Dt = map(np.subtract, phi_jet(b.c, psi - 1.0, t, L),
+                            phi_jet(b.c, psi + 1.0, t, L))
     with np.errstate(divide="ignore", over="ignore"):
         log_D1 = np.log(D1)
         r2 = D2 / D1

@@ -186,17 +186,21 @@ def _certify(target: str, args) -> int:
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
     try:
-        profile = flows.get_flow(target).degeneracy  # None for an aniso flow
+        flow = flows.get_flow(target)
     except (KeyError, ValueError):
-        profile = None  # not a flow id: a norm id
-    if profile is not None:
+        flow = None  # not a flow id: a norm id
+    if flow is not None and flow.degeneracy is not None:
+        profile = flow.degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))
         rep.to_json(path)
         print(rep.summary_line())
         return 0 if rep.passed else 1
 
     try:
-        nf = finsler.norm_by_id(target)
+        # an aniso:<norm-id> flow has no profile: it certifies its norm, in
+        # the flow's dimension
+        nf = (finsler.norm_by_id(target) if flow is None
+              else finsler.norm_by_id(target.partition(":")[2], dim=flow.n + 1))
     except (KeyError, ValueError) as e:
         print(f"unknown certify id {target!r}: {e}", file=sys.stderr)
         return 2
@@ -272,9 +276,9 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cert = sub.add_parser("certify", help="structural certificate for a flow or norm")
-    p_cert.add_argument("id", help="flow id (heat, csf, ...), norm id "
-                                   "(euclid, elliptic:<spec>, quartic:<delta>), or norms "
-                                   "for every listed norm")
+    p_cert.add_argument("id", help="flow id (heat, csf, ...; aniso:<norm-id> certifies "
+                                   "its norm), norm id (euclid, elliptic:<spec>, "
+                                   "quartic:<delta>), or norms for every listed norm")
     p_cert.add_argument("--out", default="out")
     p_cert.add_argument("--s-max", type=float, default=1e3)
     p_cert.set_defaults(func=cmd_certify)

@@ -59,10 +59,10 @@ class GraphFlowND:
     ``coeff(Du, out=None)`` maps a stack of covectors (..., n) to
     coefficient matrices (..., n, n); one covector p, shape (n,), gives
     a^ij(p), shape (n, n).  Given ``out`` of that shape, it writes the
-    matrices there and returns ``out``.  A 1-D coeff built by
-    ``scalar_flow`` also carries ``coeff.a_of_sq``; it lives on coeff, not
-    on the flow, so ``dataclasses.replace(flow, coeff=...)`` drops it along
-    with the coeff it belongs to.
+    matrices there and returns ``out``.  A 1-D catalog coeff (``heat_1d``'s
+    and those ``scalar_flow`` builds) also carries ``coeff.a_of_sq``; it
+    lives on coeff, not on the flow, so ``dataclasses.replace(flow,
+    coeff=...)`` drops it along with the coeff it belongs to.
     """
 
     n: int
@@ -145,23 +145,30 @@ def heat_1d(c: float) -> GraphFlowND:
     """Linear heat equation u_t = u_xx / (4c).
 
     a p^2 is unbounded above, so the (A, P) certificate is taken at P = 1:
-    A = P^2/(4c).
+    A = P^2/(4c).  a does not depend on p, so one fill serves as a(p), as
+    the squared form ``coeff.a_of_sq`` and as coeff, and no p is squared.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     a_val = 1.0 / (4.0 * c)
 
-    def a_of_sq(s, out=None):
+    def a(x, out=None):
         if out is None:
-            out = np.empty_like(np.asarray(s, dtype=float))
+            out = np.empty_like(np.asarray(x, dtype=float))
         out.fill(a_val)
         return out
 
-    return scalar_flow(
-        a_of_sq,
-        A0=a_val,  # = P^2/(4c) with P = 1
-        P=1.0,
+    def coeff(Du, out=None):
+        if out is None:
+            out = np.empty(np.shape(Du) + (1,))
+        return a(out, out)
+
+    coeff.a_of_sq = a
+    return GraphFlowND(
+        n=1,
+        coeff=coeff,
         Lambda_of_K=lambda K: a_val,
+        degeneracy=DegeneracyProfile(a, A0=a_val, P=1.0),  # A0 = P^2/(4c), P = 1
         name="heat",
     )
 

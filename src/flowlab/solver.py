@@ -204,7 +204,7 @@ class _Stepper:
     and ``coeff`` writes into a buffer of its own.
 
     With n = 1 the rows are [|Du|^2, a, -a].  A catalog coefficient's
-    squared form ``coeff.a_of_sq`` (see ``flows.scalar_flow``) writes a into
+    squared form ``coeff.a_of_sq`` (see ``flows.GraphFlowND``) writes a into
     the second row from the first, so one product g * g feeds both the
     coefficient and the gradient clip; any other ``coeff`` is called as
     ``coeff(Du, A)`` in its place, with A a view of that row.  A csf step is

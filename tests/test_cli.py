@@ -549,6 +549,17 @@ def test_certify_norms(tmp_path, capsys):
         ["PASS", f"symmetry:{norm_id}:"] for norm_id in ids]
 
 
+def test_certify_aniso_flow_certifies_its_norm(tmp_path):
+    # an aniso:<norm-id> flow has no degeneracy profile; its certificate is
+    # its norm's, in the flow's default dimension, under the flow's file name
+    out = tmp_path / "c"
+    assert main(["certify", "aniso:quartic:0.001", "--out", str(out)]) == 0
+    assert main(["certify", "quartic:0.001", "--out", str(out)]) == 0
+    assert ((out / "certificate-aniso_quartic_0.001.json").read_bytes()
+            == (out / "certificate-quartic_0.001.json").read_bytes())
+    assert main(["certify", "aniso:octagon", "--out", str(out)]) == 2
+
+
 def test_certify_flow(tmp_path):
     out = str(tmp_path / "c")
     assert main(["certify", "csf", "--out", out]) == 0

@@ -257,6 +257,12 @@ def test_heat_envelopes_constant():
         heat_1d(-1.0)
 
 
+def test_heat_coeff_squares_no_p():
+    # a = 1/(4c) whatever p is, so no p is squared: 1e200 ** 2 would overflow
+    with np.errstate(all="raise"):
+        assert heat_1d(0.3).coeff(np.array([1e200])).tolist() == [[1.0 / (4.0 * 0.3)]]
+
+
 def test_csf_envelopes():
     f = csf()
     assert f.Lambda_of_K(5.0) == 1.0
