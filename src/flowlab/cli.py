@@ -8,13 +8,15 @@ Subcommands:
   list     show catalog ids and the keys of every config section
 
 Outputs are deterministic: given the same config the emitted manifest,
-field CSVs and report JSONs are byte-identical.
+field CSVs and report JSONs are byte-identical.  Every subcommand writes
+stdout through ``_emit``, and ``main`` maps its errors to exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import copy
 import itertools
 import json
 import os
@@ -24,8 +26,29 @@ import numpy as np
 
 from . import finsler, flows, verify
 from .config import (CHECK_TYPES, REQUIRED, SCHEMA, ConfigError, ExperimentConfig, Select,
-                     load_config)
+                     load_config, read_config)
 from .solver import SolverError, Trajectory, evolve
+
+
+def _emit(*lines: str) -> None:
+    """Write lines to stdout, the one writer of every subcommand.  Once the
+    reader stops early (`flowlab list | head -1`), stdout points at devnull,
+    and the command goes on to its own exit code."""
+    try:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _error_code(e: ConfigError | SolverError, label: str = "") -> int:
+    """Report a ConfigError (exit code 2) or a SolverError (exit code 1) on
+    stderr and return its code: the one mapping of every subcommand and row."""
+    kind, code = ("config error", 2) if isinstance(e, ConfigError) else ("solver error", 1)
+    print(f"{label}{kind}: {e}", file=sys.stderr)
+    return code
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
@@ -70,63 +93,50 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         for line in lines:
             fh.write(line + "\n")
 
-    for line in lines:
-        print(line)
+    _emit(*lines)
     return 1 if (assert_checks and failed_asserted) else 0
 
 
 def _parse_overrides(spec: str) -> dict:
-    """"flow.c=0.25,0.5;grid.n_cells=128,256" -> {path: [values]}."""
+    """"flow.c=0.25,0.5;grid.n_cells=128,256" -> {path: [values]}; a clause
+    not of that form (an empty one too), or a key given twice, is a ConfigError."""
     out = {}
-    for clause in spec.split(";"):
-        clause = clause.strip()
-        if not clause:
-            continue
+    for clause in map(str.strip, spec.split(";")):
         key, _, vals = clause.partition("=")
-        if not vals:
-            raise ConfigError("sweep", f"override {clause!r} needs key=v1,v2,...")
-        out[key.strip()] = [v.strip() for v in vals.split(",")]
+        key = key.strip()
+        section, _, name = key.rpartition(".")
+        if not (section and name and vals):
+            raise ConfigError("sweep", f"override {clause!r} needs section.key=v1,v2,...")
+        if key in out:
+            raise ConfigError("sweep", f"override key {key!r} is given twice")
+        out[key] = [v.strip() for v in vals.split(",")]
     return out
 
 
-def _apply_override(cfg_path: str, assignments: dict, tmp_path: str) -> tuple:
-    """Write the config with the assignments to tmp_path; returns every
-    section but the [check:*] ones, as the key of what the config evolves."""
-    import configparser
-
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    cp.read(cfg_path)
-    for path, value in assignments.items():
-        section, _, key = path.rpartition(".")
-        if not section:
-            raise ConfigError("sweep", f"override key {path!r} needs section.key")
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp.set(section, key, value)
-    with open(tmp_path, "w") as fh:
+def _write_member(base, assignments: dict, path: str) -> tuple:
+    """Write a copy of the base config with the assignments to path; returns
+    every section but the [check:*] ones, as the key of what it evolves."""
+    cp = copy.deepcopy(base)
+    for key, value in assignments.items():
+        section, _, name = key.rpartition(".")
+        cp.read_dict({section: {name: value}})
+    with open(path, "w") as fh:
         cp.write(fh)
     return tuple((name, tuple(cp.items(name))) for name in cp.sections()
                  if not name.startswith("check:"))
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
-        return run_experiment(cfg, args.out, assert_checks=not args.report_only)
-    except SolverError as e:
-        print(f"solver error: {e}", file=sys.stderr)
-        return 1
+    return run_experiment(load_config(args.config), args.out, assert_checks=not args.report_only)
 
 
 def cmd_sweep(args) -> int:
     """Run every member of the override grid.  Members whose configs differ
-    only in their [check:*] sections form a group, which evolves once."""
+    only in their [check:*] sections form a group, which evolves once.  Each
+    row is its member's solo-run exit code; nothing is written before the
+    overrides and the base config are read."""
     overrides = _parse_overrides(args.grid)
+    base = read_config(args.config)
     keys = sorted(overrides)
     members = []
     for combo in itertools.product(*(overrides[k] for k in keys)):
@@ -134,21 +144,14 @@ def cmd_sweep(args) -> int:
         sub = os.path.join(args.out, label)
         os.makedirs(sub, exist_ok=True)
         tmp = os.path.join(sub, "config.cfg")
-        try:
-            group = _apply_override(args.config, dict(zip(keys, combo)), tmp)
-        except ConfigError as e:
-            group = e
-        members.append((label, sub, tmp, group))
+        members.append((label, sub, tmp, _write_member(base, dict(zip(keys, combo)), tmp)))
     # each group's evolution (or its SolverError), kept until its last member
     left = collections.Counter(group for *_, group in members)
     evolved = {}
-    worst = 0
     rows = []
     for label, sub, tmp, group in members:
         left[group] -= 1
         try:
-            if isinstance(group, ConfigError):
-                raise group
             cfg = load_config(tmp)
             if group not in evolved:
                 try:
@@ -160,19 +163,15 @@ def cmd_sweep(args) -> int:
                 raise traj
             code = run_experiment(cfg, sub, assert_checks=not args.report_only, traj=traj)
         except (ConfigError, SolverError) as e:
-            print(f"{label}: error: {e}", file=sys.stderr)
-            code = 2
+            code = _error_code(e, f"{label}: ")
         finally:
             if not left[group]:
                 evolved.pop(group, None)
         rows.append((label, code))
-        worst = max(worst, code)
-        print(f"{label}: exit={code}")
+        _emit(f"{label}: exit={code}")
     with open(os.path.join(args.out, "sweep.csv"), "w") as fh:
-        fh.write("label,exit_code\n")
-        for label, code in rows:
-            fh.write(f"{label},{code}\n")
-    return worst
+        fh.write("label,exit_code\n" + "".join(f"{label},{code}\n" for label, code in rows))
+    return max(code for _, code in rows)
 
 
 def cmd_certify(args) -> int:
@@ -193,7 +192,7 @@ def _certify(target: str, args) -> int:
         profile = flow.degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))
         rep.to_json(path)
-        print(rep.summary_line())
+        _emit(rep.summary_line())
         return 0 if rep.passed else 1
 
     try:
@@ -209,9 +208,8 @@ def _certify(target: str, args) -> int:
     except (RuntimeError, finsler.NormConstructionError) as e:
         print(f"certification failed for {target!r}: {e}", file=sys.stderr)
         return 1
-    print(f"certified {consts.norm_id}: A={consts.A:.6g} P={consts.P:.6g} "
-          f"k={consts.k:.6g} C1={consts.C1:.6g}")
-    print(finsler.check_symmetry(nf).summary_line())
+    _emit(f"certified {consts.norm_id}: A={consts.A:.6g} P={consts.P:.6g} "
+          f"k={consts.k:.6g} C1={consts.C1:.6g}", finsler.check_symmetry(nf).summary_line())
     return 0
 
 
@@ -246,11 +244,7 @@ def cmd_list(args) -> int:
     for section, node in SCHEMA.items():
         text, below = _describe(node, "    ", limits if section == "check:" else {})
         lines += [f"  [{section}{'<name>' if section.endswith(':') else ''}] {text}", *below]
-    try:
-        print(*lines, sep="\n", flush=True)
-    except BrokenPipeError:  # the reader stopped early, as `flowlab list | head -1` does
-        # point stdout at devnull so that the flush at exit has nowhere to fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _emit(*lines)
     return 0
 
 
@@ -287,7 +281,10 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=cmd_list)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, SolverError) as e:
+        return _error_code(e)
 
 
 if __name__ == "__main__":

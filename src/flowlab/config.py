@@ -6,8 +6,9 @@ SCHEMA declares every section once: [flow], [grid], [initial], [bc],
 parser, a default or REQUIRED, and a range (a float key with none must be
 finite); a Select gives the keys per value of a selector key (the flow id,
 the initial or bc kind, the check type, the convergence modulus).
-``load_config`` walks the table and builds the flow, the initial data and
-the bc once: an unknown, missing, unparsable or out-of-range key, or data
+``read_config`` is the one reader of config files; ``load_config`` reads
+through it, walks the table and builds the flow, the initial data and the
+bc once: an unknown, missing, unparsable or out-of-range key, or data
 that cannot be built, is a ConfigError naming its field (e.g.
 "plan.t_end") before anything evolves or is written.
 """
@@ -25,8 +26,8 @@ from .fields import Field, Grid1D
 from .flows import GraphFlowND
 from .solver import BoundaryCondition, TimeStepPlan, prep_output_times, shared_snapshot_name
 
-__all__ = ["ExperimentConfig", "ConfigError", "load_config", "SCHEMA", "INITIAL_KINDS",
-           "CHECK_TYPES", "Kind", "Key", "Select", "REQUIRED"]
+__all__ = ["ExperimentConfig", "ConfigError", "read_config", "load_config", "SCHEMA",
+           "INITIAL_KINDS", "CHECK_TYPES", "Kind", "Key", "Select", "REQUIRED"]
 
 REQUIRED = object()
 
@@ -90,11 +91,12 @@ def _region_window(p: dict):
 
 
 POSITIVE = "(0, inf)"
+NONNEGATIVE = "[0, inf)"
 WINDOW = {"t_lo": Key(float, 0.0), "t_hi": Key(float, np.inf, "(-inf, inf]")}
 GRID_TOL = {"grid_tol": Key(float, 0.0)}
 WAVE = {"amplitude": Key(float, 1.0), "frequency": Key(float, 1.0), "phase": Key(float, 0.0)}
 STEP = {"height": Key(float, 1.0, POSITIVE), "jump": Key(float, 0.0),
-        "eps": Key(float, 0.0, "[0, inf)")}
+        "eps": Key(float, 0.0, NONNEGATIVE)}
 
 
 def _step(p, x, **mode):
@@ -123,9 +125,9 @@ INITIAL_KINDS = {
 }
 
 MODULI = {
-    "lipschitz": Kind(lambda p: verify.lipschitz_modulus(p["L"]), {"L": Key()}),
+    "lipschitz": Kind(lambda p: verify.lipschitz_modulus(p["L"]), {"L": Key(within=NONNEGATIVE)}),
     "holder": Kind(lambda p: verify.holder_modulus(p["alpha"], p["C"]),
-                   {"alpha": Key(within="(0, 1]"), "C": Key(float, 1.0)}),
+                   {"alpha": Key(within="(0, 1]"), "C": Key(float, 1.0, NONNEGATIVE)}),
 }
 
 CHECK_TYPES = {
@@ -133,7 +135,7 @@ CHECK_TYPES = {
         lambda p, traj: verify.heat_zero_counting_gradient(
             traj, M=p["M"], c=p["c"], rel_tol=p["rel_tol"], tail_floor=p["tail_floor"]),
         {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
-         "rel_tol": Key(float, 0.02), "tail_floor": Key(float, 0.0)},
+         "rel_tol": Key(float, 0.02), "tail_floor": Key(float, 0.0, NONNEGATIVE)},
         # the bound is derived for u_t = u_xx / (4c)
         flows=("heat",)),
     "double_coordinate": Kind(
@@ -286,15 +288,22 @@ class ExperimentConfig:
     seed: int = 0
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> configparser.ConfigParser:
+    """The sections of a config file as text; a file that cannot be read,
+    decoded or parsed (a duplicate key, say) is a ConfigError on "(file)"."""
     cp = configparser.ConfigParser(interpolation=None)  # values are literal text
     cp.optionxform = str  # keep key case (M vs m matters for check params)
     try:
         read = cp.read(path)
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError("(file)", str(e))
     if not read:
         raise ConfigError("(file)", f"cannot read config {path!r}")
+    return cp
+
+
+def load_config(path) -> ExperimentConfig:
+    cp = read_config(path)
     for name in cp.sections():
         if _family(name) not in SCHEMA:
             raise ConfigError(name, f"unknown section; sections are {tuple(SCHEMA)}")

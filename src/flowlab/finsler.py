@@ -25,14 +25,13 @@ closed forms.  This module imports nothing from ``flows``.
 from __future__ import annotations
 
 import functools
-import json
 import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .reports import VerificationReport
+from .reports import JsonRecord, VerificationReport
 
 __all__ = [
     "FinslerNorm",
@@ -92,7 +91,7 @@ class FinslerNorm:
 
 
 @dataclass
-class AnisoConstants:
+class AnisoConstants(JsonRecord):
     """Empirical structural certificate for one norm (sampled, not proved)."""
 
     norm_id: str
@@ -106,13 +105,6 @@ class AnisoConstants:
 
     def to_jsonable(self) -> dict:
         return {**asdict(self), "S_eps": {str(k): v for k, v in self.S_eps.items()}}
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
 
 class NormConstructionError(ValueError):
@@ -332,9 +324,7 @@ def _quartic_flow_coeff(delta: float, n: int):
 def _check_convexity(nf: FinslerNorm):
     spec = SAMPLING["convexity"]
     min_eig = spec["min_eig"]
-    rng = np.random.default_rng(spec["seed"])
-    w = rng.normal(size=(spec["n_samples"], nf.dim))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w = _sphere_points(nf.dim, spec["n_samples"], np.random.default_rng(spec["seed"]))
     # drop the homogeneity null direction, keep tangent eigenvalues
     tangent = np.linalg.eigvalsh(nf.hess(w))[:, 1]
     bad = np.nonzero(tangent <= min_eig)[0]
@@ -436,9 +426,7 @@ def _spatial_directions(n: int, n_dirs: int) -> np.ndarray:
     if n == 2:
         theta = 2 * np.pi * (np.arange(n_dirs) + 0.5) / n_dirs
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    rng = np.random.default_rng(12345)
-    v = rng.normal(size=(n_dirs, n))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return _sphere_points(n, n_dirs, np.random.default_rng(12345))
 
 
 def _sphere_points(dim: int, count: int, rng) -> np.ndarray:

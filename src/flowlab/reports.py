@@ -6,8 +6,20 @@ import json
 from dataclasses import dataclass, field
 
 
+class JsonRecord:
+    """A record that ``to_jsonable`` turns into a dict, written as sorted,
+    indented JSON text."""
+
+    def to_json(self, path=None) -> str:
+        text = json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
+        if path is not None:
+            with open(path, "w") as fh:
+                fh.write(text)
+        return text
+
+
 @dataclass
-class VerificationReport:
+class VerificationReport(JsonRecord):
     """Outcome of one estimate check.
 
     ``passed`` is always ``max_defect <= tolerance``; ``witness`` records the
@@ -33,13 +45,6 @@ class VerificationReport:
             "witness": self.witness,
             "metadata": self.metadata,
         }
-
-    def to_json(self, path=None) -> str:
-        text = json.dumps(self.to_jsonable(), indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

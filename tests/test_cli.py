@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,6 +75,10 @@ def test_load_bundled_configs():
 def test_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match=r"\(file\)"):
         load_config(str(tmp_path / "missing.cfg"))
+    # bytes that are no text
+    (tmp_path / "binary.cfg").write_bytes(b"[flow]\nid = \xd0\xff\n")
+    with pytest.raises(ConfigError, match=r"\(file\): .*can't decode"):
+        load_config(str(tmp_path / "binary.cfg"))
     for flow_id in ("wave", "mcf2d", "aniso:euclid"):
         with pytest.raises(ConfigError, match="flow.id"):
             load_config(_write(tmp_path, MINIMAL.replace("id = heat", f"id = {flow_id}")))
@@ -163,6 +168,12 @@ def _edit(path, old, new):
     (_edit(HEAT_STEP, "id = heat\nc = 0.25", "id = plaplace-reg"), "check:zero-counting.type"),
     # initial data that is not finite on the grid: |x|^-1 at the node x = 0
     (MINIMAL.replace("kind = sin", "kind = abspow\nexponent = -1"), "initial: 'abspow'"),
+    # a negative constant would give a negative bound, and a negative tail
+    # floor would be read as 0
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nL = -5\n", "check:conv.L"),
+    (MINIMAL + "\n[check:conv]\ntype = convergence\nmodulus = holder\nalpha = 0.5\nC = -2\n",
+     "check:conv.C"),
+    (_edit(HEAT_STEP, "tail_floor = 1e-4", "tail_floor = -1"), "check:zero-counting.tail_floor"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
         "holder-alpha", "holder-alpha-text", "not-a-number",
         "initial-misspelt", "plan-misspelt", "bc-misspelt", "grid-misspelt", "run-misspelt",
@@ -171,7 +182,8 @@ def _edit(path, old, new):
         "flow-c-text", "n_cells-fraction", "periodic-bc-bounded-grid",
         "neumann-bc-periodic-grid", "output-times-nan", "bc-value-nan", "x_hi-inf",
         "jump-minus-inf", "plaplace-eps-nan", "plaplace-eps-zero", "zero-counting-on-csf",
-        "zero-counting-on-plaplace", "abspow-not-finite"])
+        "zero-counting-on-plaplace", "abspow-not-finite", "lipschitz-L-negative",
+        "holder-C-negative", "tail-floor-negative"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):
@@ -499,10 +511,11 @@ def test_sweep_evolves_once_per_group(tmp_path, monkeypatch):
     assert main(["sweep", CSF_CREN, "--grid", "check:double-coordinate.c=" + ",".join(cs),
                  "--out", str(out)]) == 1
     assert len(calls) == 1
-    for c in cs:
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    for c, row in zip(cs, rows, strict=True):
         member = out / f"c={c}"
         solo = tmp_path / f"solo-{c}"
-        assert main(["run", str(member / "config.cfg"), "--out", str(solo)]) in (0, 1)
+        assert row == f"c={c},{main(['run', str(member / 'config.cfg'), '--out', str(solo)])}"
         assert _tree(member, skip={"config.cfg"}) == _tree(solo)
     # members that differ in the grid evolve one by one
     calls.clear()
@@ -512,14 +525,40 @@ def test_sweep_evolves_once_per_group(tmp_path, monkeypatch):
 
 
 def test_sweep_group_shares_its_solver_error(tmp_path, monkeypatch):
-    # a group whose evolution fails reports the error in each member's row
+    # a group whose evolution fails reports the error in each member's row,
+    # with the exit code of the member's solo run: 1, as for any SolverError
     calls = _counted_evolve(monkeypatch)
     cfg = _write(tmp_path, MINIMAL.replace("t_end = 0.05", "t_end = 0.05\nmax_grad_clip = 0.5")
                  + "\n[check:cmp]\ntype = gradient_bound\ncoeff = 1.0\n")
     out = tmp_path / "sweep"
-    assert main(["sweep", cfg, "--grid", "check:cmp.coeff=1,2", "--out", str(out)]) == 2
+    assert main(["sweep", cfg, "--grid", "check:cmp.coeff=1,2", "--out", str(out)]) == 1
     assert len(calls) == 1
-    assert (out / "sweep.csv").read_text() == "label,exit_code\ncoeff=1,2\ncoeff=2,2\n"
+    assert (out / "sweep.csv").read_text() == "label,exit_code\ncoeff=1,1\ncoeff=2,1\n"
+    assert main(["run", str(out / "coeff=1" / "config.cfg"), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("text, grid, message", [
+    ("[flow]\nid = heat\nid = csf\n", "grid.n_cells=64",
+     r"config error: \(file\): .*option 'id' in section 'flow' already exists"),
+    (None, "grid.n_cells=64", r"config error: \(file\): cannot read config"),
+    (MINIMAL, "grid.n_cells", r"config error: sweep: override 'grid\.n_cells' needs"),
+    (MINIMAL, "n_cells=64", r"config error: sweep: override 'n_cells=64' needs"),
+    (MINIMAL, "grid.n_cells=64;grid.n_cells=128",
+     r"config error: sweep: override key 'grid\.n_cells' is given twice"),
+    # no override at all would run the base config in the sweep's own directory
+    (MINIMAL, "", r"config error: sweep: override '' needs"),
+    (MINIMAL, "grid.n_cells=64;", r"config error: sweep: override '' needs"),
+], ids=["duplicate-option", "missing-file", "no-values", "no-section", "key-twice",
+        "empty-grid", "empty-clause"])
+def test_sweep_input_error_writes_nothing(tmp_path, capsys, text, grid, message):
+    # the overrides and the base config are read before any member is written
+    cfg = tmp_path / "exp.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "sweep"
+    assert main(["sweep", str(cfg), "--grid", grid, "--out", str(out)]) == 2
+    assert re.fullmatch(message + ".*\n", capsys.readouterr().err)
+    assert not out.exists()
 
 
 # --- certify / list -------------------------------------------------------------
@@ -590,16 +629,29 @@ def test_certify_unknown_id(tmp_path):
         assert main(["certify", target, "--out", str(tmp_path / "c")]) == 2
 
 
-def test_list_into_a_closed_pipe_exits_quietly():
-    # as `flowlab list | head -1`: the reader is gone before the listing is written
+@pytest.mark.parametrize("args, exit_code", [
+    (["list"], 0),
+    (["certify", "euclid"], 0),
+    # c = 1/8 fails its check; every member still runs and has its row
+    (["sweep", CSF_CREN, "--grid", "check:double-coordinate.c=0.125,0.25,0.5"], 1),
+], ids=["list", "certify", "sweep"])
+def test_into_a_closed_pipe_exits_quietly(tmp_path, args, exit_code):
+    # as `flowlab list | head -1`: the reader is gone before anything is
+    # written, and the command goes on to its own exit code
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
-    with subprocess.Popen([sys.executable, "-m", "flowlab", "list"], env=env,
+    out = tmp_path / "out"
+    if args[0] != "list":
+        args = [*args, "--out", str(out)]
+    with subprocess.Popen([sys.executable, "-m", "flowlab", *args], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         proc.stdout.close()
         stderr = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert (code, stderr) == (0, b"")
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (exit_code, b"")
+    if args[0] == "sweep":
+        assert (out / "sweep.csv").read_text() == \
+            "label,exit_code\nc=0.125,1\nc=0.25,0\nc=0.5,0\n"
 
 
 def test_list(capsys):

@@ -82,6 +82,18 @@ def test_hessian_second_order_2d():
     assert np.all(_order(errs) > 1.8)
 
 
+def test_hessian_second_order_2d_periodic():
+    errs = []
+    for n in (16, 32, 64):
+        g = GridND((Grid1D(0, 2 * np.pi, n, "periodic"), Grid1D(0, 2 * np.pi, n, "periodic")))
+        X, Y = g.meshgrid()
+        H = hessian(Field(g, np.sin(X) * np.cos(2 * Y)))
+        S, C = np.sin(X) * np.cos(2 * Y), np.cos(X) * np.sin(2 * Y)
+        exact = np.stack([-S, -2 * C, -2 * C, -4 * S], axis=-1).reshape(X.shape + (2, 2))
+        errs.append(np.max(np.abs(H - exact)))
+    assert np.all(_order(errs) > 1.8)
+
+
 @given(a=st.floats(-5, 5), b=st.floats(-5, 5))
 @settings(max_examples=25, deadline=None)
 def test_gradient_exact_on_linear(a, b):
