@@ -51,6 +51,17 @@ def _error_code(e: ConfigError | SolverError, label: str = "") -> int:
     return code
 
 
+def _check_out(out: str) -> None:
+    """A ConfigError on ``--out`` unless its nearest existing path is a
+    directory, so that the output directory can be made and nothing is
+    written before that is known."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError("--out", f"{path!r} exists and is not a directory")
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
                    assert_checks: bool = True, traj: Trajectory | None = None) -> int:
     """Evolve the built experiment, check, and write
@@ -282,6 +293,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if "out" in args:
+            _check_out(args.out)
         return args.func(args)
     except (ConfigError, SolverError) as e:
         return _error_code(e)

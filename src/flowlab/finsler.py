@@ -129,8 +129,32 @@ def _sym3(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _quad(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v^T H w over the leading axes, summed in the order of v @ H @ w."""
+    """v^T H w over the leading axes, summed in the order of v @ H @ w.
+
+    The stacked matmuls cost more in loop set-up than in arithmetic, and
+    ``_form`` is the cheaper contraction.  This one stays only where its
+    rounding is pinned: the elliptic jet's F, the cancelling C2 of
+    ``cross_term_bound`` that the benchmark's aniso reference holds, and
+    the A values of ``estimate_A_P``.  The change that moves those pins
+    (ROADMAP item 7) can retire it.
+    """
     return (v[..., None, :] @ H @ w[..., :, None])[..., 0, 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_i a_i b_i over the last axis (broadcast), added component by
+    component from i = 0.  numpy's axis sums, einsums and matmuls over a
+    last axis of length 2 to 4 cost more in loop set-up than in
+    arithmetic; one product per component runs over the whole stack."""
+    s = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        s += a[..., i] * b[..., i]
+    return s
+
+
+def _form(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v^T H w over the leading axes, as v . (H w) with ``_dot`` sums."""
+    return _dot(v, _dot(H, w[..., None, :]))
 
 
 def euclidean_norm(dim: int = 3) -> FinslerNorm:
@@ -476,7 +500,7 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
 def _hat(F: np.ndarray, DF: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Project q onto the tangent plane of the unit ball at z, given F and DF
     at z (all broadcast)."""
-    c = np.sum(DF * q, axis=-1) / F
+    c = _dot(DF, q) / F
     return q - c[..., None] * z
 
 
@@ -506,10 +530,11 @@ def check_smallness(nf: FinslerNorm):
     trio = _hat(F[..., None], DF[..., None, :], z[..., None, :],
                 rng.normal(size=(n_z, n_triples, 3, nf.dim)))
     p, q, r = np.moveaxis(trio, -2, 0)
-    denom_sq = F ** 3 * _quad(p, H, p) * _quad(q, H, q) * _quad(r, H, r)
+    denom_sq = F ** 3 * _form(p, H, p) * _form(q, H, q) * _form(r, H, r)
     if np.any(denom_sq <= 0):
         raise ArithmeticError(f"degenerate tangent Hessian for {nf.id!r}")
-    Q = F ** 2 * _quad(p, np.einsum("...ijk,...k->...ij", T, r), q)
+    # D^3 F contracted with r on its last index, then with p and q
+    Q = F ** 2 * _form(p, _dot(T, r[..., None, None, :]), q)
     C1 = float(np.max(np.abs(Q) / np.sqrt(denom_sq), initial=0.0))
     return C1, bool(C1 ** 2 < 4.0 / np.sqrt(n)), bool(C1 ** 2 < 2.0 / np.sqrt(n))
 
@@ -597,11 +622,12 @@ def estimate_S_eps(nf: FinslerNorm, eps_values) -> dict:
     pe = _embed(p)
     F, DF, H, T = nf.jet(z, 3)
     qh = _hat(F, DF, z, qe)
-    Hqq = _quad(qh, H, qh)
-    Tpqq = _quad(qh, np.einsum("...ijk,...i->...jk", T, pe), qh)
+    Hqq = _form(qh, H, qh)
+    # D^3 F contracted with p on its first index, then with qh twice
+    Tpqq = _form(qh, _dot(np.moveaxis(T, -3, -1), pe[..., None, None, :]), qh)
     # F * D(F D^2 F)(p, qh, qh) = F (DF(p) D2F(qh,qh) + F D3F(p,qh,qh))
-    dG = F * (np.sum(DF * pe, axis=-1) * Hqq + F * Tpqq)
-    Gpp, Gqq = F * _quad(pe, H, pe), F * Hqq
+    dG = F * (_dot(DF, pe) * Hqq + F * Tpqq)
+    Gpp, Gqq = F * _form(pe, H, pe), F * Hqq
     worst = np.max(np.abs(dG) / (np.sqrt(Gpp) * Gqq), axis=(1, 2))
     S_eps = {}
     for eps in eps_values:

@@ -201,7 +201,11 @@ class _Stepper:
     terms use the diagonal splitting.  |Du|^2 and the stability sum S are
     rows of one buffer, and one ``maximum.reduceat`` over its flat view
     gives every row's maximum.  With cross terms the rows are [|Du|^2, S],
-    and ``coeff`` writes into a buffer of its own.
+    and ``coeff`` writes into a buffer of its own, ``A``.  ``Du`` and ``A``
+    have the shapes (..., n) and (..., n, n) but are entry-major in memory:
+    each gradient component and each a^ij is one contiguous plane, so the
+    coefficient's per-entry writes and the terms' reads run over unit
+    strides, with the same operations and bits as a trailing-axis layout.
 
     With n = 1 the rows are [|Du|^2, a, -a].  A catalog coefficient's
     squared form ``coeff.a_of_sq`` (see ``flows.GraphFlowND``) writes a into
@@ -272,7 +276,8 @@ class _Stepper:
 
         self.u = u = views[centre]
         grid_axes = tuple(range(1, n + 1))
-        Du = np.empty(u.shape + (n,))
+        # entry-major: each gradient component is a contiguous plane
+        Du = np.moveaxis(np.empty((n,) + u.shape), 0, -1)
         grads = [Du[..., i] for i in range(n)]
         differences = [(g, views[centre + p], views[centre - p], np.array(2 * ax.h))
                        for g, p, ax in zip(grads, place, axes)]
@@ -395,7 +400,8 @@ class _Stepper:
         else:
             stab = rows[1]
             zero, h2_0d = np.array(0.0), np.array(h2)
-            A = np.empty(u.shape + (n, n))
+            # entry-major like Du: each a^ij is a contiguous plane
+            A = np.moveaxis(np.empty((n, n) + u.shape), (0, 1), (-2, -1))
             # the diagonal, and one more term with the split off-diagonal
             diag = [np.empty(u.shape) for _ in range(n)]
             term, pos, neg, off = (np.empty(u.shape) for _ in range(4))

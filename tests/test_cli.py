@@ -561,6 +561,24 @@ def test_sweep_input_error_writes_nothing(tmp_path, capsys, text, grid, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", HEAT_STEP],
+    ["sweep", HEAT_STEP, "--grid", "grid.n_cells=128"],
+    ["certify", "euclid"],
+], ids=["run", "sweep", "certify"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, args):
+    # --out on an existing file, or below one: one stderr line that names
+    # --out, exit 2, and nothing written
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    for out in (taken, taken / "sub"):
+        assert main([*args, "--out", str(out)]) == 2
+        assert re.fullmatch(r"config error: --out: '.*taken' exists and is not a directory\n",
+                            capsys.readouterr().err)
+    assert taken.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 # --- certify / list -------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 import re
 import sys
@@ -90,6 +91,30 @@ def test_mcf2d_small_amplitude():
     t, f = traj.snapshots[-1]
     exact = eps * np.exp(-2 * t) * np.sin(X) * np.sin(Y)
     assert np.max(np.abs(f.values - exact)) < 5e-3 * eps
+
+
+# (flow id, cells per axis, t_end, steps, sha256 of the final field) of an
+# n-D periodic evolve from 0.3 prod sin(x_i) + 0.2 cos(sum x_i); the 48^2
+# quartic run is the benchmark's aniso evolve with the quartic norm
+ND_EVOLVE_SHA256 = [
+    ("aniso:quartic:0.001", 48, 0.05, 24,
+     "c0cf995b6e11ec9d33bc5601f05ba0d042cb08c0fe02c0fc6846c9a31286d673"),
+    ("mcf3d", 16, 0.25, 20,
+     "4d404e75c0432174390c31491c5d2be9658c7cdb8ea01819813df0569ea4ce27"),
+]
+
+
+@pytest.mark.parametrize("flow_id, cells, t_end, steps, sha256", ND_EVOLVE_SHA256,
+                         ids=[c[0] for c in ND_EVOLVE_SHA256])
+def test_nd_evolve_output_is_pinned(flow_id, cells, t_end, steps, sha256):
+    flow = flows.get_flow(flow_id)
+    ax = Grid1D(0.0, 2 * np.pi, cells, "periodic")
+    g = GridND((ax,) * flow.n)
+    X = g.meshgrid()
+    u0 = 0.3 * functools.reduce(np.multiply, [np.sin(x) for x in X]) + 0.2 * np.cos(sum(X))
+    traj = evolve(flow, Field(g, u0), BoundaryCondition("periodic"), TimeStepPlan(t_end=t_end))
+    values = traj.fields[-1].values
+    assert (traj.dt_stats["n_steps"], hashlib.sha256(values.tobytes()).hexdigest()) == (steps, sha256)
 
 
 def test_trajectory_append_monotone():
