@@ -195,10 +195,14 @@ def cmd_certify(args) -> int:
 def _certify(target: str, args) -> int:
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
-    try:
-        flow = flows.get_flow(target)
-    except (KeyError, ValueError):
-        flow = None  # not a flow id: a norm id
+    family, colon, _ = target.partition(":")
+    flow = None  # not a flow id: a norm id
+    if family + colon in flows.FLOW_PARAMS:
+        try:
+            flow = flows.get_flow(target)
+        except (KeyError, ValueError) as e:  # aniso:<norm-id> with a bad norm
+            print(f"unknown certify id {target!r}: {e}", file=sys.stderr)
+            return 2
     if flow is not None and flow.degeneracy is not None:
         profile = flow.degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))

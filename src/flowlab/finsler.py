@@ -13,6 +13,16 @@ F(-w) = F(w), DF(-w) = -DF(w) and so on, bit for bit (the quartic norm
 forms the powers of w as products, since ``**`` on a negative base is not
 even in numpy).
 
+The jets and the certificate stages work entry-major: each entry of DF,
+D^2 F and D^3 F is one contiguous plane over the batch, so every ufunc runs
+its inner loop over the batch and not over an entry axis of length 2 to 4.
+``jet`` hands these arrays out as views with the entry axes trailing, in
+the shapes above; the stages take them back as planes (``_planes``) and
+contract over the leading entry axes (``_dot``, ``_form``).  Only the
+stacked matmuls of ``_quad`` keep C-contiguous operands with their entries
+trailing, because they round by memory layout.  Each stage builds its
+norm-independent samples once and keeps them read-only (``_samples``).
+
 Every norm also carries a closed form of its flow coefficient F D^2 F at
 z = p - phi^0, ``flow_coeff``.  The flows built from a norm (``flows``:
 mcf is the Euclidean norm's flow, and every aniso:<norm-id> entry) step
@@ -25,7 +35,7 @@ closed forms.  This module imports nothing from ``flows``.
 from __future__ import annotations
 
 import functools
-import operator
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -113,48 +123,110 @@ class NormConstructionError(ValueError):
 
 # --- norm catalog -----------------------------------------------------------
 
+# The jets compute on entry-major arrays: the entries of DF, D^2 F and D^3 F
+# lead, of shapes (dim, ...), (dim, dim, ...) and (dim, dim, dim, ...), and
+# each is C-contiguous, so every entry is one contiguous plane over the
+# batch.  The helpers below take and give that layout; constant matrices
+# carry trailing unit axes to broadcast against the batch.
+
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., :, None] * b[..., None, :]
+    return a[:, None] * b
 
 
 def _outer3(a: np.ndarray) -> np.ndarray:
-    return a[..., :, None, None] * a[..., None, :, None] * a[..., None, None, :]
+    return a[:, None, None] * a[:, None] * a
 
 
 def _sym3(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A_ij v_k + A_ik v_j + A_jk v_i for symmetric matrices A and vectors v."""
-    T = A[..., :, :, None] * v[..., None, None, :]
-    return T + T.swapaxes(-1, -2) + np.moveaxis(T, -1, -3)
+    T = A[:, :, None] * v
+    return T + T.swapaxes(1, 2) + np.moveaxis(T, 2, 0)
+
+
+def _trail(x: np.ndarray, k: int) -> np.ndarray:
+    """x with its k leading axes moved to the end, as a view."""
+    return x.transpose(tuple(range(k, x.ndim)) + tuple(range(k)))
+
+
+def _lead(x: np.ndarray, k: int) -> np.ndarray:
+    """x with its k trailing axes moved to the front, as a view."""
+    return x.transpose(tuple(range(x.ndim - k, x.ndim)) + tuple(range(x.ndim - k)))
+
+
+def _jet_of(planes):
+    """``FinslerNorm.jet`` from a jet on entry-major arrays,
+    ``planes(w, order)`` for a float stack w (..., dim): the same arrays,
+    returned as views with their entry axes trailing, of shapes (...),
+    (..., dim), (..., dim, dim) and (..., dim, dim, dim)."""
+
+    def jet(w, order):
+        out = planes(np.asarray(w, dtype=float), order)
+        return (out[0],) + tuple(_trail(x, k) for k, x in enumerate(out[1:], 1))
+
+    return jet
+
+
+def _planes(jet: tuple) -> tuple:
+    """The entries of a jet with their entry axes leading: views, and each
+    entry one contiguous plane, since every jet is laid out entry-major."""
+    return (jet[0],) + tuple(_lead(x, k) for k, x in enumerate(jet[1:], 1))
 
 
 def _quad(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v^T H w over the leading axes, summed in the order of v @ H @ w.
+    """v^T H w over the leading axes, summed in the order of v @ H @ w, for
+    stacks with their entries trailing.
 
     The stacked matmuls cost more in loop set-up than in arithmetic, and
     ``_form`` is the cheaper contraction.  This one stays only where its
     rounding is pinned: the elliptic jet's F, the cancelling C2 of
     ``cross_term_bound`` that the benchmark's aniso reference holds, and
-    the A values of ``estimate_A_P``.  The change that moves those pins
-    (ROADMAP item 7) can retire it.
+    the A values of ``estimate_A_P``.  The stacked matmul rounds by memory
+    layout: fed an entry-major G, C2 moves by 1.8e-11 relative.  So the
+    stages hand it C-contiguous operands with their entries trailing, as
+    they were when these pins were taken, and the jet the stack it was
+    given.  The change that moves those pins (ROADMAP item 7) can retire it.
     """
     return (v[..., None, :] @ H @ w[..., :, None])[..., 0, 0]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_i a_i b_i over the last axis (broadcast), added component by
-    component from i = 0.  numpy's axis sums, einsums and matmuls over a
-    last axis of length 2 to 4 cost more in loop set-up than in
-    arithmetic; one product per component runs over the whole stack."""
-    s = a[..., 0] * b[..., 0]
-    for i in range(1, a.shape[-1]):
-        s += a[..., i] * b[..., i]
+    """sum_i a_i b_i over the leading (entry) axis, broadcast over the rest,
+    added component by component from i = 0.  numpy's axis sums, einsums
+    and matmuls over an entry axis of length 2 to 4 cost more in loop
+    set-up than in arithmetic; one product per component runs over whole
+    contiguous planes."""
+    s = a[0] * b[0]
+    for i in range(1, len(a)):
+        s += a[i] * b[i]
     return s
 
 
 def _form(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """v^T H w over the leading axes, as v . (H w) with ``_dot`` sums."""
-    return _dot(v, _dot(H, w[..., None, :]))
+    """v^T H w over the leading entry axes, as sum_i v_i (sum_j H_ij w_j)
+    with ``_dot`` sums."""
+    return _dot(v, _dot(H.swapaxes(0, 1), w[:, None]))
+
+
+def _elliptic_planes(M: np.ndarray):
+    """The entry-major jet of F(w) = sqrt(w^T M w), for ``_jet_of``."""
+
+    def planes(w, order):
+        # F and w M^T are taken on w as given, entries trailing: the stacked
+        # matmuls round by layout
+        F = np.sqrt(_quad(w, M, w))
+        if order == 0:
+            return (F,)
+        Mb = M.reshape(M.shape + (1,) * np.ndim(F))
+        mh = np.divide(_lead(w @ M.T, 1), F, order="C")
+        out = [F, mh]
+        if order >= 2:
+            out.append((Mb - _outer(mh, mh)) / F)
+        if order >= 3:
+            out.append((3.0 * _outer3(mh) - _sym3(Mb, mh)) / (F * F))
+        return tuple(out)
+
+    return planes
 
 
 def euclidean_norm(dim: int = 3) -> FinslerNorm:
@@ -174,34 +246,21 @@ def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
     (``_elliptic_flow_coeff``).
     """
     M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise NormConstructionError("M must be finite")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NormConstructionError("M must be a square matrix")
     if not np.allclose(M, M.T):
         raise NormConstructionError("M must be symmetric")
     if np.linalg.eigvalsh(M)[0] <= 0:
         raise NormConstructionError("M must be positive definite")
-    dim = M.shape[0]
     symmetric = bool(np.all(M[0, 1:] == 0.0))
-
-    def jet(w, order):
-        w = np.asarray(w, dtype=float)
-        F = np.sqrt(_quad(w, M, w))
-        if order == 0:
-            return (F,)
-        F1 = F[..., None]
-        mh = w @ M.T / F1
-        out = [F, mh]
-        if order >= 2:
-            out.append((M - _outer(mh, mh)) / F1[..., None])
-        if order >= 3:
-            out.append((3.0 * _outer3(mh) - _sym3(M, mh)) / F1[..., None, None] ** 2)
-        return tuple(out)
-
     if norm_id is None:
         norm_id = "elliptic:" + ";".join(
             ",".join(repr(float(v)) for v in row) for row in M
         )
-    return FinslerNorm.from_jet(norm_id, dim, jet, symmetric, _elliptic_flow_coeff(M))
+    return FinslerNorm.from_jet(norm_id, M.shape[0], _jet_of(_elliptic_planes(M)),
+                                symmetric, _elliptic_flow_coeff(M))
 
 
 def _elliptic_flow_coeff(M: np.ndarray):
@@ -215,31 +274,40 @@ def _elliptic_flow_coeff(M: np.ndarray):
     changes at most the sign of a zero that M_ij - m_i m_j / z^T M z then
     rounds away, so the bits are those of summing every term.  With M = I
     the entries are I - p p^T / (1 + |p|^2), the coefficient of
-    ``flows.mcf_graph``.
+    ``flows.mcf_graph``.  The plan of each sum, its (entry, index) terms, is
+    built here once, so a call makes only the array operations.
     """
     n = M.shape[0] - 1
-    M00, M0s, Mss = float(M[0, 0]), M[0, 1:].tolist(), M[1:, 1:].tolist()
-    # each row of M[:, 1:] as the (M_ij, j) of its nonzero entries
-    rows = [[(c, j) for j, c in enumerate(row) if c != 0.0] for row in M[:, 1:].tolist()]
-
-    def total(terms):
-        return functools.reduce(operator.add, terms)
+    M00, Mss = float(M[0, 0]), M[1:, 1:].tolist()
+    # each row of M[:, 1:] as the (M_ij, j) of its nonzero entries, with
+    # None for a unit entry; m_i subtracts the nonzero M_0i
+    rows = [[(None if c == 1.0 else c, j) for j, c in enumerate(row) if c != 0.0]
+            for row in M[:, 1:].tolist()]
+    row0, rows = rows[0], rows[1:]
+    shifts = [(i, c) for i, c in enumerate(M[0, 1:].tolist()) if c]
+    entries = [(i, j, Mss[i][j]) for i in range(n) for j in range(i, n)]
 
     def lin(row, p):
-        return total([p[j] if c == 1.0 else c * p[j] for c, j in row])
+        c, j = row[0]
+        s = p[j] if c is None else c * p[j]
+        for c, j in row[1:]:
+            s = s + (p[j] if c is None else c * p[j])
+        return s
 
     def coeff(P, out=None):
         P = np.asarray(P, dtype=float)
         p = [P[..., i] for i in range(n)]
-        Mp = [lin(row, p) for row in rows[1:]]
-        m = [Mp[i] - M0s[i] if M0s[i] else Mp[i] for i in range(n)]
-        pMp = total([p[i] * Mp[i] for i in range(n)])
-        zMz = (M00 - 2.0 * lin(rows[0], p) if rows[0] else M00) + pMp
+        m = [lin(row, p) for row in rows]
+        pMp = p[0] * m[0]
+        for i in range(1, n):
+            pMp = pMp + p[i] * m[i]
+        zMz = (M00 - 2.0 * lin(row0, p) if row0 else M00) + pMp
+        for i, c in shifts:
+            m[i] = m[i] - c
         A = np.empty(P.shape + (n,)) if out is None else out
-        for i in range(n):
-            np.subtract(Mss[i][i], m[i] * m[i] / zMz, out=A[..., i, i])
-            for j in range(i + 1, n):
-                np.subtract(Mss[i][j], m[i] * m[j] / zMz, out=A[..., i, j])
+        for i, j, c in entries:
+            np.subtract(c, m[i] * m[j] / zMz, out=A[..., i, j])
+            if i != j:
                 A[..., j, i] = A[..., i, j]
         return A
 
@@ -256,49 +324,53 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     Euclidean norm.  The flow coefficient has a closed form
     (``_quartic_flow_coeff``).
     """
-    eu = euclidean_norm(dim)
     d = float(delta)
-    I = np.eye(dim)
+    if not math.isfinite(d):
+        raise NormConstructionError("delta must be finite")
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+    euclid = _elliptic_planes(np.eye(dim))
     idx = np.arange(dim)
 
-    def jet(w, order):
-        w = np.asarray(w, dtype=float)
-        e = eu.jet(w, order)
+    def planes(w, order):
+        e = euclid(w, order)
+        w = _entry_major(w)
         # the powers of w are products: numpy's ** on a negative base is slow
         # and not even, (-x)**4 != x**4 now and then.  The powers of r > 0 are
-        # taken on (..., 1) arrays and reshaped for each broadcast: numpy
+        # taken on (1, ...) arrays that broadcast against the entries: numpy
         # rounds ** on a 0-d scalar unlike its array loop, so one covector
-        # takes the array loop too
+        # takes the array loop too.  S sums left to right, as numpy's sum
+        # over a short last axis does
         w2 = w * w
-        r, S = e[0], np.sum(w2 * w2, axis=-1)
-        r1, S1 = r[..., None], S[..., None]
+        w4 = w2 * w2
+        r, S = e[0], sum(w4[1:], w4[0])
+        r1, S1 = r[None], S[None]
         r3 = r1 ** 3
-        out = [r + d * S / r3[..., 0]]
+        out = [r + d * S / r3[0]]
         if order >= 1:
             r5 = r1 ** 5
             Si = 4.0 * (w2 * w)
             # grad(r) + delta * (S_i r^-3 - 3 S w_i r^-5)
             out.append(e[1] + d * (Si / r3 - 3.0 * S1 * w / r5))
         if order >= 2:
+            I = np.eye(dim).reshape((dim, dim) + (1,) * np.ndim(r))
             r7 = r1 ** 7
             # S_ij and the derivatives g_i, g_ij of g = r^-3
-            Sij = I * (12.0 * w2)[..., None, :]
+            Sij = I * (12.0 * w2)
             gi = -3.0 * w / r5
-            gij = -3.0 * I / r5[..., None] + 15.0 * _outer(w, w) / r7[..., None]
-            H_u = Sij / r3[..., None] + _outer(Si, gi) + _outer(gi, Si) + S1[..., None] * gij
+            gij = -3.0 * I / r5 + 15.0 * _outer(w, w) / r7
+            H_u = Sij / r3 + _outer(Si, gi) + _outer(gi, Si) + S1 * gij
             out.append(e[2] + d * H_u)
         if order >= 3:
-            Sijk = np.zeros(w.shape + (dim, dim))
-            Sijk[..., idx, idx, idx] = 24.0 * w
-            gijk = (15.0 * _sym3(I, w) / r7[..., None, None]
-                    - 105.0 * _outer3(w) / (r1 ** 9)[..., None, None])
+            Sijk = np.zeros((dim,) * 3 + np.shape(r))
+            Sijk[idx, idx, idx] = 24.0 * w
+            gijk = 15.0 * _sym3(I, w) / r7 - 105.0 * _outer3(w) / r1 ** 9
             # Leibniz expansion of (S * g)_ijk
-            T_u = (Sijk / r3[..., None, None] + _sym3(Sij, gi) + _sym3(gij, Si)
-                   + S1[..., None, None] * gijk)
+            T_u = Sijk / r3 + _sym3(Sij, gi) + _sym3(gij, Si) + S1 * gijk
             out.append(e[3] + d * T_u)
         return tuple(out)
 
-    nf = FinslerNorm.from_jet(f"quartic:{delta}", dim, jet, True,
+    nf = FinslerNorm.from_jet(f"quartic:{delta}", dim, _jet_of(planes), True,
                               _quartic_flow_coeff(d, dim - 1))
     if d != 0.0:
         _check_convexity(nf)
@@ -458,6 +530,38 @@ def _sphere_points(dim: int, count: int, rng) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _entry_major(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of a stack (..., dim) with its entry axis leading."""
+    return np.ascontiguousarray(_lead(x, 1))
+
+
+def _samples(build):
+    """A stage's norm-independent samples, ``build(dim, s_max, spec)`` for
+    the stage's SAMPLING entry ``spec``, built once per (dim, s_max, the
+    entry's values) and handed out read-only, so an edited table builds
+    anew and no caller can change what the next one reads."""
+
+    @functools.lru_cache(maxsize=8)
+    def cached(dim, s_max, items):
+        arrays = build(dim, s_max, dict(items))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
+    def samples(dim, s_max, spec):
+        return cached(dim, s_max, tuple(spec.items()))
+
+    samples.cache_clear = cached.cache_clear
+    return samples
+
+
+@_samples
+def _A_P_samples(dim, s_max, spec):
+    dirs = _spatial_directions(dim - 1, spec["n_dirs"])
+    scales = np.unique(np.concatenate([np.geomspace(0.05, s_max, spec["n_scales"]), [1.0]]))
+    return dirs, _embed(dirs), scales
+
+
 def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
     """Sampled constants (A, P) with B(p) = F D^2 F|_{p - phi^0}(p, p) >= A
     whenever F(p) >= P.
@@ -469,13 +573,15 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
     plateau is not reached at s_max.
     """
     spec = SAMPLING["estimate_A_P"]
-    dirs = _spatial_directions(nf.dim - 1, spec["n_dirs"])
-    scales = np.unique(np.concatenate([np.geomspace(0.05, s_max, spec["n_scales"]), [1.0]]))
+    dirs, dirs_e, scales = _A_P_samples(nf.dim, s_max, spec)
 
-    # normalize so that F(p) equals the scale exactly; B is (dirs, scales)
-    v_unit = dirs / nf.value(_embed(dirs))[:, None]
-    p = scales[:, None] * v_unit[:, None, :]
-    B = _quad(p, nf.flow_coeff(p), p)
+    # normalize so that F(p) equals the scale exactly; B is (dirs, scales).
+    # The coefficient reads p entry-major, _quad takes it entries trailing
+    v_unit = dirs / nf.value(dirs_e)[:, None]
+    p = _trail(_entry_major(v_unit)[:, :, None] * scales, 1)
+    a = nf.flow_coeff(p)
+    p = np.ascontiguousarray(p)
+    B = _quad(p, a, p)
     F, _, H = nf.jet(_embed(v_unit), 2)
     limits = F * H[:, 0, 0]
 
@@ -499,9 +605,9 @@ def estimate_A_P(nf: FinslerNorm, s_max: float = 1e3):
 
 def _hat(F: np.ndarray, DF: np.ndarray, z: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Project q onto the tangent plane of the unit ball at z, given F and DF
-    at z (all broadcast)."""
+    at z: DF, z and q entry-major, all broadcast."""
     c = _dot(DF, q) / F
-    return q - c[..., None] * z
+    return q - c * z
 
 
 def cartan_Q(nf: FinslerNorm, z: np.ndarray, p: np.ndarray, q: np.ndarray,
@@ -515,26 +621,32 @@ def cartan_Q(nf: FinslerNorm, z: np.ndarray, p: np.ndarray, q: np.ndarray,
     return float(F ** 2 * np.einsum("ijk,i,j,k->", T, ph, qh, rh))
 
 
+@_samples
+def _smallness_samples(dim, s_max, spec):
+    # one (3, dim) draw per triple, in order, is the same stream as one draw
+    rng = np.random.default_rng(spec["seed"])
+    z = _sphere_points(dim, spec["n_z"], rng)[:, None, :]
+    draw = rng.normal(size=(spec["n_z"], spec["n_triples"], 3, dim))
+    return z, _entry_major(z), np.ascontiguousarray(np.transpose(draw, (3, 2, 0, 1)))
+
+
 def check_smallness(nf: FinslerNorm):
     """Empirical C1: max of |Q(p,q,r)| over the normalizing bracket
     [F^3 D^2F(p,p) D^2F(q,q) D^2F(r,r)]^(1/2), with threshold checks
     C1^2 < 4/sqrt(n) and the interior variant C1^2 < 2/sqrt(n)."""
-    spec = SAMPLING["check_smallness"]
-    n_z, n_triples = spec["n_z"], spec["n_triples"]
-    rng = np.random.default_rng(spec["seed"])
     n = nf.dim - 1
-    # z is (n_z, 1, dim) against the (n_z, n_triples) samples; one (3, dim)
-    # draw per triple, in order, is the same stream as one draw
-    z = _sphere_points(nf.dim, n_z, rng)[:, None, :]
-    F, DF, H, T = nf.jet(z, 3)
-    trio = _hat(F[..., None], DF[..., None, :], z[..., None, :],
-                rng.normal(size=(n_z, n_triples, 3, nf.dim)))
-    p, q, r = np.moveaxis(trio, -2, 0)
-    denom_sq = F ** 3 * _form(p, H, p) * _form(q, H, q) * _form(r, H, r)
+    # z is (n_z, 1) against the (n_z, n_triples) samples, and the triples'
+    # draw is (dim, 3, n_z, n_triples)
+    z, zt, draw = _smallness_samples(nf.dim, None, SAMPLING["check_smallness"])
+    F, DF, H, T = _planes(nf.jet(z, 3))
+    trio = _hat(F, DF[:, None], zt[:, None], draw)
+    forms = _form(trio, H[:, :, None], trio)
+    denom_sq = F ** 3 * forms[0] * forms[1] * forms[2]
     if np.any(denom_sq <= 0):
         raise ArithmeticError(f"degenerate tangent Hessian for {nf.id!r}")
+    p, q, r = trio.swapaxes(0, 1)
     # D^3 F contracted with r on its last index, then with p and q
-    Q = F ** 2 * _form(p, _dot(T, r[..., None, None, :]), q)
+    Q = F ** 2 * _form(p, _dot(np.moveaxis(T, 2, 0), r[:, None, None]), q)
     C1 = float(np.max(np.abs(Q) / np.sqrt(denom_sq), initial=0.0))
     return C1, bool(C1 ** 2 < 4.0 / np.sqrt(n)), bool(C1 ** 2 < 2.0 / np.sqrt(n))
 
@@ -575,16 +687,34 @@ def check_symmetry(nf: FinslerNorm) -> VerificationReport:
     )
 
 
+@_samples
+def _trace_samples(dim, s_max, spec):
+    scales = np.concatenate([[0.0], np.geomspace(0.05, s_max, spec["n_scales"])])
+    dirs = _spatial_directions(dim - 1, spec["n_dirs"])
+    return (_trail(_entry_major(dirs)[:, :, None] * scales, 1),)
+
+
 def trace_lower_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
     """Empirical min over sampled p of the trace of the flow coefficient
     ``nf.flow_coeff``; requires n > 1."""
     n = nf.dim - 1
     if n <= 1:
         raise ValueError("trace lower bound needs n > 1")
-    spec = SAMPLING["trace_lower_bound"]
-    scales = np.concatenate([[0.0], np.geomspace(0.05, s_max, spec["n_scales"])])
-    p = scales[:, None] * _spatial_directions(n, spec["n_dirs"])[:, None, :]
-    return float(np.min(np.trace(nf.flow_coeff(p), axis1=-2, axis2=-1)))
+    # p is (dirs, scales, n), and p and the coefficient entry-major
+    (p,) = _trace_samples(nf.dim, s_max, SAMPLING["trace_lower_bound"])
+    a = nf.flow_coeff(p, _trail(np.empty((n, n) + p.shape[:-1]), 2))
+    return float(np.min(np.trace(a, axis1=-2, axis2=-1)))
+
+
+@_samples
+def _cross_term_samples(dim, s_max, spec):
+    rng = np.random.default_rng(spec["seed"])
+    n = dim - 1
+    qe = _embed(_sphere_points(n, spec["n_q"], rng))
+    # p is (dirs, scales, 1, n) against the q samples
+    scales = np.geomspace(0.05, s_max, spec["n_scales"])[:, None, None]
+    p = scales * _spatial_directions(n, spec["n_dirs"])[:, None, None, :]
+    return qe, _z_of(p), _embed(p)
 
 
 def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
@@ -592,17 +722,24 @@ def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
     for spatial p, q; requires the symmetry condition."""
     if not nf.symmetric_flag:
         raise ValueError("cross_term_bound assumes the symmetry condition")
-    spec = SAMPLING["cross_term_bound"]
-    rng = np.random.default_rng(spec["seed"])
-    n = nf.dim - 1
-    qe = _embed(_sphere_points(n, spec["n_q"], rng))
-    # p is (dirs, scales, 1, n) against the q samples
-    scales = np.geomspace(0.05, s_max, spec["n_scales"])[:, None, None]
-    p = scales * _spatial_directions(n, spec["n_dirs"])[:, None, None, :]
-    F, _, H = nf.jet(_z_of(p), 2)
-    G = F[..., None, None] * H
-    val = F * np.abs(_quad(_embed(p), G, qe)) / nf.value(qe)
+    qe, z, pe = _cross_term_samples(nf.dim, s_max, SAMPLING["cross_term_bound"])
+    F, _, H = nf.jet(z, 2)
+    # _quad takes G C-contiguous, entries trailing (its docstring)
+    G = np.multiply(F[..., None, None], H, order="C")
+    val = F * np.abs(_quad(pe, G, qe)) / nf.value(qe)
     return float(np.max(val, initial=0.0))
+
+
+@_samples
+def _S_eps_samples(dim, s_max, spec):
+    s_grid = np.geomspace(*spec["s_grid"])
+    rng = np.random.default_rng(spec["seed"])
+    n = dim - 1
+    qe = _embed(_sphere_points(n, spec["n_q"], rng))
+    # p is (scales, dirs, 1, n) against the q samples
+    p = s_grid[:, None, None, None] * _spatial_directions(n, spec["n_dirs"])[:, None, :]
+    z = _z_of(p)
+    return s_grid, z, _entry_major(z), _entry_major(_embed(p)), _entry_major(qe[None, None])
 
 
 def estimate_S_eps(nf: FinslerNorm, eps_values) -> dict:
@@ -610,21 +747,12 @@ def estimate_S_eps(nf: FinslerNorm, eps_values) -> dict:
     |F D(F D^2 F)|_{p-phi^0}(p, q^, q^)| <= eps G(p,p)^(1/2) G(q,q) for all
     sampled F(p) >= S; None if the grid never satisfies the bound
     (non-convergence flag).  The samples are evaluated once for every eps."""
-    spec = SAMPLING["estimate_S_eps"]
-    s_grid = np.geomspace(*spec["s_grid"])
-    rng = np.random.default_rng(spec["seed"])
-    n = nf.dim - 1
-    qe = _embed(_sphere_points(n, spec["n_q"], rng))
-    # p is (scales, dirs, 1, n) against the q samples
-    scales = s_grid[:, None, None, None]
-    p = scales * _spatial_directions(n, spec["n_dirs"])[:, None, :]
-    z = _z_of(p)
-    pe = _embed(p)
-    F, DF, H, T = nf.jet(z, 3)
-    qh = _hat(F, DF, z, qe)
+    s_grid, z, zt, pe, qe = _S_eps_samples(nf.dim, None, SAMPLING["estimate_S_eps"])
+    F, DF, H, T = _planes(nf.jet(z, 3))
+    qh = _hat(F, DF, zt, qe)
     Hqq = _form(qh, H, qh)
     # D^3 F contracted with p on its first index, then with qh twice
-    Tpqq = _form(qh, _dot(np.moveaxis(T, -3, -1), pe[..., None, None, :]), qh)
+    Tpqq = _form(qh, _dot(T, pe[:, None, None]), qh)
     # F * D(F D^2 F)(p, qh, qh) = F (DF(p) D2F(qh,qh) + F D3F(p,qh,qh))
     dG = F * (_dot(DF, pe) * Hqq + F * Tpqq)
     Gpp, Gqq = F * _form(pe, H, pe), F * Hqq

@@ -617,6 +617,23 @@ def test_certify_aniso_flow_certifies_its_norm(tmp_path):
     assert main(["certify", "aniso:octagon", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("norm_id, message", [
+    ("quartic:0.5", "fails the convexity probe"),
+    ("quartic:nan", "delta must be finite"),
+    ("elliptic:nan,1,1", "M must be finite"),
+])
+def test_certify_aniso_flow_reports_its_norms_error(tmp_path, capsys, norm_id, message):
+    # a norm that cannot be built is reported as the norm id reports it, not
+    # as an unknown id, and no certificate is written
+    out = tmp_path / "c"
+    assert main(["certify", norm_id, "--out", str(out)]) == 2
+    own = capsys.readouterr().err.partition(": ")[2]
+    assert message in own
+    assert main(["certify", f"aniso:{norm_id}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"unknown certify id 'aniso:{norm_id}': {own}"
+    assert not list(out.glob("*.json"))
+
+
 def test_certify_flow(tmp_path):
     out = str(tmp_path / "c")
     assert main(["certify", "csf", "--out", out]) == 0
@@ -639,6 +656,31 @@ def test_certify_flow_output_pinned(tmp_path, flow_id):
     code = main(["certify", flow_id, "--out", out])
     with open(os.path.join(out, f"certificate-{flow_id}.json"), "rb") as fh:
         assert (hashlib.sha256(fh.read()).hexdigest(), code) == CERTIFICATE_SHA256[flow_id]
+
+
+# sha256 of the certificate JSON files that `flowlab certify norms` and
+# `flowlab certify quartic:0.001` write, recorded before the jets and the
+# certificate stages went entry-major: a change of C1 or C2 in its last
+# digit changes them, where the benchmark's reference gate allows 1e-12
+NORM_CERTIFICATE_SHA256 = {
+    "certificate-euclid.json":
+        "3b323aa71ba542446d7076572bbe1f986b6c22ef6cf6619d41aa98a8fac7b8f2",
+    "certificate-elliptic_1.0,0.0,0.0;0.0,1.5,0.0;0.0,0.0,2.0.json":
+        "ea1fc7a73f338d4d8fe227b801cf68ba69da497b072ef2520a36a24d0676c5b5",
+    "certificate-quartic_0.001.json":
+        "bbcd2cf932cef13e05a570d9dc255ead6f51b75aacd50fd482ef6374a81753bc",
+}
+
+
+@pytest.mark.parametrize("target", ["norms", "quartic:0.001"])
+def test_certify_norm_output_pinned(tmp_path, target):
+    out = tmp_path / "c"
+    assert main(["certify", target, "--out", str(out)]) == 0
+    observed = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    expected = (NORM_CERTIFICATE_SHA256 if target == "norms" else
+                {"certificate-quartic_0.001.json":
+                 NORM_CERTIFICATE_SHA256["certificate-quartic_0.001.json"]})
+    assert observed == expected
 
 
 def test_certify_unknown_id(tmp_path):

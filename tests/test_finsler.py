@@ -260,6 +260,25 @@ def test_elliptic_validation():
         elliptic_norm(np.diag([1.0, -1.0]))  # not positive definite
 
 
+NON_FINITE_CASES = [
+    ("quartic:nan", "delta must be finite"),
+    ("quartic:inf", "delta must be finite"),
+    ("quartic:-inf", "delta must be finite"),
+    ("elliptic:nan,1", "M must be finite"),
+    ("elliptic:1,inf,2", "M must be finite"),
+    ("elliptic:1,nan;nan,1", "M must be finite"),
+]
+
+
+@pytest.mark.parametrize("norm_id, message", NON_FINITE_CASES,
+                         ids=[c[0] for c in NON_FINITE_CASES])
+def test_non_finite_norm_parameters_are_construction_errors(norm_id, message):
+    # checked before the convexity probe's eigenvalues or the symmetry test
+    # can fail on them
+    with pytest.raises(NormConstructionError, match=f"^{message}$"):
+        norm_by_id(norm_id)
+
+
 def test_norm_by_id():
     assert norm_by_id("euclid").id == "euclid"
     nf = norm_by_id("elliptic:1.0,2.0,3.0")
@@ -430,20 +449,22 @@ def test_cartan_Q_symmetric_in_arguments():
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_component_contractions_match_einsum(d):
-    # _dot and _form add in another order than einsum; each result stays
-    # within (terms) * eps of the sum of the terms' magnitudes
+    # _dot and _form contract over the leading entry axes and add in
+    # another order than einsum; each result stays within (terms) * eps of
+    # the sum of the terms' magnitudes
     rng = np.random.default_rng(d)
-    p, q, r = rng.normal(size=(3, 50, 7, d))
-    H, T = rng.normal(size=(50, 1, d, d)), rng.normal(size=(50, 1, d, d, d))
+    p, q, r = rng.normal(size=(3, d, 50, 7))
+    H, T = rng.normal(size=(d, d, 50, 1)), rng.normal(size=(d, d, d, 50, 1))
     eps = np.finfo(float).eps
     cases = [
-        (finsler._dot(p, q), np.einsum("...i,...i", p, q),
-         np.einsum("...i,...i", abs(p), abs(q)), d),
-        (finsler._form(p, H, q), np.einsum("...i,...ij,...j", p, H, q),
-         np.einsum("...i,...ij,...j", abs(p), abs(H), abs(q)), 2 * d),
-        (finsler._form(p, finsler._dot(T, r[..., None, None, :]), q),
-         np.einsum("...ijk,...i,...j,...k", T, p, q, r),
-         np.einsum("...ijk,...i,...j,...k", abs(T), abs(p), abs(q), abs(r)), 3 * d),
+        (finsler._dot(p, q), np.einsum("i...,i...", p, q),
+         np.einsum("i...,i...", abs(p), abs(q)), d),
+        (finsler._form(p, H, q), np.einsum("i...,ij...,j...", p, H, q),
+         np.einsum("i...,ij...,j...", abs(p), abs(H), abs(q)), 2 * d),
+        # D^3 F contracted with r on its last index, as check_smallness does
+        (finsler._form(p, finsler._dot(np.moveaxis(T, 2, 0), r[:, None, None]), q),
+         np.einsum("ijk...,i...,j...,k...", T, p, q, r),
+         np.einsum("ijk...,i...,j...,k...", abs(T), abs(p), abs(q), abs(r)), 3 * d),
     ]
     for got, ref, size, terms in cases:
         assert got.shape == ref.shape
@@ -590,6 +611,72 @@ def test_quadratic_norms_have_C1_of_rounding_size(norm_id, dim):
     # control
     C1, pass4, pass2 = check_smallness(norm_by_id(norm_id, dim))
     assert C1 < 1e-10 and pass4 and pass2
+
+
+SAMPLE_CACHES = [finsler._A_P_samples, finsler._trace_samples, finsler._smallness_samples,
+                 finsler._cross_term_samples, finsler._S_eps_samples]
+
+
+def _certificate_text(nf):
+    return json.dumps(certify(nf).to_jsonable())  # k is NaN in dim 2
+
+
+def _fresh_certificate_text(nf):
+    for cache in SAMPLE_CACHES:
+        cache.cache_clear()
+    return _certificate_text(nf)
+
+
+def test_interleaved_certificates_equal_fresh_ones():
+    # the cached samples depend on the stage's dimension and table only
+    norms = [quartic_norm(1e-3, 3), euclidean_norm(3), quartic_norm(1e-3, 2),
+             quartic_norm(1e-3, 3)]
+    fresh = [_fresh_certificate_text(nf) for nf in norms]
+    assert [_certificate_text(nf) for nf in norms] == fresh
+
+
+def test_edited_sampling_table_builds_new_samples():
+    nf = quartic_norm(1e-3, 3)
+    C1 = check_smallness(nf)[0]
+    spec = finsler.SAMPLING["check_smallness"]
+    n_triples = spec["n_triples"]
+    try:
+        spec["n_triples"] = n_triples + 5
+        assert check_smallness(nf)[0] != C1
+    finally:
+        spec["n_triples"] = n_triples
+    assert check_smallness(nf)[0] == C1
+
+
+def test_cached_samples_are_read_only():
+    certify(quartic_norm(1e-3, 3))
+    stacks = [
+        finsler._A_P_samples(3, 1e3, finsler.SAMPLING["estimate_A_P"]),
+        finsler._trace_samples(3, 1e3, finsler.SAMPLING["trace_lower_bound"]),
+        finsler._smallness_samples(3, None, finsler.SAMPLING["check_smallness"]),
+        finsler._cross_term_samples(3, 1e3, finsler.SAMPLING["cross_term_bound"]),
+        finsler._S_eps_samples(3, None, finsler.SAMPLING["estimate_S_eps"]),
+    ]
+    for arrays in stacks:
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+
+
+@pytest.mark.parametrize("nf", EVEN_CASES, ids=[f"{nf.id}-dim{nf.dim}" for nf in EVEN_CASES])
+def test_jet_entries_are_entry_major(nf):
+    # each entry of DF, D^2 F and D^3 F is one contiguous plane over the
+    # batch, for any layout of the stack
+    rng = np.random.default_rng(30 + nf.dim)
+    stacks = [rng.normal(size=nf.dim), rng.normal(size=(40, nf.dim)),
+              rng.normal(size=(5, 4, 1, nf.dim)), rng.normal(size=(9, 2 * nf.dim))[:, ::2],
+              np.asfortranarray(rng.normal(size=(6, nf.dim)))]
+    for w in stacks:
+        jet = nf.jet(w, 3)
+        for k, x in enumerate(jet[1:], 1):
+            assert x.shape == w.shape[:-1] + (nf.dim,) * k
+            lead = np.moveaxis(x, tuple(range(-k, 0)), tuple(range(k)))
+            assert lead.flags.c_contiguous, f"entry {k} of a {w.shape} stack"
 
 
 def test_S_eps_shares_its_samples_across_eps():
