@@ -142,8 +142,9 @@ CHECK_TYPES = {
         lambda p, traj: verify.double_coordinate_defect(
             traj, barriers.PsiBarrier(c=p["c"]), p["M"], region=p["region"],
             t_window=_region_window(p)),
-        {"M": Key(within=POSITIVE), "c": Key(within=POSITIVE),
-         "region": Key(str, "full", ("full", "G")),
+        # the barrier's time scale 4 M^2 is finite for M up to sqrt(max_float / 4)
+        {"M": Key(within=f"(0, {float(np.sqrt(np.finfo(float).max / 4))!r}]"),
+         "c": Key(within=POSITIVE), "region": Key(str, "full", ("full", "G")),
          **WINDOW, "t_hi": Key(float, None, "(-inf, inf]")}),
     "convergence": Kind(
         lambda p, traj: verify.convergence_to_initial_data(
@@ -317,8 +318,10 @@ def load_config(path) -> ExperimentConfig:
     flow_values, _ = section("flow", lambda values: built.update(flow=_one_d_flow(values)))
 
     _, g = section("grid")
-    if not g["x_lo"] < g["x_hi"]:
-        raise ConfigError("grid.x_hi", f"x_hi = {g['x_hi']!r} must exceed x_lo = {g['x_lo']!r}")
+    h = (g["x_hi"] - g["x_lo"]) / g["n_cells"]  # Grid1D.h; also rules out x_hi <= x_lo
+    if not all(np.finfo(float).tiny <= v < np.inf for v in (h, h * h)):
+        raise ConfigError("grid.x_hi", f"x_hi = {g['x_hi']!r} and x_lo = {g['x_lo']!r} give the "
+                          f"cell width h = {h!r}; h and h^2 must be finite, positive and normal")
     grid = Grid1D(**g)
 
     initial, ip = section("initial")

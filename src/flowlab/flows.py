@@ -67,9 +67,9 @@ class GraphFlowND:
 
     n: int
     coeff: Callable[..., np.ndarray]
-    Lambda_of_K: Callable[[float], float] = lambda K: 1.0
+    Lambda_of_K: Callable[[float], float]
+    name: str
     degeneracy: Optional[DegeneracyProfile] = None
-    name: str = "graphflow"
 
 
 def scalar_flow(a_of_sq: Callable[..., np.ndarray], A0: float, P: float,

@@ -84,7 +84,7 @@ class TimeStepPlan:
 @dataclass
 class Trajectory:
     """Snapshots (time, Field) at the requested output times, all on the
-    grid of the first: another grid is a ValueError."""
+    grid of the first (``grid``): another grid is a ValueError."""
 
     snapshots: list = field(default_factory=list)
     dt_stats: dict = field(default_factory=dict)
@@ -101,8 +101,12 @@ class Trajectory:
     def fields(self) -> list:
         return [f for _, f in self.snapshots]
 
+    @property
+    def grid(self):
+        return self.snapshots[0][1].grid
+
     def _check_grid(self, f: Field) -> None:
-        if f.grid != self.snapshots[0][1].grid:
+        if f.grid != self.grid:
             raise ValueError("the snapshots of a trajectory must share one grid")
 
     def append(self, t: float, f: Field) -> None:
@@ -127,11 +131,10 @@ class Trajectory:
             "dt_stats": self.dt_stats,
         }
         if self.snapshots:
-            grid = self.snapshots[0][1].grid
-            cells = _coordinate_cells(grid)  # formatted once, for every snapshot
+            cells = _coordinate_cells(self.grid)  # formatted once, for every snapshot
             for t, f in self.snapshots:
                 _write_csv(f, os.path.join(fields_dir, snapshot_file_name(t)), cells)
-            manifest["grid"] = _grid_to_jsonable(grid)
+            manifest["grid"] = _grid_to_jsonable(self.grid)
         if extra:
             manifest.update(extra)
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

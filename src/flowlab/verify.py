@@ -29,7 +29,10 @@ __all__ = [
     "check_comparison",
     "double_coordinate_defect",
     "gradient_bound_check",
-    "displacement_check",
+    "holder_displacement",
+    "lipschitz_displacement",
+    "step_displacement",
+    "modulus_displacement",
     "count_intersections",
     "intersection_monotonicity",
     "heat_zero_counting_gradient",
@@ -183,7 +186,7 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     """
     if region not in ("full", "G"):
         raise ValueError("region must be 'full' or 'G'")
-    grid = traj.fields[0].grid
+    grid = traj.grid
     if not isinstance(grid, Grid1D) or grid.topology != "periodic":
         raise PreconditionError("double-coordinate check needs a periodic 1-D grid")
     h = grid.h
@@ -265,97 +268,99 @@ def gradient_bound_check(traj, bound: Callable[[float], float],
 # --- displacement estimates -------------------------------------------------
 
 
-def displacement_check(traj, kind: str, *, Lambda_of_K=None, L=None, h=0.0,
-                       alpha=None, m=0, omega: ModulusOfContinuity = None,
-                       half_height=None, jump=0.0,
-                       grid_tol: float = 0.0) -> VerificationReport:
-    """Displacement bounds for non-smooth initial data.
-
-    kind "lipschitz": pointwise u <= erf-cone barrier above L|x - h|.
-    kind "step": for x < jump, u <= min(4c/|x-jump| sqrt(Lambda t/pi) - c, c)
-      with c = half_height and Lambda = Lambda_of_K(2c/|x-jump|).
-    kind "holder": apex value u(h, t) fitted exponent vs alpha/(2+m(1-alpha)).
-    kind "modulus": apex value u(h, t) <= inf_k [2 omega'(k) sqrt(Lambda t/pi)
-      - omega'(k) k + omega(k)].
-    Raises PreconditionError when the trajectory has no snapshot with t > 0,
-    or fewer than two for the holder fit.
-    """
-    grid = traj.fields[0].grid
-    if not isinstance(grid, Grid1D):
+def _apex(traj, h: float) -> tuple:
+    """The nodes of traj's 1-D grid and the index of the node nearest h."""
+    if not isinstance(traj.grid, Grid1D):
         raise PreconditionError("displacement checks are one-dimensional")
-    x = grid.nodes()
-    i0 = int(np.argmin(np.abs(x - h)))
+    x = traj.grid.nodes()
+    return x, int(np.argmin(np.abs(x - h)))
 
-    if kind == "holder":
-        if alpha is None:
-            raise ValueError("holder kind needs alpha")
-        snaps = _scan(traj)
-        if len(snaps) < 2:
-            raise PreconditionError("the holder exponent fit needs two snapshots with t > 0")
-        fitted = fit_exponent([t for t, _ in snaps],
-                              [abs(f.values[i0] - traj.fields[0].values[i0]) for _, f in snaps])
-        target = alpha / (2.0 + m * (1.0 - alpha))
-        defect = abs(fitted - target) / target
-        return VerificationReport(
-            "displacement:holder", defect, 0.10,
-            {"fitted_exponent": fitted, "target": target},
-            {"alpha": alpha, "m": m, "apex": float(x[i0])})
 
-    if kind == "lipschitz":
-        if L is None or Lambda_of_K is None:
-            raise ValueError("lipschitz kind needs L and Lambda_of_K")
-        cone = barriers.ConeBarrier(L=L, h=h, Lambda=float(Lambda_of_K(L)))
-        metadata = {"L": L, "h": h}
-
-        def sample(t, f):
-            v = barriers.cone_barrier_eval(cone, x, t)
-            d = f.values - v
-            i = int(np.argmax(d))
-            return float(d[i]), {"t": float(t), "x": float(x[i]), "u": float(f.values[i]),
-                                 "barrier": float(v[i])}
-
-    elif kind == "step":
-        if half_height is None or Lambda_of_K is None:
-            raise ValueError("step kind needs half_height and Lambda_of_K")
-        c = float(half_height)
-        metadata = {"half_height": c, "jump": jump}
-        left = x < jump
-        xi = np.abs(x[left] - jump)
-        Lam = np.array([float(Lambda_of_K(2.0 * c / d)) for d in xi])
-
-        def sample(t, f):
-            env = np.minimum(4.0 * c / xi * np.sqrt(Lam * t / np.pi) - c, c)
-            d = f.values[left] - env
-            i = int(np.argmax(d))
-            return float(d[i]), {"t": float(t), "x": float(x[left][i]),
-                                 "envelope": float(env[i])}
-
-    elif kind == "modulus":
-        if omega is None or Lambda_of_K is None:
-            raise ValueError("modulus kind needs omega and Lambda_of_K")
-        from scipy.optimize import minimize_scalar
-
-        metadata = {"apex": float(x[i0])}
-        k_max = float(x[-1] - x[0])
-
-        def sample(t, f):
-            def envelope(k):
-                dk = omega.left_derivative(k)
-                lam = float(Lambda_of_K(dk)) if np.isfinite(dk) else 0.0
-                return (2.0 * dk * np.sqrt(lam * t / np.pi)
-                        - dk * k + omega.omega(k)) if np.isfinite(dk) else np.inf
-
-            res = minimize_scalar(envelope, bounds=(1e-8 * k_max, k_max), method="bounded")
-            ct = min(float(res.fun), envelope(k_max))
-            d = abs(f.values[i0] - traj.fields[0].values[i0]) - ct
-            return float(d), {"t": float(t), "c_t": ct, "k_star": float(res.x)}
-
-    else:
-        raise ValueError(f"unknown displacement kind {kind!r}")
-
+def _displacement_report(kind, traj, sample, grid_tol, metadata) -> VerificationReport:
+    """The report of the first largest ``sample(t, f)`` over the snapshots with t > 0."""
     worst, witness = _worst((sample(t, f) for t, f in _scan(traj)),
                             f"no snapshot with t > 0 to test the {kind} displacement bound")
     return VerificationReport(f"displacement:{kind}", worst, grid_tol, witness, metadata)
+
+
+def holder_displacement(traj, alpha: float, m=0, h: float = 0.0) -> VerificationReport:
+    """The exponent of the apex displacement |u(h, t) - u0(h)| fitted in t,
+    against alpha / (2 + m (1 - alpha)); the defect is relative, with the
+    fixed tolerance 0.10.  Needs two snapshots with t > 0."""
+    x, i0 = _apex(traj, h)
+    snaps = _scan(traj)
+    if len(snaps) < 2:
+        raise PreconditionError("the holder exponent fit needs two snapshots with t > 0")
+    u0 = traj.snapshots[0][1].values[i0]
+    fitted = fit_exponent([t for t, _ in snaps], [abs(f.values[i0] - u0) for _, f in snaps])
+    target = alpha / (2.0 + m * (1.0 - alpha))
+    return VerificationReport(
+        "displacement:holder", abs(fitted - target) / target, 0.10,
+        {"fitted_exponent": fitted, "target": target},
+        {"alpha": alpha, "m": m, "apex": float(x[i0])})
+
+
+def lipschitz_displacement(traj, L: float, Lambda_of_K, h: float = 0.0,
+                           grid_tol: float = 0.0) -> VerificationReport:
+    """Pointwise u <= the erf-cone barrier above L |x - h|, with
+    Lambda = Lambda_of_K(L)."""
+    x, _ = _apex(traj, h)
+    cone = barriers.ConeBarrier(L=L, h=h, Lambda=float(Lambda_of_K(L)))
+
+    def sample(t, f):
+        v = barriers.cone_barrier_eval(cone, x, t)
+        d = f.values - v
+        i = int(np.argmax(d))
+        return float(d[i]), {"t": float(t), "x": float(x[i]), "u": float(f.values[i]),
+                             "barrier": float(v[i])}
+
+    return _displacement_report("lipschitz", traj, sample, grid_tol, {"L": L, "h": h})
+
+
+def step_displacement(traj, half_height: float, Lambda_of_K, jump: float = 0.0,
+                      grid_tol: float = 0.0) -> VerificationReport:
+    """For x < jump, u <= min(4c/|x - jump| sqrt(Lambda t/pi) - c, c) with
+    c = half_height and Lambda = Lambda_of_K(2c/|x - jump|)."""
+    x, _ = _apex(traj, jump)
+    c = float(half_height)
+    left = x < jump
+    xi = np.abs(x[left] - jump)
+    Lam = np.array([float(Lambda_of_K(2.0 * c / d)) for d in xi])
+
+    def sample(t, f):
+        env = np.minimum(4.0 * c / xi * np.sqrt(Lam * t / np.pi) - c, c)
+        d = f.values[left] - env
+        i = int(np.argmax(d))
+        return float(d[i]), {"t": float(t), "x": float(x[left][i]),
+                             "envelope": float(env[i])}
+
+    return _displacement_report("step", traj, sample, grid_tol,
+                                {"half_height": c, "jump": jump})
+
+
+def modulus_displacement(traj, omega: ModulusOfContinuity, Lambda_of_K, h: float = 0.0,
+                         grid_tol: float = 0.0) -> VerificationReport:
+    """The apex displacement |u(h, t) - u0(h)| <= inf_k [2 omega'(k)
+    sqrt(Lambda t/pi) - omega'(k) k + omega(k)], Lambda = Lambda_of_K(omega'(k))."""
+    x, i0 = _apex(traj, h)
+    from scipy.optimize import minimize_scalar
+
+    u0 = traj.snapshots[0][1].values[i0]
+    k_max = float(x[-1] - x[0])
+
+    def sample(t, f):
+        def envelope(k):
+            dk = omega.left_derivative(k)
+            lam = float(Lambda_of_K(dk)) if np.isfinite(dk) else 0.0
+            return (2.0 * dk * np.sqrt(lam * t / np.pi)
+                    - dk * k + omega.omega(k)) if np.isfinite(dk) else np.inf
+
+        res = minimize_scalar(envelope, bounds=(1e-8 * k_max, k_max), method="bounded")
+        ct = min(float(res.fun), envelope(k_max))
+        d = abs(f.values[i0] - u0) - ct
+        return float(d), {"t": float(t), "c_t": ct, "k_star": float(res.x)}
+
+    return _displacement_report("modulus", traj, sample, grid_tol, {"apex": float(x[i0])})
 
 
 # --- intersection counting --------------------------------------------------
@@ -452,7 +457,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
     Raises PreconditionError when no interior node of a snapshot with t > 0
     is left to test.
     """
-    grid = traj.fields[0].grid
+    grid = traj.grid
     if not isinstance(grid, Grid1D) or grid.topology != "bounded":
         raise PreconditionError("heat zero-counting check needs a bounded 1-D grid")
     x = grid.nodes()

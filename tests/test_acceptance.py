@@ -197,7 +197,7 @@ def test_criterion_7_displacement_exponents():
     for alpha in (0.25, 0.5, 0.75):
         traj = evolve(flow, Field(g, np.abs(x) ** alpha), bc,
                       TimeStepPlan(t_end=times[-1]), times)
-        rep = verify.displacement_check(traj, "holder", alpha=alpha, m=0, h=0.0)
+        rep = verify.holder_displacement(traj, alpha, m=0, h=0.0)
         ok = ok and rep.passed
         details.append(f"alpha={alpha}: fitted {rep.witness['fitted_exponent']:.4f} "
                        f"vs {rep.witness['target']:.4f}")

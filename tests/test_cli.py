@@ -178,6 +178,13 @@ def _edit(path, old, new):
     (_edit(HEAT_STEP, "x_hi = 2.0", "x_hi = -2.0"), "grid.x_hi"),
     (MINIMAL.replace("id = heat\nc = 0.25", "id = aniso:octagon\ndim = 2"), "flow.id"),
     (MINIMAL.replace("id = heat\nc = 0.25", "id = aniso:quartic:0.5\ndim = 2"), "flow.id"),
+    # a cell width whose square overflows or underflows, and an M whose
+    # 4 M^2 overflows in either region
+    (_edit(HEAT_STEP, "x_hi = 2.0", "x_hi = 1e308"), "grid.x_hi"),
+    (_edit(CSF_CREN, "x_hi = 4.0", "x_hi = 1e-320"), "grid.x_hi"),
+    (_edit(CSF_CREN, "M = 1.0", "M = 1e308"), "check:double-coordinate.M"),
+    (_edit(CSF_CREN, "M = 1.0\nc = 0.25\nregion = G", "M = 1e308\nc = 0.25\nregion = full"),
+     "check:double-coordinate.M"),
 ], ids=["missing", "misspelt", "modulus-missing", "modulus-unknown", "other-type",
         "holder-alpha", "holder-alpha-text", "not-a-number",
         "initial-misspelt", "plan-misspelt", "bc-misspelt", "grid-misspelt", "run-misspelt",
@@ -188,7 +195,8 @@ def _edit(path, old, new):
         "jump-minus-inf", "plaplace-eps-nan", "plaplace-eps-zero", "zero-counting-on-csf",
         "zero-counting-on-plaplace", "abspow-not-finite", "lipschitz-L-negative",
         "holder-C-negative", "tail-floor-negative", "x_hi-equals-x_lo", "aniso-unknown-norm",
-        "aniso-norm-not-convex"])
+        "aniso-norm-not-convex", "h-squared-overflows", "h-squared-underflows",
+        "double-coordinate-M-overflows-G", "double-coordinate-M-overflows-full"])
 def test_check_keys_are_validated_before_the_evolve(tmp_path, text, path):
     cfg = _write(tmp_path, text)
     with pytest.raises(ConfigError, match=path.replace(".", r"\.")):

@@ -27,6 +27,12 @@ def test_catalog_resolution():
     assert get_flow("plaplace-reg").name == "plaplace-reg"
     with pytest.raises(KeyError):
         get_flow("unknown-flow")
+    # a flow claims its Lambda and its name; neither has a default
+    coeff = heat_1d(0.25).coeff
+    with pytest.raises(TypeError, match="Lambda_of_K"):
+        flows.GraphFlowND(n=1, coeff=coeff, name="heat")
+    with pytest.raises(TypeError, match="name"):
+        flows.GraphFlowND(n=1, coeff=coeff, Lambda_of_K=lambda K: 1.0)
 
 
 def test_mcf_coeff_properties():

@@ -13,12 +13,15 @@ from flowlab.verify import (
     check_comparison,
     convergence_to_initial_data,
     count_intersections,
-    displacement_check,
     fit_exponent,
     heat_zero_counting_gradient,
+    holder_displacement,
     holder_modulus,
     intersection_monotonicity,
+    lipschitz_displacement,
     lipschitz_modulus,
+    modulus_displacement,
+    step_displacement,
 )
 
 
@@ -79,17 +82,24 @@ def _initial_only():
     return traj
 
 
+# each displacement bound, on the heat flow u_t = u_xx where it reads Lambda
+DISPLACEMENT_BOUNDS = {
+    "lipschitz": lambda traj: lipschitz_displacement(traj, 1.0, flows.heat_1d(0.25).Lambda_of_K),
+    "step": lambda traj: step_displacement(traj, 1.0, flows.heat_1d(0.25).Lambda_of_K),
+    "modulus": lambda traj: modulus_displacement(traj, lipschitz_modulus(1.0),
+                                                 flows.heat_1d(0.25).Lambda_of_K),
+    "holder": lambda traj: holder_displacement(traj, 0.5),
+}
+
+
 @pytest.mark.parametrize("check", [
     lambda traj: heat_zero_counting_gradient(traj, M=2.0, c=0.25),
     lambda traj: convergence_to_initial_data(traj, lipschitz_modulus(1.0)),
-    lambda traj: displacement_check(traj, "lipschitz", L=1.0,
-                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
-    lambda traj: displacement_check(traj, "step", half_height=1.0,
-                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
-    lambda traj: displacement_check(traj, "modulus", omega=lipschitz_modulus(1.0),
-                                    Lambda_of_K=flows.heat_1d(0.25).Lambda_of_K),
+    DISPLACEMENT_BOUNDS["lipschitz"],
+    DISPLACEMENT_BOUNDS["step"],
+    DISPLACEMENT_BOUNDS["modulus"],
     lambda traj: verify.gradient_bound_check(traj, lambda t: 1.0),
-    lambda traj: displacement_check(traj, "holder", alpha=0.5),
+    DISPLACEMENT_BOUNDS["holder"],
 ], ids=["heat_zero_counting", "convergence", "lipschitz", "step", "modulus",
         "gradient_bound", "holder"])
 def test_check_without_positive_time_is_precondition_error(check):
@@ -102,9 +112,9 @@ def test_holder_fit_needs_two_snapshots():
     traj = _initial_only()
     traj.append(0.1, traj.fields[0].with_values(traj.fields[0].values + 0.1, 0.1))
     with pytest.raises(PreconditionError, match="two snapshots"):
-        displacement_check(traj, "holder", alpha=0.5)
+        holder_displacement(traj, alpha=0.5)
     traj.append(0.2, traj.fields[0].with_values(traj.fields[0].values + 0.2, 0.2))
-    assert displacement_check(traj, "holder", alpha=0.5).witness["fitted_exponent"] > 0
+    assert holder_displacement(traj, alpha=0.5).witness["fitted_exponent"] > 0
 
 
 # --- comparison ----------------------------------------------------------------
@@ -259,7 +269,8 @@ def test_intersection_counts_in_one_pass_match_the_per_snapshot_scan(pairs):
 
 
 def test_displacement_lipschitz_cone_is_exact():
-    # the erf cone solves the heat flow, so evolved cone data stays below it
+    # the erf cone solves the heat flow, so evolved cone data stays below it;
+    # the cone of Lambda / 4 is too narrow and fails
     g = Grid1D(-2.0, 2.0, 256, "bounded")
     x = g.nodes()
     L, lam = 1.0, 1.0
@@ -271,12 +282,15 @@ def test_displacement_lipschitz_cone_is_exact():
                                cone, xx, max(tt, 1e-12)))
     times = np.geomspace(1e-3, 1e-2, 8)
     traj = evolve(flow, u0, bc, TimeStepPlan(t_end=times[-1]), times)
-    rep = displacement_check(traj, "lipschitz", L=L, h=0.0,
-                             Lambda_of_K=flow.Lambda_of_K, grid_tol=1e-4)
-    assert rep.passed
+    for scale, passed in ((1.0, True), (0.25, False)):
+        rep = lipschitz_displacement(traj, L, lambda K: scale * flow.Lambda_of_K(K), h=0.0,
+                                     grid_tol=1e-4)
+        assert rep.passed is passed, (scale, rep.max_defect)
 
 
 def test_displacement_step_envelope():
+    # the envelope is tight only at the far boundary node, so Lambda / 10
+    # still passes; Lambda / 100 fails
     g = Grid1D(-2.0, 2.0, 256, "bounded")
     x = g.nodes()
     flow = flows.heat_1d(0.25)
@@ -284,9 +298,10 @@ def test_displacement_step_envelope():
     bc = BoundaryCondition("dirichlet", value=lambda xx, tt: np.sign(xx))
     times = np.geomspace(1e-3, 1e-2, 6)
     traj = evolve(flow, u0, bc, TimeStepPlan(t_end=times[-1]), times)
-    rep = displacement_check(traj, "step", half_height=1.0, jump=0.0,
-                             Lambda_of_K=flow.Lambda_of_K, grid_tol=1e-3)
-    assert rep.passed
+    for scale, passed in ((1.0, True), (0.01, False)):
+        rep = step_displacement(traj, 1.0, lambda K: scale * flow.Lambda_of_K(K), jump=0.0,
+                                grid_tol=1e-3)
+        assert rep.passed is passed, (scale, rep.max_defect)
 
 
 def test_displacement_modulus_kind():
@@ -297,17 +312,44 @@ def test_displacement_modulus_kind():
     bc = BoundaryCondition("dirichlet", value=lambda xx, tt: 2.0)
     times = np.geomspace(1e-3, 1e-2, 6)
     traj = evolve(flow, u0, bc, TimeStepPlan(t_end=times[-1]), times)
-    rep = displacement_check(traj, "modulus", omega=lipschitz_modulus(1.0), h=0.0,
-                             Lambda_of_K=flow.Lambda_of_K, grid_tol=1e-4)
-    assert rep.passed
+    for scale, passed in ((1.0, True), (0.25, False)):
+        rep = modulus_displacement(traj, lipschitz_modulus(1.0),
+                                   lambda K: scale * flow.Lambda_of_K(K), h=0.0, grid_tol=1e-4)
+        assert rep.passed is passed, (scale, rep.max_defect)
 
 
-def test_displacement_unknown_kind():
-    g = Grid1D(-1.0, 1.0, 8, "bounded")
-    traj = Trajectory()
-    traj.append(0.0, Field(g, np.zeros(9)))
-    with pytest.raises(ValueError):
-        displacement_check(traj, "parabolic")
+def test_displacement_holder_exponent():
+    # |x|^(1/2) data: the fitted apex exponent is 1/4, the target of alpha = 1/2
+    # only (criterion 7 checks each alpha on its own data)
+    g = Grid1D(-1.0, 1.0, 512, "bounded")
+    times = np.geomspace(1e-3, 1e-2, 12)
+    traj = evolve(flows.heat_1d(0.25), Field(g, np.abs(g.nodes()) ** 0.5),
+                  BoundaryCondition("dirichlet", value=lambda xx, tt: 1.0),
+                  TimeStepPlan(t_end=times[-1]), times)
+    for alpha, passed in ((0.25, False), (0.5, True), (0.75, False)):
+        rep = holder_displacement(traj, alpha, m=0, h=0.0)
+        assert rep.passed is passed, (alpha, rep.max_defect)
+
+
+@pytest.mark.parametrize("bound", DISPLACEMENT_BOUNDS.values(), ids=DISPLACEMENT_BOUNDS.keys())
+def test_displacement_bounds_are_one_dimensional(bound):
+    g = GridND((Grid1D(-1.0, 1.0, 8), Grid1D(-1.0, 1.0, 8)))
+    traj = Trajectory([(t, Field(g, np.full(g.shape, t))) for t in (0.0, 0.1, 0.2)])
+    with pytest.raises(PreconditionError, match="one-dimensional"):
+        bound(traj)
+
+
+def test_displacement_bounds_take_only_their_own_arguments():
+    traj = _initial_only()
+    lam = flows.heat_1d(0.25).Lambda_of_K
+    with pytest.raises(TypeError):
+        holder_displacement(traj, alpha=0.5, grid_tol=1.0)
+    with pytest.raises(TypeError):
+        lipschitz_displacement(traj, 1.0, lam, alpha=0.5)
+    with pytest.raises(TypeError):
+        step_displacement(traj, 1.0, lam, h=0.5)
+    with pytest.raises(TypeError):
+        modulus_displacement(traj, lipschitz_modulus(1.0), lam, jump=0.5)
 
 
 # --- zero-counting gradient bound ------------------------------------------------
