@@ -186,13 +186,19 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    # the samples reach |p| = s_max, where no power of |p| that a jet takes,
+    # up to the 9th, may overflow: (max float)^(1/9) = 1.8e34.  A flow's
+    # profile is sampled on [P, s_max], and every catalog P is 1
+    if not 1.0 < args.s_max <= 1e34:  # NaN fails too
+        raise ConfigError("--s-max", f"{args.s_max!r} must lie in (1, 1e34]")
     if args.id == "norms":  # every norm that `flowlab list` prints
         return max([_certify(nf.id, args) for nf in finsler.builtin_norms(2)])
     return _certify(args.id, args)
 
 
 def _certify(target: str, args) -> int:
+    """Certify one flow or norm id into --out, which is made once the id
+    resolves: an id that does not (exit 2) writes nothing."""
     path = os.path.join(args.out, f"certificate-{target.replace(':', '_')}.json")
 
     family, colon, spec = target.partition(":")
@@ -209,6 +215,7 @@ def _certify(target: str, args) -> int:
     except ValueError as e:  # a norm that cannot be built, a parameter not a number
         print(f"cannot build {target!r}: {e}", file=sys.stderr)
         return 2
+    os.makedirs(args.out, exist_ok=True)
     if nf is None:
         profile = flow.degeneracy
         rep = flows.check_degeneracy(profile, np.geomspace(profile.P, args.s_max, 400))

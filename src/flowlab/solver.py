@@ -12,14 +12,15 @@ matrix is diagonally dominant, for frozen coefficients only: a(Du) is
 taken from each solution's own central differences, and steep ordered
 mcf2d pairs cross by -1.8e-5 to -5.4e-5 (ROADMAP item 3).  Each evolve
 builds its own stepper; the ``_Stepper`` docstring gives its time loop,
-its ufunc calls per step, its blow-up guard and why its snapshots, all on
-the grid of the batch, need no ``Field`` checks.  A ``Trajectory`` holds
-the snapshots of one solution, on one grid.
+its stencil views (contiguous slices of each member's padded block at flat
+offsets, with reductions over the interior), its ufunc calls per step, its
+blow-up guard and why its snapshots, all on the grid of the batch, need no
+``Field`` checks.  A ``Trajectory`` holds the snapshots of one solution, on
+one grid.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -180,11 +181,29 @@ class _Stepper:
     a step, sets the member limits, ``a_cap`` and the guard flag from u0,
     writes the Dirichlet faces at t = 0 and the ghosts, and builds ``run``,
     one closure over all of these and the plan's numbers.  A build is
-    cheap, so every evolve builds its own stepper: each axis's three
-    windows (the interior shifted by -1, 0 and +1) are sliced once, and the
-    view at each offset in {-1, 0, 1}^n is made once, for every n.  When
-    ``gaps`` is a list it receives min over nodes of (u[1] - u[0]) at t = 0
-    and after every step.
+    cheap, so every evolve builds its own stepper.  When ``gaps`` is a list
+    it receives min over nodes of (u[1] - u[0]) at t = 0 and after every
+    step.
+
+    The stencil views sit at flat offsets.  In each member's flattened padded
+    block the view at an offset o in {-1, 0, 1}^n is one contiguous slice
+    ``up[:, c0 + off : c0 + off + L]`` of shape (B, L): c0 is the flat index
+    of the first interior node, off = sum_i o_i stride_i, and L = N_1
+    stride_1 entries cover every interior node.  With n = 1, L = N and these
+    are the interior windows shifted by -1, 0 and +1.  With n >= 2 the span
+    also holds the ghost lanes between rows and ends in the last ghost
+    layer, and the batch buffer keeps 2 (c0 - stride_1) spare entries, zero,
+    after each member's block for the end of the view at (1, ..., 1); so
+    every ufunc of a step runs one unit-stride loop per member.  ``Du``,
+    ``A``, the rhs and the work buffers are contiguous (B, L) arrays, and
+    the update u += dt rhs writes the ghost lanes too; the ghost refresh of
+    every step covers whole layers, corners included, so it rewrites them
+    before the next step reads them.  On a ghost lane each component of Du
+    is a difference of two padded values over 2h, as on a real lane, so it
+    obeys the same bound, max|padded u| / h.  The row maxima, the gradient
+    clip, the guard, the gaps and the snapshots read interior views, which
+    are a reshape and a slice of the (B, L) buffers; ``u`` and ``rhs`` are
+    such (B, *grid) views.
 
     ``run(t, times, trajs)`` is the time loop of an evolve.  Each pass makes
     one whole step: the rhs, left unscaled in the buffer ``rhs``; the
@@ -201,17 +220,19 @@ class _Stepper:
     a lower cost per call.  Sums of terms keep the order cross terms first,
     then axes, so every float matches the term-by-term formula.  Cross
     terms use the diagonal splitting.  |Du|^2 and the stability sum S are
-    rows of one buffer, and one ``maximum.reduceat`` over its flat view
-    gives every row's maximum.  With cross terms the rows are [|Du|^2, S],
-    and ``coeff`` writes into a buffer of its own, ``A``.  ``Du`` and ``A``
-    have the shapes (..., n) and (..., n, n) but are entry-major in memory:
+    rows of one buffer, and one reduction gives every row's maximum.  With
+    cross terms the rows are [|Du|^2, S], one ``maximum.reduce`` over their
+    interior view gives both maxima, and ``coeff`` writes into a buffer of
+    its own, ``A``.  ``Du`` and ``A`` have the shapes (..., n) and
+    (..., n, n) but are entry-major in memory:
     each gradient component and each a^ij is one contiguous plane, so the
     coefficient's per-entry writes and the terms' reads run over unit
     strides, with the same operations and bits as a trailing-axis layout.
     The diagonal splitting subtracts each split off-diagonal from the
     diagonal planes of ``A`` in place, which ``coeff`` writes anew each step.
 
-    With n = 1 the rows are [|Du|^2, a, -a].  A catalog coefficient's
+    With n = 1 the rows are [|Du|^2, a, -a], reduced by one
+    ``maximum.reduceat`` over their flat view.  A catalog coefficient's
     squared form ``coeff.a_of_sq`` (see ``flows.GraphFlowND``) writes a into
     the second row from the first, so one product g * g feeds both the
     coefficient and the gradient clip; any other ``coeff`` is called as
@@ -265,37 +286,50 @@ class _Stepper:
         coeff, value = flow.coeff, bc.value
         h2 = h ** 2
         shape = grid.shape
-        up = np.empty((len(u0),) + tuple(s + 2 for s in shape))
+        padded = tuple(s + 2 for s in shape)
+        B = len(u0)
         every, inner = slice(None), slice(1, -1)
-        # the views of the batch at the offsets in {-1, 0, 1}^n, from each
-        # axis's windows (the interior shifted by -1, 0 and +1): the view at
-        # offset o is views[centre + sum_i o_i place[i]]
-        windows = [(slice(0, s), slice(1, s + 1), slice(2, s + 2)) for s in shape]
-        views = [up[w] for w in itertools.product((every,), *windows)]
-        centre, place = len(views) // 2, [3 ** (n - 1 - i) for i in range(n)]
+        # flat offsets: in a member's flattened padded block the node at
+        # padded index k sits at sum_i k_i stride_i, and the view at offset o
+        # in {-1, 0, 1}^n is one contiguous slice of span = N_1 stride_1
+        # entries from the first interior node shifted by o.  Spare zero
+        # entries after each block hold the end of the view at (1, ..., 1)
+        stride = [math.prod(padded[i + 1:]) for i in range(n)]
+        origin, span, block = sum(stride), shape[0] * stride[0], math.prod(padded)
+        blocks = np.zeros((B, block + 2 * (origin - stride[0])))
+        up = blocks[:, :block].reshape((B,) + padded)
+
+        def at(offset):
+            return blocks[:, origin + offset:origin + offset + span]
+
+        keep = (Ellipsis,) + tuple(slice(0, s) for s in shape[1:])
+
+        def interior(buf):
+            """The (..., B, *shape) view of the grid nodes in buf (..., B, span)."""
+            return buf.reshape(buf.shape[:-1] + (shape[0],) + padded[1:])[keep]
 
         def ghost_layer(ax, k):
             # padded index k on axis ax; ghosts of earlier axes are included
             return up[(every,) * (ax + 1) + (k,) + (inner,) * (n - 1 - ax)]
 
-        self.u = u = views[centre]
+        self.u = u = up[(every,) + (inner,) * n]
+        u_span = at(0)
         grid_axes = tuple(range(1, n + 1))
         # entry-major: each gradient component is a contiguous plane
-        Du = np.moveaxis(np.empty((n,) + u.shape), 0, -1)
+        Du = np.moveaxis(np.empty((n, B, span)), 0, -1)
         grads = [Du[..., i] for i in range(n)]
-        differences = [(g, views[centre + p], views[centre - p], np.array(2 * ax.h))
-                       for g, p, ax in zip(grads, place, axes)]
-        # |Du|^2 and the stability sum are rows of one buffer, so one
-        # reduceat over its flat view gives every row's maximum.  With n = 1
-        # the rows are |Du|^2, a and -a, and the coefficient is written into
-        # the second one; with cross terms they are |Du|^2 and S, and coeff
-        # writes into a buffer of its own
-        rows = np.empty((3 if n == 1 else 2,) + u.shape)
-        flat, row_starts = rows.reshape(-1), np.arange(0, rows.size, u.size)
+        differences = [(g, at(st), at(-st), np.array(2 * ax.h))
+                       for g, st, ax in zip(grads, stride, axes)]
+        # |Du|^2 and the stability sum are rows of one buffer.  With n = 1
+        # the rows are |Du|^2, a and -a, the coefficient is written into the
+        # second one, and one reduceat over the flat view gives every row's
+        # maximum; with cross terms they are |Du|^2 and S, reduced over their
+        # interior, and coeff writes into a buffer of its own
+        rows = np.empty((3 if n == 1 else 2, B, span))
         gsq = rows[0]
         # work buffers: 2u, the rhs sum and one term (or the increment) at a time
-        self.rhs = rhs = np.empty(u.shape)
-        two_u, work = np.empty(u.shape), np.empty(u.shape)
+        rhs, work, two_u = (np.empty((B, span)) for _ in range(3))
+        self.rhs, work_in = interior(rhs), interior(work)
         lo, hi = u[0], u[-1]
 
         # ghost <- source (periodic, neumann_zero), or <- 2 * source - second
@@ -348,7 +382,7 @@ class _Stepper:
         # seed the batch and its ghosts; the member limits, a_cap and the
         # guard flag come from u0
         u[...] = u0
-        u_max = maximum(1.0, max_reduce(absolute(u, work), grid_axes))
+        u_max = maximum(1.0, max_reduce(absolute(u, work_in), grid_axes))
         limit = 1e6 * u_max
         # the smallest limit and U = max(u_max); every u_max is >= 1 or NaN,
         # so their sum is NaN just when one of them is, and then both are
@@ -373,6 +407,7 @@ class _Stepper:
 
         if n == 1:
             a, neg_a = rows[1], rows[2]
+            flat, row_starts = rows.reshape(-1), np.arange(0, rows.size, B * span)
             (grad, plus, minus, two_h_x), = differences
             h2_x = np.array(h2)
             a_of_sq = getattr(coeff, "a_of_sq", None)
@@ -390,7 +425,7 @@ class _Stepper:
                 divide(grad, two_h_x, grad)
                 multiply(grad, grad, gsq)
                 a_of_sq(gsq, a)
-                add(u, u, two_u)
+                add(u_span, u_span, two_u)
                 subtract(plus, two_u, rhs)
                 add(rhs, minus, rhs)
                 divide(rhs, h2_x, rhs)
@@ -403,18 +438,19 @@ class _Stepper:
                 return gsq_max, (a_max if a_max > neg_max else neg_max) / h2
         else:
             stab = rows[1]
+            rows_in, row_axes = interior(rows), tuple(range(1, n + 2))
             zero, h2_0d = np.array(0.0), np.array(h2)
             # entry-major like Du: each a^ij is a contiguous plane
-            A = np.moveaxis(np.empty((n, n) + u.shape), (0, 1), (-2, -1))
+            A = np.moveaxis(np.empty((n, n, B, span)), (0, 1), (-2, -1))
             diag = [A[..., i, i] for i in range(n)]
             # one more term, and the split off-diagonal
-            term, pos, neg, off = (np.empty(u.shape) for _ in range(4))
+            term, pos, neg, off = (np.empty((B, span)) for _ in range(4))
             # cross term k goes straight into the rhs and S sums when k = 0,
             # else through term and work and is added on
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            cross = [(A[..., i, j], diag[i], diag[j], views[centre + place[i] + place[j]],
-                      views[centre - place[i] - place[j]], views[centre + place[i] - place[j]],
-                      views[centre - place[i] + place[j]], k > 0)
+            cross = [(A[..., i, j], diag[i], diag[j], at(stride[i] + stride[j]),
+                      at(-stride[i] - stride[j]), at(stride[i] - stride[j]),
+                      at(stride[j] - stride[i]), k > 0)
                      for k, (i, j) in enumerate(pairs)]
             axis_terms = [(d, p, m, np.array(ax.h ** 2))
                           for d, (_, p, m, _), ax in zip(diag, differences, axes)]
@@ -430,7 +466,7 @@ class _Stepper:
                 multiply(g0, g0, gsq)
                 for g in later_grads:
                     add(gsq, multiply(g, g, work), gsq)
-                add(u, u, two_u)
+                add(u_span, u_span, two_u)
                 for aij, di, dj, pp, mm, pm, mp, later in cross:
                     maximum(aij, zero, out=pos)
                     maximum(negative(aij, neg), zero, out=neg)
@@ -459,7 +495,7 @@ class _Stepper:
                     add(rhs, term, rhs)
                     divide(absolute(d, work), h2_0d, work)
                     add(stab, work, stab)
-                return max_reduceat(flat, row_starts).tolist()
+                return max_reduce(rows_in, row_axes).tolist()
 
         def run(t, times, trajs, max_steps=sys.maxsize):
             """Steps from t until the last of ``times`` is reached, or for
@@ -487,7 +523,7 @@ class _Stepper:
                 t += dt
                 dt_0d[()] = dt
                 multiply(rhs, dt_0d, work)
-                add(u, work, u)
+                add(u_span, work, u_span)
                 if dirichlet:
                     set_faces(t)
                 else:
@@ -495,9 +531,9 @@ class _Stepper:
                         ghost[...] = src
                 if guarded:
                     # a NaN fails both comparisons
-                    au = absolute(u, work)
-                    if not max_reduce(au, None) <= limit_min:
-                        if not (max_reduce(au, grid_axes) <= limit).all():
+                    absolute(u_span, work)
+                    if not max_reduce(work_in, None) <= limit_min:
+                        if not (max_reduce(work_in, grid_axes) <= limit).all():
                             raise BlowUpError(f"solution blow-up at t = {t:.3g}")
                 if gaps is not None:
                     gaps.append(float(min_reduce(subtract(hi, lo, gap), None)))

@@ -90,6 +90,13 @@ def fit_exponent(times, values) -> float:
 # --- snapshot scan ------------------------------------------------------------
 
 
+def _grid(traj):
+    """The grid of traj; PreconditionError for a trajectory without snapshots."""
+    if not traj.snapshots:
+        raise PreconditionError("the trajectory has no snapshots, so the check tests nothing")
+    return traj.grid
+
+
 def _scan(traj, t_window=None) -> list:
     """The (t, field) snapshots of traj with t > 0 inside the closed t_window."""
     lo, hi = (-np.inf, np.inf) if t_window is None else t_window
@@ -186,7 +193,7 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
     """
     if region not in ("full", "G"):
         raise ValueError("region must be 'full' or 'G'")
-    grid = traj.grid
+    grid = _grid(traj)
     if not isinstance(grid, Grid1D) or grid.topology != "periodic":
         raise PreconditionError("double-coordinate check needs a periodic 1-D grid")
     h = grid.h
@@ -270,9 +277,10 @@ def gradient_bound_check(traj, bound: Callable[[float], float],
 
 def _apex(traj, h: float) -> tuple:
     """The nodes of traj's 1-D grid and the index of the node nearest h."""
-    if not isinstance(traj.grid, Grid1D):
+    grid = _grid(traj)
+    if not isinstance(grid, Grid1D):
         raise PreconditionError("displacement checks are one-dimensional")
-    x = traj.grid.nodes()
+    x = grid.nodes()
     return x, int(np.argmin(np.abs(x - h)))
 
 
@@ -286,13 +294,20 @@ def _displacement_report(kind, traj, sample, grid_tol, metadata) -> Verification
 def holder_displacement(traj, alpha: float, m=0, h: float = 0.0) -> VerificationReport:
     """The exponent of the apex displacement |u(h, t) - u0(h)| fitted in t,
     against alpha / (2 + m (1 - alpha)); the defect is relative, with the
-    fixed tolerance 0.10.  Needs two snapshots with t > 0."""
+    fixed tolerance 0.10.  Needs two snapshots with t > 0, and an apex
+    that has moved at each: a zero displacement has no logarithm."""
     x, i0 = _apex(traj, h)
     snaps = _scan(traj)
     if len(snaps) < 2:
         raise PreconditionError("the holder exponent fit needs two snapshots with t > 0")
     u0 = traj.snapshots[0][1].values[i0]
-    fitted = fit_exponent([t for t, _ in snaps], [abs(f.values[i0] - u0) for _, f in snaps])
+    moved = [abs(f.values[i0] - u0) for _, f in snaps]
+    for (t, _), d in zip(snaps, moved):
+        if not d > 0.0:
+            raise PreconditionError(
+                f"the apex x = {x[i0]:g} has not moved at t = {t:g}, so the holder "
+                f"exponent fit tests nothing")
+    fitted = fit_exponent([t for t, _ in snaps], moved)
     target = alpha / (2.0 + m * (1.0 - alpha))
     return VerificationReport(
         "displacement:holder", abs(fitted - target) / target, 0.10,
@@ -420,6 +435,7 @@ def count_intersections(u: Field, phi: Field, eps_tie: float = 1e-9) -> int:
 def intersection_monotonicity(traj_u, traj_phi,
                               eps_tie: float = 1e-9) -> VerificationReport:
     """Pass iff the intersection count never increases across snapshots."""
+    _grid(traj_u)
     times_u = [t for t, _ in traj_u.snapshots]
     times_p = [t for t, _ in traj_phi.snapshots]
     if times_u != times_p:
@@ -457,7 +473,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
     Raises PreconditionError when no interior node of a snapshot with t > 0
     is left to test.
     """
-    grid = traj.grid
+    grid = _grid(traj)
     if not isinstance(grid, Grid1D) or grid.topology != "bounded":
         raise PreconditionError("heat zero-counting check needs a bounded 1-D grid")
     x = grid.nodes()
@@ -509,6 +525,7 @@ def convergence_to_initial_data(traj, omega: ModulusOfContinuity,
     """Sphere-barrier bound |u(., t) - u0| <= sqrt(2nt) + omega(sqrt(2nt))
     at interior nodes, per snapshot with t > 0, with n the dimension of the
     field.  Raises PreconditionError when there is no such snapshot."""
+    _grid(traj)
     u0 = traj.fields[0].values
     n = traj.fields[0].ndim
     interior = tuple(slice(1, -1) for _ in range(u0.ndim))

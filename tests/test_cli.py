@@ -728,7 +728,18 @@ def test_certify_unknown_id(tmp_path, capsys):
         assert main(["certify", target, "--out", str(tmp_path / "c")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"cannot build {target!r}: ") and message in err
-    assert not list((tmp_path / "c").glob("*.json"))
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("s_max", ["0", "-1", "1", "nan", "inf", "1e308"])
+def test_certify_s_max_out_of_range_is_config_error(tmp_path, capsys, s_max):
+    # 0 was a ValueError traceback from geomspace, inf and 1e308 overflowed
+    # in the samples, and nan or -1 let plaplace-reg pass its certificate
+    out = tmp_path / "c"
+    for target in ("euclid", "plaplace-reg", "norms"):
+        assert main(["certify", target, "--s-max", s_max, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: --s-max: ")
+    assert not out.exists()
 
 
 def test_certify_that_fails_writes_nothing(tmp_path, capsys):

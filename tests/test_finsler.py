@@ -684,3 +684,85 @@ def test_S_eps_shares_its_samples_across_eps():
     got = estimate_S_eps(quartic_norm(1e-3, 3), (0.5, 0.1, 1e-3, 1e-12))
     assert got == {0.5: 1.0, 0.1: 1.0, 1e-3: 142.5102670302998, 1e-12: None}
     assert list(got) == [0.5, 0.1, 1e-3, 1e-12]
+
+
+# (norm id, dim, S_eps) pinned from the contraction of the whole D^3 F with
+# p, before S_eps read the jet along phi^0 only; the elliptic M is
+# diag(1 + 0.5 k).  The larger quartic deltas are the stage's negative
+# controls: their S_eps for eps = 0.1 lies far above the first scale
+PINNED_S_EPS = [
+    ("euclid", 2, {0.5: 1.0, 0.1: 1.0}),
+    ("euclid", 3, {0.5: 1.0, 0.1: 1.0}),
+    ("euclid", 4, {0.5: 1.0, 0.1: 1.0}),
+    ("elliptic", 2, {0.5: 1.0, 0.1: 1.0}),
+    ("elliptic", 3, {0.5: 1.0, 0.1: 1.0}),
+    ("elliptic", 4, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.001", 2, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.001", 3, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.001", 4, {0.5: 1.0, 0.1: 1.0}),
+    ("quartic:0.01", 2, {0.5: 1.0, 0.1: 5.223345074266842}),
+    ("quartic:0.01", 3, {0.5: 1.0, 0.1: 4.1246263829013525}),
+    ("quartic:0.01", 4, {0.5: 1.0, 0.1: 4.1246263829013525}),
+    ("quartic:0.03", 2, {0.5: 1.0, 0.1: 21.544346900318832}),
+    ("quartic:0.03", 3, {0.5: 1.0, 0.1: 21.544346900318832}),
+    ("quartic:0.03", 4, {0.5: 1.0, 0.1: 13.433993325989}),
+    ("quartic:0.1", 2, {0.5: 21.544346900318832, 0.1: 112.53355826007646}),
+    ("quartic:0.1", 3, {0.5: 21.544346900318832, 0.1: 289.4266124716752}),
+    ("quartic:0.1", 4, {0.5: 13.433993325989, 0.1: 55.41020330009492}),
+    ("quartic:0.2", 2, {0.5: 112.53355826007646, 0.1: 587.8016072274912}),
+    ("quartic:0.2", 3, {0.5: 289.4266124716752, 0.1: 1511.7750706156614}),
+    ("quartic:0.2", 4, {0.5: 55.41020330009492, 0.1: 228.54638641349908}),
+]
+
+
+def _S_eps_norm(norm_id, dim):
+    if norm_id == "elliptic":
+        return elliptic_norm(np.diag(1.0 + 0.5 * np.arange(dim)))
+    return norm_by_id(norm_id, dim)
+
+
+@pytest.mark.parametrize("norm_id, dim, S_eps", PINNED_S_EPS,
+                         ids=[f"{c[0]}-dim{c[1]}" for c in PINNED_S_EPS])
+def test_S_eps_is_pinned(norm_id, dim, S_eps):
+    assert estimate_S_eps(_S_eps_norm(norm_id, dim), (0.5, 0.1)) == S_eps
+
+
+@pytest.mark.parametrize("norm_id, dim", [(i, d) for i in ("euclid", "elliptic") for d in (3, 4)])
+def test_S_eps_ratio_of_a_quadratic_norm_is_rounding(norm_id, dim):
+    # for F = sqrt(w^T M w) the sampled quantity vanishes: on tangent q^,
+    # D(F D^2 F)(p, q^, q^) = -2 D^2F(p, q^) DF(q^) = 0.  Read along phi^0 it
+    # cancels nothing, and its largest ratio over every scale up to 1e4 is
+    # 3e-15 to 6e-14; contracted with p it was 6.9e-12 to 1.4e-11
+    _, worst = finsler._S_eps_ratios(_S_eps_norm(norm_id, dim))
+    assert np.max(worst) < 1e-13
+
+
+def _coupled(dim):
+    # diag(1 + 0.5 k) with every off-diagonal entry 0.2: positive definite
+    return np.diag(1.0 + 0.5 * np.arange(dim)) + 0.2 * (1.0 - np.eye(dim))
+
+
+ROW_CASES = [nf for dim in (2, 3, 4) for nf in (
+    euclidean_norm(dim), elliptic_norm(np.diag(1.0 + 0.5 * np.arange(dim))),
+    elliptic_norm(_coupled(dim)), quartic_norm(1e-3, dim), quartic_norm(0.2, dim))]
+
+
+@pytest.mark.parametrize("nf", ROW_CASES, ids=[f"{nf.id}-dim{nf.dim}" for nf in ROW_CASES])
+def test_third_derivative_row_is_the_row_of_the_whole_tensor(nf):
+    # jet(w, 3, along=k) builds D^3 F(e_k, ., .) from the order-2 terms with
+    # the products and sums of row k of the whole tensor: 0 ulp apart, on
+    # the coordinate axes and over |w| from 1e-3 to 1e4, with the lower
+    # entries of the jet unchanged and every entry of the row one plane
+    rng = np.random.default_rng(40 + nf.dim)
+    axes = np.concatenate([np.eye(nf.dim), -np.eye(nf.dim), 1e4 * np.eye(nf.dim)])
+    W = rng.normal(size=(300, nf.dim)) * 10.0 ** rng.uniform(-3, 4, size=(300, 1))
+    for w in (np.concatenate([axes, W]), W[7]):
+        full = nf.jet(w, 3)
+        for k in range(nf.dim):
+            jet = nf.jet(w, 3, along=k)
+            for got, want in zip(jet[:3], full[:3]):
+                assert got.tobytes() == want.tobytes()
+            row = jet[3]
+            assert row.shape == w.shape[:-1] + (nf.dim, nf.dim)
+            assert row.tobytes() == np.ascontiguousarray(full[3][..., k, :, :]).tobytes(), k
+            assert np.moveaxis(row, (-2, -1), (0, 1)).flags.c_contiguous

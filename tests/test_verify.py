@@ -108,6 +108,24 @@ def test_check_without_positive_time_is_precondition_error(check):
         check(_initial_only())
 
 
+EVERY_CHECK = {
+    **DISPLACEMENT_BOUNDS,
+    "heat_zero_counting": lambda traj: heat_zero_counting_gradient(traj, M=2.0, c=0.25),
+    "convergence": lambda traj: convergence_to_initial_data(traj, lipschitz_modulus(1.0)),
+    "gradient_bound": lambda traj: verify.gradient_bound_check(traj, lambda t: 1.0),
+    "double_coordinate": lambda traj: verify.double_coordinate_defect(
+        traj, barriers.PsiBarrier(c=0.25), M=1.0),
+    "intersection_monotonicity": lambda traj: intersection_monotonicity(traj, Trajectory()),
+}
+
+
+@pytest.mark.parametrize("check", EVERY_CHECK.values(), ids=EVERY_CHECK.keys())
+def test_check_of_an_empty_trajectory_is_precondition_error(check):
+    # a trajectory without snapshots has no grid, and tests nothing
+    with pytest.raises(PreconditionError, match="snapshot"):
+        check(Trajectory())
+
+
 def test_holder_fit_needs_two_snapshots():
     traj = _initial_only()
     traj.append(0.1, traj.fields[0].with_values(traj.fields[0].values + 0.1, 0.1))
@@ -329,6 +347,18 @@ def test_displacement_holder_exponent():
     for alpha, passed in ((0.25, False), (0.5, True), (0.75, False)):
         rep = holder_displacement(traj, alpha, m=0, h=0.0)
         assert rep.passed is passed, (alpha, rep.max_defect)
+
+
+def test_holder_fit_of_an_apex_that_never_moves_is_precondition_error():
+    # sign(x) data: the apex x = 0 stays at 0 by symmetry, and a zero
+    # displacement has no logarithm to fit
+    g = Grid1D(-2.0, 2.0, 64, "bounded")
+    times = np.geomspace(1e-3, 1e-2, 4)
+    traj = evolve(flows.heat_1d(0.25), Field(g, np.sign(g.nodes())),
+                  BoundaryCondition("dirichlet", value=lambda xx, tt: np.sign(xx)),
+                  TimeStepPlan(t_end=times[-1]), times)
+    with pytest.raises(PreconditionError, match="has not moved at t = 0.001, so the holder"):
+        holder_displacement(traj, alpha=0.5)
 
 
 @pytest.mark.parametrize("bound", DISPLACEMENT_BOUNDS.values(), ids=DISPLACEMENT_BOUNDS.keys())
