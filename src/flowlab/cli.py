@@ -187,10 +187,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     # the samples reach |p| = s_max, where no power of |p| that a jet takes,
-    # up to the 9th, may overflow: (max float)^(1/9) = 1.8e34.  A flow's
-    # profile is sampled on [P, s_max], and every catalog P is 1
-    if not 1.0 < args.s_max <= 1e34:  # NaN fails too
-        raise ConfigError("--s-max", f"{args.s_max!r} must lie in (1, 1e34]")
+    # up to the 9th, may overflow: (max float)^(1/9) = 1.8e34, and a norm
+    # parameter is bounded by the same SCALE_MAX.  A flow's profile is
+    # sampled on [P, s_max], and every catalog P is 1
+    if not 1.0 < args.s_max <= finsler.SCALE_MAX:  # NaN fails too
+        raise ConfigError("--s-max", f"{args.s_max!r} must lie in (1, {finsler.SCALE_MAX:g}]")
     if args.id == "norms":  # every norm that `flowlab list` prints
         return max([_certify(nf.id, args) for nf in finsler.builtin_norms(2)])
     return _certify(args.id, args)

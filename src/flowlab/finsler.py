@@ -22,8 +22,10 @@ its inner loop over the batch and not over an entry axis of length 2 to 4.
 ``jet`` hands these arrays out as views with the entry axes trailing, in
 the shapes above; the stages take them back as planes (``_planes``) and
 contract over the leading entry axes (``_dot``, ``_form``).  Only the
-stacked matmuls of ``_quad`` keep C-contiguous operands with their entries
-trailing, because they round by memory layout.  Each stage builds its
+stacked matmuls of ``_quad`` and ``_quad_each`` keep C-contiguous operands
+with their entries trailing, because they round by memory layout.  The
+closed-form flow coefficients write every intermediate into the planes of
+one scratch block per call.  Each stage builds its
 norm-independent samples once and keeps them read-only (``_samples``).
 ``estimate_S_eps`` reads the jet at z = p - phi^0 only along phi^0 (the
 row D^3 F(phi^0, ., .)): by 1-homogeneity that row gives its whole
@@ -47,6 +49,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy import add, divide, multiply, negative, subtract
 
 from .reports import JsonRecord, VerificationReport
 
@@ -130,6 +133,16 @@ class NormConstructionError(ValueError):
     pass
 
 
+# The largest sample scale |p| of a certificate (``certify``'s s_max, which
+# the command line bounds by it) and the largest magnitude of a norm
+# parameter (delta, an entry of M).  No power of |p| that a jet takes, up to
+# the 9th, overflows below (max float)^(1/9) = 1.8e34.  With parameters x
+# in the same range, the largest products that building and certifying a
+# norm form, x |p|^2 in z^T M z, x^2 |p|^2 in the elliptic flow coefficient
+# and x^3 in ``check_smallness``'s bracket, stay below 1e136.
+SCALE_MAX = 1e34
+
+
 # --- norm catalog -----------------------------------------------------------
 
 # The jets compute on entry-major arrays: the entries of DF, D^2 F and D^3 F
@@ -196,9 +209,12 @@ def _quad(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
     stacks with their entries trailing.
 
     ``_form`` is the cheaper contraction; this one stays only where its
-    rounding is pinned: the elliptic jet's F, the cancelling C2 of
-    ``cross_term_bound`` that the benchmark's aniso reference holds, and
-    the A values of ``estimate_A_P``.  The stacked matmul accumulates with
+    rounding is pinned: the elliptic jet's F and the A values of
+    ``estimate_A_P``.  The cancelling C2 of ``cross_term_bound``, which
+    the benchmark's aniso reference holds, takes its bits from
+    ``_quad_each``, whose v^T H is the same stacked matmul and whose
+    second product is one matmul with the bits of this one's.  The stacked
+    matmul accumulates with
     fused multiply-adds inside the BLAS kernel it picks for its operands,
     so it rounds by memory layout (fed an entry-major G, C2 moves by
     1.8e-11 relative), and no numpy contraction replaces it bit for bit:
@@ -211,6 +227,18 @@ def _quad(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
     that moves those pins (ROADMAP item 7) can retire it.
     """
     return (v[..., None, :] @ H @ w[..., :, None])[..., 0, 0]
+
+
+def _quad_each(v: np.ndarray, H: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """v^T H w for stacks v (..., d) and H (..., d, d) against every row of
+    w (m, d), of shape (..., m): ``_quad``'s (v^T H) w, with v^T H its
+    stacked matmul and the second product, which every v shares, one
+    (N, d) @ (d, m) matmul in place of N m stacked (1, d) @ (d, 1) ones.
+    Bit for bit ``_quad(v[..., None, :], H[..., None, :, :], w)`` on the
+    catalog norms' C2 samples (dimensions 2 to 4, s_max 1e2 to 1e4), with
+    the layouts ``_quad`` is given."""
+    vH = v[..., None, :] @ H
+    return (vH.reshape(-1, v.shape[-1]) @ w.T).reshape(v.shape[:-1] + (len(w),))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,6 +299,8 @@ def elliptic_norm(M: np.ndarray, norm_id: Optional[str] = None) -> FinslerNorm:
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise NormConstructionError("M must be finite")
+    if np.any(np.abs(M) > SCALE_MAX):
+        raise NormConstructionError(f"M must have entries in [-{SCALE_MAX:g}, {SCALE_MAX:g}]")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NormConstructionError("M must be a square matrix")
     if not np.allclose(M, M.T):
@@ -299,6 +329,16 @@ def _elliptic_flow_coeff(M: np.ndarray):
     the entries are I - p p^T / (1 + |p|^2), the coefficient of
     ``flows.mcf_graph``.  The plan of each sum, its (entry, index) terms, is
     built here once, so a call makes only the array operations.
+
+    Scratch: a call allocates one block of k planes over the batch, k = 2
+    for M = I, and writes every intermediate into a plane with a ufunc
+    call that takes it as its positional out; for one covector the planes
+    are 0-d arrays.  A component m_i that is some p_j itself (a single
+    unit entry, no M_0i) is that input view and takes no plane.  Each call
+    is the operation the expression form makes, on the same operands in the
+    same order, and only where its result goes differs; a correctly
+    rounded operation gives the same bits wherever it writes, so the
+    block gives the expression form's bits.
     """
     n = M.shape[0] - 1
     M00, Mss = float(M[0, 0]), M[1:, 1:].tolist()
@@ -309,29 +349,50 @@ def _elliptic_flow_coeff(M: np.ndarray):
     row0, rows = rows[0], rows[1:]
     shifts = [(i, c) for i, c in enumerate(M[0, 1:].tolist()) if c]
     entries = [(i, j, Mss[i][j]) for i in range(n) for j in range(i, n)]
+    # planes: a temporary, z^T M z, M_0s . p when row 0 has entries, and
+    # every m_i that is not an input view
+    shifted = {i for i, _ in shifts}
+    own = [not (len(row) == 1 and row[0][0] is None and i not in shifted)
+           for i, row in enumerate(rows)]
+    k = 2 + bool(row0) + sum(own)
 
-    def lin(row, p):
+    def lin(row, p, s, t):
+        """sum over row of (M_ij) p_j, left to right, in s (t a temporary);
+        a single unit entry is p_j itself."""
         c, j = row[0]
-        s = p[j] if c is None else c * p[j]
+        x = p[j] if c is None else multiply(c, p[j], s)
         for c, j in row[1:]:
-            s = s + (p[j] if c is None else c * p[j])
-        return s
+            x = add(x, p[j] if c is None else multiply(c, p[j], t), s)
+        return x
 
     def coeff(P, out=None):
         P = np.asarray(P, dtype=float)
+        blk = np.empty((k,) + P.shape[:-1])
+        planes = [blk[i, ...] for i in range(k)]
+        t, zMz = planes[0], planes[1]
+        L = planes[2] if row0 else None
+        mine = iter(planes[2 + bool(row0):])
+        ms = [next(mine) if o else None for o in own]
         p = [P[..., i] for i in range(n)]
-        m = [lin(row, p) for row in rows]
-        pMp = p[0] * m[0]
+        m = [lin(row, p, s, t) for row, s in zip(rows, ms)]
+        multiply(p[0], m[0], zMz)
         for i in range(1, n):
-            pMp = pMp + p[i] * m[i]
-        zMz = (M00 - 2.0 * lin(row0, p) if row0 else M00) + pMp
+            add(zMz, multiply(p[i], m[i], t), zMz)
+        if row0:
+            add(subtract(M00, multiply(2.0, lin(row0, p, L, t), L), L), zMz, zMz)
+        else:
+            add(M00, zMz, zMz)
         for i, c in shifts:
-            m[i] = m[i] - c
+            m[i] = subtract(m[i], c, ms[i])
         A = np.empty(P.shape + (n,)) if out is None else out
         for i, j, c in entries:
-            np.subtract(c, m[i] * m[j] / zMz, out=A[..., i, j])
-            if i != j:
-                A[..., j, i] = A[..., i, j]
+            if i == j:
+                subtract(c, divide(multiply(m[i], m[i], t), zMz, t), A[..., i, i])
+            else:
+                # one plane written to both entries: a copy from A to A
+                # would go through a temporary
+                A[..., i, j] = A[..., j, i] = subtract(
+                    c, divide(multiply(m[i], m[j], t), zMz, t), t)
         return A
 
     return coeff
@@ -350,6 +411,8 @@ def quartic_norm(delta: float, dim: int = 3) -> FinslerNorm:
     d = float(delta)
     if not math.isfinite(d):
         raise NormConstructionError("delta must be finite")
+    if abs(d) > SCALE_MAX:
+        raise NormConstructionError(f"delta must lie in [-{SCALE_MAX:g}, {SCALE_MAX:g}]")
     if dim < 2:
         raise ValueError("dim must be >= 2")
     euclid = _elliptic_planes(np.eye(dim))
@@ -415,31 +478,60 @@ def _quartic_flow_coeff(delta: float, n: int):
         - p_i p_j / r^2 (1 + e (12 (p_i^2 + p_j^2) - 15 sigma)).
     Filled entry by entry from the component arrays like
     ``_elliptic_flow_coeff``, with products for the powers (exactly even) and
-    no square root: r enters only through r^2.
+    no square root: r enters only through r^2.  The diagonal takes
+    q_i = 1 + sum_(j != i) p_j^2, so that 1 - p_i^2 / r^2 = q_i / r^2
+    cancels nothing.
+
+    Scratch: a call allocates one block of 2n + 8 planes over the batch
+    (9 for n = 1) and writes every intermediate into a plane with a ufunc
+    call that takes it as its positional out, as ``_elliptic_flow_coeff``
+    does, so with the expression form's bits; a plane is reused once its
+    value is read for the last time (sigma and then 15 sigma overwrite S).
+    Each sum of the q_i starts from its first term, not from 0: p_j^2 is
+    never -0.0, so 0 + p_j^2 is p_j^2.
     """
     d = float(delta)
+    k = 2 * n + 8 if n > 1 else 9
 
     def coeff(P, out=None):
         P = np.asarray(P, dtype=float)
+        blk = np.empty((k,) + P.shape[:-1])
+        planes = [blk[i, ...] for i in range(k)]
+        S, r2, e, c, s3, t1, t2, t3 = planes[:8]
         p = [P[..., i] for i in range(n)]
-        p2 = [pi * pi for pi in p]
-        S = 1.0 + p2[0] * p2[0]
+        p2 = [multiply(pi, pi, x) for pi, x in zip(p, planes[8:8 + n])]
+        add(1.0, multiply(p2[0], p2[0], S), S)
         for x in p2[1:]:
-            S = S + x * x
-        # 1 + |p|^2 without p_i^2, so 1 - p_i^2 / r^2 = q_i / r^2 cancels nothing
-        q = [1.0 + sum(p2[:i] + p2[i + 1:]) for i in range(n)]
-        r2 = q[0] + p2[0]
-        sigma, e = S / r2, d / r2
-        c = 1.0 + e * sigma
-        s3, s15 = 3.0 * sigma, 15.0 * sigma
+            add(S, multiply(x, x, t1), S)
+        # q_i, 1 + |p|^2 without p_i^2; for n = 1 it is the constant 1
+        q = [1.0]
+        if n > 1:
+            q = planes[8 + n:]
+            for i, qi in enumerate(q):
+                x, *rest = p2[:i] + p2[i + 1:]
+                for y in rest:
+                    x = add(x, y, qi)
+                add(1.0, x, qi)
+        add(q[0], p2[0], r2)
+        sigma = divide(S, r2, S)
+        divide(d, r2, e)
+        add(1.0, multiply(e, sigma, c), c)
+        multiply(3.0, sigma, s3)
+        s15 = multiply(15.0, sigma, S)
         A = np.empty(P.shape + (n,)) if out is None else out
         for i in range(n):
-            g = q[i] / r2 + e * ((12.0 * p2[i] - s3) - p2[i] / r2 * (24.0 * p2[i] - s15))
-            np.multiply(c, g, out=A[..., i, i])
+            # c (q_i / r^2 + e ((12 p_i^2 - 3 sigma) - p_i^2 / r^2 (24 p_i^2 - 15 sigma)))
+            g = subtract(multiply(12.0, p2[i], t2), s3, t2)
+            h = subtract(multiply(24.0, p2[i], t3), s15, t3)
+            h = multiply(divide(p2[i], r2, t1), h, t1)
+            g = multiply(e, subtract(g, h, t2), t2)
+            multiply(c, add(divide(q[i], r2, t1), g, t1), A[..., i, i])
             for j in range(i + 1, n):
-                g = p[i] * p[j] / r2 * (1.0 + e * (12.0 * (p2[i] + p2[j]) - s15))
-                np.multiply(c, -g, out=A[..., i, j])
-                A[..., j, i] = A[..., i, j]
+                # c (-(p_i p_j / r^2 (1 + e (12 (p_i^2 + p_j^2) - 15 sigma))))
+                g = subtract(multiply(12.0, add(p2[i], p2[j], t2), t2), s15, t2)
+                g = add(1.0, multiply(e, g, t2), t2)
+                g = multiply(divide(multiply(p[i], p[j], t1), r2, t1), g, t1)
+                A[..., i, j] = A[..., j, i] = multiply(c, negative(g, t1), t1)
         return A
 
     return coeff
@@ -752,9 +844,10 @@ def cross_term_bound(nf: FinslerNorm, s_max: float = 1e3) -> float:
         raise ValueError("cross_term_bound assumes the symmetry condition")
     qe, z, pe = _cross_term_samples(nf.dim, s_max, SAMPLING["cross_term_bound"])
     F, _, H = nf.jet(z, 2)
-    # _quad takes G C-contiguous, entries trailing (its docstring)
+    # _quad_each takes G C-contiguous, entries trailing (_quad's docstring);
+    # the samples' axis of length 1 against the q stack is dropped
     G = np.multiply(F[..., None, None], H, order="C")
-    val = F * np.abs(_quad(pe, G, qe)) / nf.value(qe)
+    val = F * np.abs(_quad_each(pe[..., 0, :], G[..., 0, :, :], qe)) / nf.value(qe)
     return float(np.max(val, initial=0.0))
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,22 @@ def test_certify_aniso_flow_reports_its_norms_error(tmp_path, capsys, norm_id, m
     assert main(["certify", f"aniso:{norm_id}", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"cannot build 'aniso:{norm_id}': {own}"
     assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("norm_id, message", [
+    ("quartic:1e308", "delta must lie in [-1e+34, 1e+34]"),
+    ("quartic:-1e308", "delta must lie in [-1e+34, 1e+34]"),
+    ("elliptic:1,1e308", "M must have entries in [-1e+34, 1e+34]"),
+])
+def test_certify_norm_parameter_past_SCALE_MAX_is_refused(tmp_path, capsys, norm_id, message):
+    # it overflowed while the norm was built: a RuntimeWarning, or under
+    # -W error a traceback and exit 1
+    out = tmp_path / "c"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", norm_id, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"cannot build {norm_id!r}: {message}\n"
+    assert not out.exists()
 
 
 def test_certify_flow(tmp_path):

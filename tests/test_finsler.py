@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,36 @@ def test_non_finite_norm_parameters_are_construction_errors(norm_id, message):
         norm_by_id(norm_id)
 
 
+LARGE_CASES = [
+    ("quartic:1e308", "delta must lie in [-1e+34, 1e+34]"),
+    ("quartic:-1e308", "delta must lie in [-1e+34, 1e+34]"),
+    ("quartic:1.0000000000000002e34", "delta must lie in [-1e+34, 1e+34]"),
+    ("elliptic:1,1e308", "M must have entries in [-1e+34, 1e+34]"),
+    ("elliptic:1,-2e34;-2e34,1e308", "M must have entries in [-1e+34, 1e+34]"),
+]
+
+
+@pytest.mark.parametrize("norm_id, message", LARGE_CASES, ids=[c[0] for c in LARGE_CASES])
+def test_norm_parameters_past_SCALE_MAX_are_construction_errors(norm_id, message):
+    # they overflowed in the convexity probe or the elliptic jet's F
+    with np.errstate(over="raise", invalid="raise"), \
+            pytest.raises(NormConstructionError) as e:
+        norm_by_id(norm_id)
+    assert str(e.value) == message
+
+
+def test_norm_parameters_at_SCALE_MAX_do_not_overflow():
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for norm_id in ("quartic:1e34", "quartic:-1e34"):
+            with pytest.raises(NormConstructionError, match="convexity probe"):
+                norm_by_id(norm_id)
+        # with s_max at the bound too the plateau is missed, but nothing overflows
+        nf = norm_by_id("elliptic:1,1e34")
+        certify(nf)
+        with pytest.raises(RuntimeError, match="plateau not reached"):
+            certify(nf, s_max=finsler.SCALE_MAX)
+
+
 def test_norm_by_id():
     assert norm_by_id("euclid").id == "euclid"
     nf = norm_by_id("elliptic:1.0,2.0,3.0")
@@ -407,6 +438,153 @@ def test_quartic_closed_form_is_finite_at_zero_and_steep_slopes(n):
     assert got[0].tobytes() == got[1].tobytes() and np.array_equal(got[0], got[2])
 
 
+# --- the expression forms of the closed-form coefficients: one array per
+# term, as the kernels were written before they took scratch planes.  The
+# oracle of their bits
+
+
+def _expression_elliptic_flow_coeff(M):
+    n = M.shape[0] - 1
+    M00, Mss = float(M[0, 0]), M[1:, 1:].tolist()
+    rows = [[(None if c == 1.0 else c, j) for j, c in enumerate(row) if c != 0.0]
+            for row in M[:, 1:].tolist()]
+    row0, rows = rows[0], rows[1:]
+    shifts = [(i, c) for i, c in enumerate(M[0, 1:].tolist()) if c]
+    entries = [(i, j, Mss[i][j]) for i in range(n) for j in range(i, n)]
+
+    def lin(row, p):
+        c, j = row[0]
+        s = p[j] if c is None else c * p[j]
+        for c, j in row[1:]:
+            s = s + (p[j] if c is None else c * p[j])
+        return s
+
+    def coeff(P, out=None):
+        P = np.asarray(P, dtype=float)
+        p = [P[..., i] for i in range(n)]
+        m = [lin(row, p) for row in rows]
+        pMp = p[0] * m[0]
+        for i in range(1, n):
+            pMp = pMp + p[i] * m[i]
+        zMz = (M00 - 2.0 * lin(row0, p) if row0 else M00) + pMp
+        for i, c in shifts:
+            m[i] = m[i] - c
+        A = np.empty(P.shape + (n,)) if out is None else out
+        for i, j, c in entries:
+            np.subtract(c, m[i] * m[j] / zMz, out=A[..., i, j])
+            if i != j:
+                A[..., j, i] = A[..., i, j]
+        return A
+
+    return coeff
+
+
+def _expression_quartic_flow_coeff(delta, n):
+    d = float(delta)
+
+    def coeff(P, out=None):
+        P = np.asarray(P, dtype=float)
+        p = [P[..., i] for i in range(n)]
+        p2 = [pi * pi for pi in p]
+        S = 1.0 + p2[0] * p2[0]
+        for x in p2[1:]:
+            S = S + x * x
+        q = [1.0 + sum(p2[:i] + p2[i + 1:]) for i in range(n)]
+        r2 = q[0] + p2[0]
+        sigma, e = S / r2, d / r2
+        c = 1.0 + e * sigma
+        s3, s15 = 3.0 * sigma, 15.0 * sigma
+        A = np.empty(P.shape + (n,)) if out is None else out
+        for i in range(n):
+            g = q[i] / r2 + e * ((12.0 * p2[i] - s3) - p2[i] / r2 * (24.0 * p2[i] - s15))
+            np.multiply(c, g, out=A[..., i, i])
+            for j in range(i + 1, n):
+                g = p[i] * p[j] / r2 * (1.0 + e * (12.0 * (p2[i] + p2[j]) - s15))
+                np.multiply(c, -g, out=A[..., i, j])
+                A[..., j, i] = A[..., i, j]
+        return A
+
+    return coeff
+
+
+def _shifted(dim):
+    """A dense M with M_0s != 0 (no symmetry), a unit row that takes a
+    shift and a row 0 with a unit entry, cut to dim."""
+    M = np.array([[3.0, 1.0, -0.4, 0.1], [1.0, 1.0, 0.0, 0.0],
+                  [-0.4, 0.0, 1.5, -0.25], [0.1, 0.0, -0.25, 1.2]])
+    return M[:dim, :dim]
+
+
+EXPRESSION_CASES = [(kind, dim) for kind in ("euclid", "diagonal", "shifted", "skewed")
+                    for dim in (2, 3, 4)] + [
+    (f"quartic:{delta}", dim) for delta in (0.001, 0.03, 0.2) for dim in (2, 3, 4)]
+
+
+def _kernels(kind, dim):
+    """The norm's flow_coeff and the expression form of it."""
+    if kind.startswith("quartic:"):
+        delta = float(kind.split(":")[1])
+        return quartic_norm(delta, dim).flow_coeff, _expression_quartic_flow_coeff(delta, dim - 1)
+    M = {"euclid": np.eye(dim), "diagonal": np.diag(1.0 + 0.5 * np.arange(dim)),
+         "shifted": _shifted(dim), "skewed": SKEWED[:dim, :dim]}[kind]
+    nf = elliptic_norm(M)
+    assert nf.symmetric_flag == (kind in ("euclid", "diagonal"))
+    return nf.flow_coeff, _expression_elliptic_flow_coeff(M)
+
+
+@pytest.mark.parametrize("kind, dim", EXPRESSION_CASES,
+                         ids=[f"{kind}-dim{dim}" for kind, dim in EXPRESSION_CASES])
+def test_scratch_plane_kernels_give_the_expression_forms_bits(kind, dim):
+    got, want = _kernels(kind, dim)
+    n = dim - 1
+    rng = np.random.default_rng(90 + dim)
+    P = rng.normal(size=(30, 20, n)) * 10.0 ** rng.uniform(-3, 6, size=(30, 20, 1))
+    P[0] = 0.0
+    P[1] = -0.0
+    P[2] = np.where(rng.random((20, n)) < 0.5, 0.0, P[2])
+    stacks = {"C": P, "Fortran": np.asfortranarray(P), "strided": P[::2, ::3],
+              "entry-major": np.moveaxis(np.ascontiguousarray(np.moveaxis(P, -1, 0)), 0, -1),
+              "one covector": P[3, 4], "zero covector": P[0, 0], "-P": -P}
+    for name, X in stacks.items():
+        a = got(X)
+        assert a.shape == X.shape + (n,), name
+        assert a.tobytes() == want(X).tobytes(), name
+        # into an entry-major out, as the stepper and trace_lower_bound pass it
+        out = np.moveaxis(np.full((n, n) + X.shape[:-1], np.nan), (0, 1), (-2, -1))
+        assert got(X, out) is out and out.tobytes() == a.tobytes(), name
+
+
+# the scratch block's planes over the batch: two, one for M_0s . p when row
+# 0 of M has entries, and one for each m_i that is not a component p_j
+# itself, for the elliptic kernel; 2n + 8 for the quartic one
+PLANE_CASES = [("euclid", 3, 2), ("euclid", 4, 2), ("elliptic:1,1.5,2", 3, 4),
+               ("quartic:0.001", 3, 12), ("quartic:0.001", 4, 14)]
+
+
+@pytest.mark.parametrize("norm_id, dim, k", PLANE_CASES,
+                         ids=[f"{c[0]}-dim{c[1]}" for c in PLANE_CASES])
+def test_flow_coeff_allocates_its_output_and_one_scratch_block(norm_id, dim, k):
+    # on the A/P stack (64, 121, n) of estimate_A_P.  The expression form's
+    # peak was its output plus 4.01 planes for euclid (dim 3 and 4), 6.02 for
+    # elliptic:1,1.5,2 and 17.04 and 19.05 for quartic:0.001 (dim 3, 4)
+    nf = norm_by_id(norm_id, dim)
+    n = dim - 1
+    P = np.moveaxis(np.random.default_rng(5).normal(size=(n, 64, 121)), 0, -1)
+    nf.flow_coeff(P)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        a = nf.flow_coeff(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    plane = 64 * 121 * 8
+    # a few kB of Python objects besides, far less than one more plane
+    assert a.nbytes + k * plane <= peak <= a.nbytes + k * plane + 8192
+
+
 def test_aniso_flow_takes_the_closed_form_when_the_norm_has_one():
     # every catalog norm has one, and the flow steps with it
     for norm_id in ("euclid", "elliptic:1,1.5,2", "quartic:0.001"):
@@ -531,6 +709,22 @@ def test_cross_term_requires_symmetry():
     M = np.array([[1.0, 0.3], [0.3, 1.5]])
     with pytest.raises(ValueError):
         cross_term_bound(elliptic_norm(M))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s_max", [1e2, 1e3, 1e4])
+def test_C2_contraction_gives_the_stacked_matmuls_bits(n, s_max):
+    # every catalog norm, and the C-contiguous G, entries trailing, that
+    # cross_term_bound hands it
+    for nf in builtin_norms(n):
+        qe, z, pe = finsler._cross_term_samples(nf.dim, s_max,
+                                                  finsler.SAMPLING["cross_term_bound"])
+        F, _, H = nf.jet(z, 2)
+        G = np.multiply(F[..., None, None], H, order="C")
+        got = finsler._quad_each(pe[..., 0, :], G[..., 0, :, :], qe)
+        want = _quad(pe, G, qe)
+        assert got.shape == want.shape == F.shape[:-1] + (len(qe),)
+        assert got.tobytes() == want.tobytes(), nf.id
 
 
 def test_certify_writes_json(tmp_path):
