@@ -226,7 +226,7 @@ def _certify(target: str, args) -> int:
 
     try:
         consts = finsler.certify(nf, s_max=args.s_max, path=path)
-    except (RuntimeError, finsler.NormConstructionError) as e:
+    except (RuntimeError, ArithmeticError, finsler.NormConstructionError) as e:
         print(f"certification failed for {target!r}: {e}", file=sys.stderr)
         return 1
     _emit(f"certified {consts.norm_id}: A={consts.A:.6g} P={consts.P:.6g} "

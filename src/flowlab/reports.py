@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 class JsonRecord:
@@ -37,14 +37,7 @@ class VerificationReport(JsonRecord):
         return bool(self.max_defect <= self.tolerance)
 
     def to_jsonable(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "max_defect": self.max_defect,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "witness": self.witness,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "passed": self.passed}
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

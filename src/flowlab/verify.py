@@ -5,8 +5,8 @@ Checks are pure and deterministic; defects are signed (negative means the
 bound holds with margin) and ``passed`` is always max_defect <= tolerance.
 The estimate checks scan the snapshots with t > 0 (inside a time window
 where the check has one), take one signed defect and witness per snapshot
-and report the first largest; a check that tests nothing raises
-PreconditionError.
+and report the first largest, each through ``_report``; a check that tests
+nothing raises PreconditionError.
 """
 
 from __future__ import annotations
@@ -117,6 +117,15 @@ def _worst(samples, empty: str):
     if witness is None:
         raise PreconditionError(empty)
     return worst, witness
+
+
+def _report(check_id: str, samples, empty: str, tolerance: float,
+            metadata: dict) -> VerificationReport:
+    """The report of the first largest (defect, witness) of samples (see
+    ``_worst``).  The samples are read before metadata, so a sample may
+    count into it."""
+    worst, witness = _worst(samples, empty)
+    return VerificationReport(check_id, worst, tolerance, witness, metadata)
 
 
 # --- ordering / comparison --------------------------------------------------
@@ -239,14 +248,8 @@ def double_coordinate_defect(traj, b: barriers.PsiBarrier, M: float,
         return float(Z[i]), {"t": float(t), "distance": float(dists[ks[i]]),
                              "max_pair_diff": float(pair_max[i]), "phi": float(phi_k[ks[i]])}
 
-    worst, witness = _worst(map(sample, snaps, phi), empty)
-    return VerificationReport(
-        check_id=f"double-coordinate:{region}",
-        max_defect=worst,
-        tolerance=tolerance,
-        witness=witness,
-        metadata={"M": M, "c": b.c, "h": h, "period": grid.x_hi - grid.x_lo},
-    )
+    return _report(f"double-coordinate:{region}", map(sample, snaps, phi), empty, tolerance,
+                   {"M": M, "c": b.c, "h": h, "period": grid.x_hi - grid.x_lo})
 
 
 def gradient_bound_check(traj, bound: Callable[[float], float],
@@ -260,16 +263,9 @@ def gradient_bound_check(traj, bound: Callable[[float], float],
         b = bound(t)
         return float(g - b), {"t": float(t), "max_grad": float(g), "bound": float(b)}
 
-    worst, witness = _worst(
-        (sample(t, f) for t, f in _scan(traj, t_window)),
-        f"no snapshot with t > 0 in t_window {t_window} where the bound is finite")
-    return VerificationReport(
-        check_id="gradient-bound",
-        max_defect=worst,
-        tolerance=grid_tol,
-        witness=witness,
-        metadata={"t_window": list(t_window) if t_window else None},
-    )
+    return _report("gradient-bound", (sample(t, f) for t, f in _scan(traj, t_window)),
+                   f"no snapshot with t > 0 in t_window {t_window} where the bound is finite",
+                   grid_tol, {"t_window": list(t_window) if t_window else None})
 
 
 # --- displacement estimates -------------------------------------------------
@@ -282,13 +278,6 @@ def _apex(traj, h: float) -> tuple:
         raise PreconditionError("displacement checks are one-dimensional")
     x = grid.nodes()
     return x, int(np.argmin(np.abs(x - h)))
-
-
-def _displacement_report(kind, traj, sample, grid_tol, metadata) -> VerificationReport:
-    """The report of the first largest ``sample(t, f)`` over the snapshots with t > 0."""
-    worst, witness = _worst((sample(t, f) for t, f in _scan(traj)),
-                            f"no snapshot with t > 0 to test the {kind} displacement bound")
-    return VerificationReport(f"displacement:{kind}", worst, grid_tol, witness, metadata)
 
 
 def holder_displacement(traj, alpha: float, m=0, h: float = 0.0) -> VerificationReport:
@@ -329,7 +318,9 @@ def lipschitz_displacement(traj, L: float, Lambda_of_K, h: float = 0.0,
         return float(d[i]), {"t": float(t), "x": float(x[i]), "u": float(f.values[i]),
                              "barrier": float(v[i])}
 
-    return _displacement_report("lipschitz", traj, sample, grid_tol, {"L": L, "h": h})
+    return _report("displacement:lipschitz", (sample(t, f) for t, f in _scan(traj)),
+                   "no snapshot with t > 0 to test the lipschitz displacement bound", grid_tol,
+                   {"L": L, "h": h})
 
 
 def step_displacement(traj, half_height: float, Lambda_of_K, jump: float = 0.0,
@@ -349,8 +340,9 @@ def step_displacement(traj, half_height: float, Lambda_of_K, jump: float = 0.0,
         return float(d[i]), {"t": float(t), "x": float(x[left][i]),
                              "envelope": float(env[i])}
 
-    return _displacement_report("step", traj, sample, grid_tol,
-                                {"half_height": c, "jump": jump})
+    return _report("displacement:step", (sample(t, f) for t, f in _scan(traj)),
+                   "no snapshot with t > 0 to test the step displacement bound", grid_tol,
+                   {"half_height": c, "jump": jump})
 
 
 def modulus_displacement(traj, omega: ModulusOfContinuity, Lambda_of_K, h: float = 0.0,
@@ -375,7 +367,9 @@ def modulus_displacement(traj, omega: ModulusOfContinuity, Lambda_of_K, h: float
         d = abs(f.values[i0] - u0) - ct
         return float(d), {"t": float(t), "c_t": ct, "k_star": float(res.x)}
 
-    return _displacement_report("modulus", traj, sample, grid_tol, {"apex": float(x[i0])})
+    return _report("displacement:modulus", (sample(t, f) for t, f in _scan(traj)),
+                   "no snapshot with t > 0 to test the modulus displacement bound", grid_tol,
+                   {"apex": float(x[i0])})
 
 
 # --- intersection counting --------------------------------------------------
@@ -479,7 +473,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
     x = grid.nodes()
     interior = slice(1, -1)
     dist = np.minimum(x - grid.x_lo, grid.x_hi - x)[interior]
-    skipped = {"n_saturated": 0, "n_tail_skipped": 0}
+    metadata = {"M": M, "c": c, "relative": True, "n_saturated": 0, "n_tail_skipped": 0}
 
     def sample(t, f):
         u = f.values
@@ -492,7 +486,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         # nodes where u/N rounds to +-1 have bound and gradient both
         # vanishing; the relative defect is ill-defined there
         live = np.abs(ratio) < 1.0 - 1e-12
-        skipped["n_saturated"] += int(np.sum(~live))
+        metadata["n_saturated"] += int(np.sum(~live))
         if not np.any(live):
             return -np.inf, None
         bound = (2.0 * N[live] * np.sqrt(c / (np.pi * t))
@@ -500,7 +494,7 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         keep = slice(None)
         if tail_floor > 0.0:
             keep = bound >= tail_floor * float(np.max(bound))
-            skipped["n_tail_skipped"] += int(np.sum(~keep))
+            metadata["n_tail_skipped"] += int(np.sum(~keep))
             if not np.any(keep):
                 return -np.inf, None
         rel = (ux[live][keep] - bound[keep]) / bound[keep]
@@ -508,16 +502,10 @@ def heat_zero_counting_gradient(traj, M: float, c: float,
         return float(rel[i]), {"t": float(t), "x": float(x[interior][live][keep][i]),
                                "u_x": float(ux[live][keep][i]), "bound": float(bound[keep][i])}
 
-    worst, witness = _worst(
-        (sample(t, f) for t, f in _scan(traj)),
-        f"no snapshot with t > 0 has an unsaturated interior node above tail_floor {tail_floor:g}")
-    return VerificationReport(
-        check_id="heat-zero-counting",
-        max_defect=worst,
-        tolerance=rel_tol,
-        witness=witness,
-        metadata={"M": M, "c": c, "relative": True, **skipped},
-    )
+    return _report(
+        "heat-zero-counting", (sample(t, f) for t, f in _scan(traj)),
+        f"no snapshot with t > 0 has an unsaturated interior node above tail_floor {tail_floor:g}",
+        rel_tol, metadata)
 
 
 def convergence_to_initial_data(traj, omega: ModulusOfContinuity,
@@ -536,12 +524,5 @@ def convergence_to_initial_data(traj, omega: ModulusOfContinuity,
         return (float(np.max(np.abs(f.values[interior] - u0[interior]))) - delta,
                 {"t": float(t), "delta": float(delta)})
 
-    worst, witness = _worst((sample(t, f) for t, f in _scan(traj)),
-                            "no snapshot with t > 0 to compare with the initial data")
-    return VerificationReport(
-        check_id="convergence-to-initial-data",
-        max_defect=worst,
-        tolerance=grid_tol,
-        witness=witness,
-        metadata={"n": n},
-    )
+    return _report("convergence-to-initial-data", (sample(t, f) for t, f in _scan(traj)),
+                   "no snapshot with t > 0 to compare with the initial data", grid_tol, {"n": n})

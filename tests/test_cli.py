@@ -33,6 +33,29 @@ def _assert_reference_digests(out, name):
     assert observed == expected
 
 
+# sha256 of the files a bundled run writes besides manifest.json and
+# fields/, which the benchmark's reference pins: its reports and summary
+RUN_REPORT_SHA256 = {
+    "heat-step": {
+        "reports/zero-counting.json":
+            "e96f8afe572156235638444364be39de2cce711b35b89db9c07032a22e857f66",
+        "summary.txt": "68f164ef0877e11d5418d885d4c07e0fd0fdbd2d72645c3c5f419eabbe4a73e8",
+    },
+    "csf-crenellated": {
+        "reports/double-coordinate.json":
+            "dba8e3e341b1bc7642572e7292ff53739bdeeef7afe9af2f8e4e7c139f4c138b",
+        "summary.txt": "c5cbd87684a9abe1a2dda626dd1daa84870a8d1add33b36b335425832d10d000",
+    },
+}
+
+
+def _assert_report_digests(out, name):
+    """reports/*.json and summary.txt match RUN_REPORT_SHA256."""
+    rels = ["summary.txt"] + ["reports/" + f for f in os.listdir(os.path.join(out, "reports"))]
+    observed = {rel: hashlib.sha256(Path(out, rel).read_bytes()).hexdigest() for rel in rels}
+    assert observed == RUN_REPORT_SHA256[name]
+
+
 def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -344,6 +367,7 @@ def test_run_heat_step(tmp_path):
     summary = Path(out, "summary.txt").read_text()
     assert "PASS" in summary
     _assert_reference_digests(out, "heat-step")
+    _assert_report_digests(out, "heat-step")
 
 
 def test_run_csf_crenellated(tmp_path):
@@ -353,6 +377,7 @@ def test_run_csf_crenellated(tmp_path):
         rep = json.load(fh)
     assert rep["max_defect"] <= 0.0  # strict certificate at c = 1/4
     _assert_reference_digests(out, "csf-crenellated")
+    _assert_report_digests(out, "csf-crenellated")
 
 
 def test_run_byte_identical(tmp_path):
@@ -466,6 +491,31 @@ def test_empty_window_is_error(tmp_path, text, name):
     assert not os.path.exists(os.path.join(out, "reports", f"{name}.json"))
     summary = Path(out, "summary.txt").read_text()
     assert f"ERROR {name}: no snapshot" in summary
+
+
+# two checks with assert = false: one fails, one tests nothing
+REPORT_ONLY = ("\n[check:fails]\ntype = gradient_bound\ncoeff = 0.01\nassert = false\n"
+               "\n[check:empty]\ntype = gradient_bound\ncoeff = 0.0\nt_lo = 0.0\nt_hi = 0.01\n"
+               "assert = false\n")
+
+
+@pytest.mark.parametrize("asserted, exit_code", [
+    ("", 0), ("\n[check:asserted]\ntype = gradient_bound\ncoeff = 0.01\n", 1),
+], ids=["alone", "asserted"])
+def test_report_only_checks_leave_the_exit_code(tmp_path, capsys, asserted, exit_code):
+    # max|u_x| = exp(-t) lies above 0.01 t^(-1/2) at t = 0.05, and t_hi = 0.01
+    # excludes the only output time: each check with assert = false is
+    # reported and exits 0, while an asserted one that fails still exits 1
+    out = tmp_path / "o"
+    assert main(["run", _write(tmp_path, MINIMAL + REPORT_ONLY + asserted),
+                 "--out", str(out)]) == exit_code
+    fail = "FAIL  gradient-bound: max_defect=0.904962 tol=0"
+    lines = [*([f"asserted: {fail}"] if asserted else []),
+             "ERROR empty: no snapshot with t > 0 in t_window (0.0, 0.01) where the bound "
+             "is finite", f"fails: {fail}  (report-only)"]
+    assert capsys.readouterr().out.splitlines() == lines
+    assert (out / "summary.txt").read_text().splitlines()[2:] == lines
+    assert not (out / "reports" / "empty.json").exists()
 
 
 @pytest.mark.parametrize("L, exit_code, defect", [(8.0, 0, -0.366), (0.5, 1, 0.160)])
@@ -764,6 +814,18 @@ def test_certify_that_fails_writes_nothing(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["certify", "euclid", "--s-max", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("certification failed for 'euclid': ")
+    assert list(out.iterdir()) == []
+
+
+def test_certify_degenerate_tangent_hessian_is_a_failed_certificate(tmp_path, capsys):
+    # M = diag(1, 1e-300) is positive definite, but its tangent Hessian forms
+    # are about 1e-300, and their product with F^3 underflows to 0:
+    # check_smallness's ArithmeticError fails the certificate, with no file
+    out = tmp_path / "c"
+    assert main(["certify", "elliptic:1,1e-300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "certification failed for 'elliptic:1,1e-300': "
+        "degenerate tangent Hessian for 'elliptic:1,1e-300'\n")
     assert list(out.iterdir()) == []
 
 

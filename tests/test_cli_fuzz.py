@@ -35,9 +35,10 @@ CLAUSES = ["grid.n_cells=16,32", "plan.t_end=nan,0.05", "flow.c=0.25,abc",
            "check:zero-counting.rel_tol=0.05,-1", "check:double-coordinate.c=0.25,inf",
            "nosuch.key=1", "grid.n_cells", "=1", "grid.x_lo=", "grid.n_cells=16"]
 # norm parameters near the largest float are refused before they can
-# overflow while the norm is built or certified
+# overflow while the norm is built or certified; one near the smallest
+# fails its certificate
 CERTIFY_IDS = ["euclid", "quartic:0.001", "quartic:nan", "quartic:", "quartic:1e20",
-               "quartic:1e308", "quartic:-1e308", "elliptic:1,1e308",
+               "quartic:1e308", "quartic:-1e308", "elliptic:1,1e308", "elliptic:1,1e-300",
                "elliptic:1,2", "elliptic:1,-1", "elliptic:abc", "elliptic:1,2;3",
                "octagon", "heat", "csf:foo", "plaplace-reg", "aniso:quartic:0.5",
                "aniso:octagon", ""]

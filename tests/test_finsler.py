@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -695,6 +696,25 @@ def test_symmetry_probe_detects_coupling():
     rep = check_symmetry(elliptic_norm(M))
     assert not rep.passed
     assert not elliptic_norm(M).symmetric_flag
+
+
+# sha256 of check_symmetry's to_json(), recorded while it read the whole
+# D^3 F tensor; the coupled norms fail, so their witnesses carry its bits
+SYMMETRY_SHA256 = {
+    "euclid": "b41b6fe97df0b91950d419a234289c116c2e0fdf56e2d8389d0ac19225c7b02e",
+    "elliptic:1,1.5,2": "8338cf9cf7b71fabb6dabb41a725a97534cb270b7a210122a1e194fdfaed633f",
+    "quartic:0.001": "533d30f1ca79065ce3c836a3ae16747d016e922cc351b0cbe90fc6b8fa47e745",
+    "quartic:0.2": "96d65e4ef24aee6f272bcf959d5df16d9fbf286723ec85018261ddb64a0494cb",
+    "elliptic:1,0.3,0;0.3,1.5,0;0,0,2":
+        "bc11daf25324638c7ac71d953d34701675b421c5dfa9572fde2df3d96e46765d",
+    "elliptic:1,0.4;0.4,2": "266c9b38bd959f059857ced7882b612cee8cded6d5ddb0ca34f2a25e877b8307",
+}
+
+
+@pytest.mark.parametrize("norm_id", sorted(SYMMETRY_SHA256))
+def test_symmetry_report_is_pinned(norm_id):
+    rep = check_symmetry(norm_by_id(norm_id))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SYMMETRY_SHA256[norm_id]
 
 
 def test_trace_lower_bound_euclid():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -665,3 +667,77 @@ def test_double_coordinate_clamped_barrier_witness(monkeypatch, chunk):
     traj = Trajectory()
     traj.append(1.0, Field(g, u))
     assert verify.double_coordinate_defect(traj, b, 0.1).witness["distance"] == 10 * g.h
+
+
+# --- report bytes --------------------------------------------------------------
+
+
+def _formula_trajectory(u, n=32, times=(0.0, 1e-3, 4e-3, 1e-2), topology="bounded"):
+    """The fields u(x, t) on [-1, 1] at the times, with no solver in between."""
+    g = Grid1D(-1.0, 1.0, n, topology)
+    return Trajectory([(t, Field(g, u(g.nodes(), t))) for t in times])
+
+
+def _rising_intersections():
+    """A pair whose intersection count goes 1, 3, 1 over three snapshots."""
+    times = (0.0, 0.1, 0.2)
+    return (_formula_trajectory(lambda x, t: np.sin(5.0 * x + 0.2) if t == 0.1 else x - 0.05,
+                                times=times),
+            _formula_trajectory(lambda x, t: np.zeros_like(x), times=times))
+
+
+_LAM = flows.heat_1d(0.25).Lambda_of_K
+
+# every verify check on small fixed trajectories, computed from formulas
+REPORT_CASES = {
+    "comparison": lambda: check_comparison([0.3, 0.01, -2e-13, 0.2], scale=2.0),
+    "double-coordinate:full": lambda: verify.double_coordinate_defect(
+        _crenellated_noise(64, 1.0)[1], barriers.PsiBarrier(c=0.25), 1.0),
+    "double-coordinate:G": lambda: verify.double_coordinate_defect(
+        _crenellated_noise(64, 1.0)[1], barriers.PsiBarrier(c=0.25), 1.0, region="G",
+        t_window=(0.0, 1.0 / 6.0)),
+    "gradient-bound": lambda: verify.gradient_bound_check(
+        _crenellated_noise(64, 1.0)[1], lambda t: 2.0 / np.sqrt(t), grid_tol=0.5,
+        t_window=(0.0, 0.1)),
+    # n_saturated and n_tail_skipped both count nodes here
+    "heat-zero-counting": lambda: heat_zero_counting_gradient(
+        _erf_trajectory(0.25, 1.0, 48, (2e-5, 1e-3, 1e-2))[1], 1.0, 0.25, rel_tol=0.05,
+        tail_floor=1e-2),
+    "convergence-to-initial-data": lambda: convergence_to_initial_data(
+        _crenellated_noise(64, 1.0)[1], lipschitz_modulus(1.0), grid_tol=1e-3),
+    "displacement:lipschitz": lambda: lipschitz_displacement(
+        _formula_trajectory(lambda x, t: np.abs(x) + np.sqrt(t) * np.exp(-x * x)),
+        1.0, _LAM, h=0.0, grid_tol=1e-4),
+    "displacement:step": lambda: step_displacement(
+        _formula_trajectory(lambda x, t: erf(x / (2.0 * np.sqrt(t))) if t else np.sign(x)),
+        1.0, _LAM, jump=0.0, grid_tol=1e-3),
+    "displacement:modulus": lambda: modulus_displacement(
+        _formula_trajectory(lambda x, t: np.abs(x) + 2.0 * np.sqrt(t)),
+        lipschitz_modulus(1.0), _LAM, h=0.0, grid_tol=1e-4),
+    "displacement:holder": lambda: holder_displacement(
+        _formula_trajectory(lambda x, t: np.abs(x) ** 0.5 + t ** 0.25 * np.cos(x)), 0.5),
+    "intersection-monotonicity": lambda: intersection_monotonicity(*_rising_intersections()),
+}
+
+# sha256 of each case's to_json(), recorded before the scan checks shared
+# one report path
+REPORT_SHA256 = {
+    "comparison": "73ba7ee92ba464a5f7844f95e290c2bc508c060f0b993a277edb968fe81e60c3",
+    "convergence-to-initial-data": "74110ea3095c86a857d8e73d6e3dcbbac26658f76f855dbab9d787a98c4542b0",
+    "displacement:holder": "4c67b18850ddadd057b738370e9a534ede9c555b8307e4f582300df6c99e10a4",
+    "displacement:lipschitz": "462acac61487557b853c9fb61869a5038742d16898ee3ba26b3608a9da1a9563",
+    "displacement:modulus": "4d0f9970c183a6d2b2d0fc76915dbbba06012bdc31503dffd9829335963cdf76",
+    "displacement:step": "d6c07de7966f8ad933db255d25068cab2f6e22f9cd851bf33927b4429b61af96",
+    "double-coordinate:G": "a5b91a421ef9d6954065d3c0864970fd150aa137feebafbfe45e1b8613aa7ba2",
+    "double-coordinate:full": "a61218836f6eae20cc1aea520a7839d0eb5dd36deef41993a073e786f2313f13",
+    "gradient-bound": "b80635b58338673a43bd9a44bda7102ccd155b85865e4027187f3be04c479005",
+    "heat-zero-counting": "a4b1da87a85914a909f47ff1bc4437d07b71799b8d0597ba80c8a0b296686db9",
+    "intersection-monotonicity": "fb8fa2e385eecb17f89c90683e95c24a5bc1388541bcc32d1653a59f62eefc67",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_report_bytes_are_pinned(case):
+    rep = REPORT_CASES[case]()
+    assert rep.check_id == case
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == REPORT_SHA256[case]
